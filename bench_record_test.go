@@ -1,10 +1,9 @@
 // Shared benchmark-record plumbing. Each inference benchmark appends a
-// timestamped entry to its JSON trajectory file (BENCH_predict32.json,
-// BENCH_predict_int8.json) instead of overwriting it, so the repo
-// accumulates a perf history — one data point per run, tagged with the
-// commit and platform it was measured on. A legacy single-object file
-// from the pre-trajectory format is migrated by becoming the first
-// entry of the array.
+// timestamped entry to its JSON trajectory file (BENCH_predict32.json)
+// instead of overwriting it, so the repo accumulates a perf history —
+// one data point per run, tagged with the commit and platform it was
+// measured on. A legacy single-object file from the pre-trajectory
+// format is migrated by becoming the first entry of the array.
 package flowgen
 
 import (
@@ -23,30 +22,26 @@ import (
 // classified per second through each precision engine; fields a
 // benchmark does not measure stay zero and are omitted from the JSON.
 type benchEntry struct {
-	Bench            string  `json:"bench"`
-	Time             string  `json:"time"`
-	GitSHA           string  `json:"git_sha"`
-	GOOS             string  `json:"goos"`
-	GOARCH           string  `json:"goarch"`
-	SIMD             string  `json:"simd"`                   // kernel tier active for the run
-	CPUFeatures      string  `json:"cpu_features,omitempty"` // detected vector features
-	Arch             string  `json:"arch"`
-	PoolFlows        int     `json:"pool_flows,omitempty"`
-	F64FlowsPerS     float64 `json:"f64_flows_per_sec,omitempty"`
-	F32FlowsPerS     float64 `json:"f32_flows_per_sec,omitempty"`
-	Int8FlowsPerS    float64 `json:"int8_flows_per_sec,omitempty"`
-	SpeedupF32VsF64  float64 `json:"speedup_f32_vs_f64,omitempty"`
-	SpeedupInt8VsF32 float64 `json:"speedup_int8_vs_f32,omitempty"`
-	SpeedupInt8VsF64 float64 `json:"speedup_int8_vs_f64,omitempty"`
-	ArgmaxTies       int     `json:"argmax_ties_excluded"`
-	MaxProbDrift     float64 `json:"max_abs_prob_drift_vs_f64,omitempty"`
-	ServeF32PerS     float64 `json:"serve_f32_flows_per_sec,omitempty"`
-	ServeSpeedup     float64 `json:"serve_speedup_f32_vs_f64,omitempty"`
+	Bench           string  `json:"bench"`
+	Time            string  `json:"time"`
+	GitSHA          string  `json:"git_sha"`
+	GOOS            string  `json:"goos"`
+	GOARCH          string  `json:"goarch"`
+	SIMD            string  `json:"simd"`                   // kernel tier active for the run
+	CPUFeatures     string  `json:"cpu_features,omitempty"` // detected vector features
+	Arch            string  `json:"arch"`
+	PoolFlows       int     `json:"pool_flows,omitempty"`
+	F64FlowsPerS    float64 `json:"f64_flows_per_sec,omitempty"`
+	F32FlowsPerS    float64 `json:"f32_flows_per_sec,omitempty"`
+	SpeedupF32VsF64 float64 `json:"speedup_f32_vs_f64,omitempty"`
+	ArgmaxTies      int     `json:"argmax_ties_excluded"`
+	MaxProbDrift    float64 `json:"max_abs_prob_drift_vs_f64,omitempty"`
+	ServeF32PerS    float64 `json:"serve_f32_flows_per_sec,omitempty"`
+	ServeSpeedup    float64 `json:"serve_speedup_f32_vs_f64,omitempty"`
 
-	// SIMD-tier fields (ISSUE 7): the same engine re-run with dispatch
-	// forced to the scalar kernels, and the resulting vector speedup.
+	// SIMD-tier fields: the same engine re-run with dispatch forced to
+	// the scalar kernels, and the resulting vector speedup.
 	ScalarF32FlowsPerS  float64 `json:"scalar_f32_flows_per_sec,omitempty"`
-	ScalarInt8FlowsPerS float64 `json:"scalar_int8_flows_per_sec,omitempty"`
 	SpeedupSIMDVsScalar float64 `json:"speedup_simd_vs_scalar,omitempty"`
 }
 

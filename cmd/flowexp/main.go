@@ -37,7 +37,7 @@ func main() {
 		seed       = cliflags.Seed(flag.CommandLine, 11)
 		memo       = cliflags.Memo(flag.CommandLine)
 		predW      = cliflags.Workers(flag.CommandLine, "predworkers", "pool-prediction workers (0 = GOMAXPROCS)")
-		precision  = cliflags.Precision(flag.CommandLine, "pool-prediction engine: f32 (packed fast path), int8 (quantized, fastest) or f64 (training numerics)")
+		precision  = cliflags.Precision(flag.CommandLine)
 	)
 	flag.Parse()
 

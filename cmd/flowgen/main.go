@@ -41,7 +41,7 @@ func main() {
 		steps      = flag.Int("steps", 400, "CNN steps per retraining round")
 		seed       = cliflags.Seed(flag.CommandLine, 1)
 		optimizer  = flag.String("optimizer", "RMSProp", "SGD|Momentum|AdaGrad|RMSProp|Ftrl")
-		precision  = cliflags.Precision(flag.CommandLine, "pool-prediction engine: f32 (packed fast path), int8 (quantized, fastest) or f64 (training numerics)")
+		precision  = cliflags.Precision(flag.CommandLine)
 		memo       = cliflags.Memo(flag.CommandLine)
 		paper      = flag.Bool("paper", false, "use the paper's full-scale parameters")
 		verify     = flag.Bool("verify", false, "synthesize the generated flows and report accuracy")

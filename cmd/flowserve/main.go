@@ -7,7 +7,6 @@
 //	flowserve -model alu16.flowmodel            # serve one file
 //	flowserve -bootstrap demo                   # untrained demo model, no files needed
 //	flowserve -models ./models -watch 2s        # auto-reload models whose files change
-//	flowserve -model alu16.flowmodel -precision int8  # quantized snapshot, fastest
 //	flowserve -model alu16.flowmodel -precision f64   # opt out of the f32 fast path
 //
 // With -loop, the server closes the paper's flow-development cycle in
@@ -78,7 +77,7 @@ func main() {
 		workers    = cliflags.Workers(flag.CommandLine, "workers", "prediction workers per batch (0 = GOMAXPROCS)")
 		cacheN     = flag.Int("cache", 4096, "scored-flow cache capacity (0 disables)")
 		maxPool    = flag.Int("maxpool", 200000, "largest recommendation pool one request may score")
-		precision  = cliflags.Precision(flag.CommandLine, "inference engine: f32 (packed fast path), int8 (quantized snapshot, fastest) or f64 (training numerics)")
+		precision  = cliflags.Precision(flag.CommandLine)
 		watch      = flag.Duration("watch", 0, "poll model files at this interval and hot-reload on change (0 disables)")
 		reqTimeout = cliflags.PositiveDuration(flag.CommandLine, "request-timeout", 30*time.Second,
 			"server-side deadline per request, propagated through batcher, predictor and loop")

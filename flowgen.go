@@ -66,20 +66,17 @@ type (
 	// ArchConfig describes the CNN classifier architecture (Figure 3).
 	ArchConfig = nn.ArchConfig
 	// Precision selects the inference engine (F32 packed fast path, the
-	// default, Int8 quantized snapshot, or F64 training numerics).
+	// default, or F64 training numerics).
 	Precision = nn.Precision
 	// InferenceNet is the packed float32 forward-only snapshot of a
 	// trained network — the serving/pool-prediction fast path.
 	InferenceNet = nn.InferenceNet
-	// QuantNet is the int8 quantized forward-only snapshot — the fastest
-	// inference tier, compiled once per model version.
-	QuantNet = nn.QuantNet
 	// Predictor is the one inference surface every precision tier
 	// implements; consumers hold a Predictor and never switch on
 	// precision (DESIGN.md §3.5).
 	Predictor = nn.Predictor
 	// PredictSource feeds encoded inputs to a Predictor in whichever
-	// numeric form its tier consumes (f64, f32 or packed bits).
+	// numeric form its tier consumes (f64 or f32).
 	PredictSource = nn.Source
 	// Loop is the continuous flow-development loop: online labeling,
 	// journaled corpus, gated background retraining (DESIGN.md §4).
@@ -121,25 +118,17 @@ const (
 )
 
 // Precision values: F32 is the packed float32 inference fast path (the
-// default for pool prediction and serving), Int8 the quantized
-// bit-packed engine (fastest; tolerance-level agreement with f64, see
-// DESIGN.md §3.6), F64 the full-precision training-numerics engine.
+// default for pool prediction and serving), F64 the full-precision
+// training-numerics engine and the f32 engine's differential oracle.
 const (
-	F32  = nn.F32
-	F64  = nn.F64
-	Int8 = nn.Int8
+	F32 = nn.F32
+	F64 = nn.F64
 )
 
 // NewInferenceNet compiles a trained network into the packed float32
 // inference engine for the given input image shape.
 func NewInferenceNet(net *nn.Network, inH, inW int) (*InferenceNet, error) {
 	return nn.NewInferenceNet(net, inH, inW)
-}
-
-// NewQuantNet compiles a trained network into the int8 quantized
-// inference engine for the given input image shape.
-func NewQuantNet(net *nn.Network, inH, inW int) (*QuantNet, error) {
-	return nn.NewQuantNet(net, inH, inW)
 }
 
 // NewPredictor compiles a trained network into the inference engine for

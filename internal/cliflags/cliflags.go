@@ -18,9 +18,8 @@ import (
 	"flowgen/internal/obs"
 )
 
-// PrecisionUsage is the default -precision help text; commands with a
-// more specific engine description pass their own.
-const PrecisionUsage = "inference engine: f32 (packed fast path), int8 (quantized, fastest) or f64 (training numerics)"
+// PrecisionUsage is the -precision help text shared by every command.
+const PrecisionUsage = "f32 (packed fast path) or f64 (training numerics)"
 
 // precisionValue adapts nn.Precision to flag.Value, so a bad
 // -precision argument fails at flag.Parse with the parser's usage
@@ -44,13 +43,10 @@ func (v precisionValue) Set(s string) error {
 }
 
 // Precision registers -precision (default f32) and returns the parsed
-// engine selection. An empty usage selects PrecisionUsage.
-func Precision(fs *flag.FlagSet, usage string) *nn.Precision {
-	if usage == "" {
-		usage = PrecisionUsage
-	}
+// engine selection.
+func Precision(fs *flag.FlagSet) *nn.Precision {
 	p := nn.F32
-	fs.Var(precisionValue{&p}, "precision", usage)
+	fs.Var(precisionValue{&p}, "precision", PrecisionUsage)
 	return &p
 }
 

@@ -20,7 +20,7 @@ func newFS() *flag.FlagSet {
 
 func TestPrecisionFlag(t *testing.T) {
 	fs := newFS()
-	p := Precision(fs, "")
+	p := Precision(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +28,9 @@ func TestPrecisionFlag(t *testing.T) {
 		t.Fatalf("default precision %v, want f32", *p)
 	}
 
-	for arg, want := range map[string]nn.Precision{"int8": nn.Int8, "f64": nn.F64, "float32": nn.F32} {
+	for arg, want := range map[string]nn.Precision{"f64": nn.F64, "float32": nn.F32, "32": nn.F32} {
 		fs := newFS()
-		p := Precision(fs, "")
+		p := Precision(fs)
 		if err := fs.Parse([]string{"-precision", arg}); err != nil {
 			t.Fatalf("-precision %s: %v", arg, err)
 		}
@@ -39,12 +39,16 @@ func TestPrecisionFlag(t *testing.T) {
 		}
 	}
 
-	// A bad value fails at flag.Parse, not later in main.
-	fs = newFS()
-	Precision(fs, "")
-	err := fs.Parse([]string{"-precision", "f16"})
-	if err == nil || !strings.Contains(err.Error(), "f16") {
-		t.Fatalf("bad precision must fail at Parse, got %v", err)
+	// A bad value — including the retired int8 tier — fails at
+	// flag.Parse, not later in main, and the error lists the legal values.
+	for _, bad := range []string{"f16", "int8"} {
+		fs := newFS()
+		Precision(fs)
+		err := fs.Parse([]string{"-precision", bad})
+		if err == nil || !strings.Contains(err.Error(), bad) ||
+			!strings.Contains(err.Error(), "f32") || !strings.Contains(err.Error(), "f64") {
+			t.Fatalf("-precision %s must fail at Parse listing f32 and f64, got %v", bad, err)
+		}
 	}
 }
 

@@ -323,27 +323,14 @@ func EncodeFill32(space flow.Space, pool []flow.Flow, hw int) func(dst []float32
 	}
 }
 
-// EncodeFillBits is EncodeFill for the int8 engine's
-// nn.QuantNet.PredictStreamBits: flows encode bit-packed
-// (flow.EncodeBits), space.EncodeBitWords() words per sample.
-func EncodeFillBits(space flow.Space, pool []flow.Flow) func(dst []uint64, lo, hi int) {
-	words := space.EncodeBitWords()
-	return func(dst []uint64, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pool[i].EncodeBits(space, dst[(i-lo)*words:(i-lo+1)*words])
-		}
-	}
-}
-
-// FlowSource bundles the three flow-encoding fills into one nn.Source,
-// so any nn.Predictor — whatever its precision tier — streams a flow
-// pool through its native representation with no conversion round trip.
+// FlowSource bundles the two flow-encoding fills into one nn.Source,
+// so either nn.Predictor tier streams a flow pool through its native
+// representation with no conversion round trip.
 func FlowSource(space flow.Space, pool []flow.Flow, h, w int) nn.Source {
 	hw := h * w
 	return nn.Source{
-		Fill64:   EncodeFill(space, pool, hw),
-		Fill32:   EncodeFill32(space, pool, hw),
-		FillBits: EncodeFillBits(space, pool),
+		Fill64: EncodeFill(space, pool, hw),
+		Fill32: EncodeFill32(space, pool, hw),
 	}
 }
 
@@ -362,9 +349,9 @@ func ScoreFlows(pool []flow.Flow, probs [][]float64) []ScoredFlow {
 // into chunk-sized worker buffers instead of materializing one
 // pool-sized tensor (~115 MB at the paper's 100k-flow pool), so peak
 // memory is flat in the pool size. cfg.Precision selects the engine
-// through nn.NewPredictor (f32 packed snapshot by default, int8
-// quantized snapshot, or the full-precision f64 clone pool); either way
-// results are deterministic regardless of sharding.
+// through nn.NewPredictor (f32 packed snapshot by default, or the
+// full-precision f64 clone pool); either way results are deterministic
+// regardless of sharding.
 func (fw *Framework) PredictPool(net *nn.Network, pool []flow.Flow) []ScoredFlow {
 	cfg := fw.Cfg
 	if len(pool) == 0 {

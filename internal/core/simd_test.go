@@ -14,13 +14,11 @@ import (
 // the vector kernel tier (ISSUE 7): for every registered design, a
 // seeded sample pool is scored once under the host's active SIMD level
 // and once with dispatch forced to the scalar kernels (the same
-// snapshots FLOWGEN_SIMD=off would build). The int8 engines must agree
-// bit-for-bit — the VPMADDUBSW kernel computes the same exact integer
-// dot products and dequantizes with the identical expression — and the
-// f32 engines must agree within the f32-vs-f64 differential tolerance
-// with no argmax flips beyond numerical ties (FMA rounds each
-// accumulation step differently, so f32 vector and scalar logits are
-// close but not bitwise equal).
+// snapshots FLOWGEN_SIMD=off would build). The two f32 engines must
+// agree within the f32-vs-f64 differential tolerance with no argmax
+// flips beyond numerical ties (FMA rounds each accumulation step
+// differently, so vector and scalar logits are close but not bitwise
+// equal).
 func TestSIMDDispatchDifferentialAcrossDesigns(t *testing.T) {
 	if tensor.ActiveSIMD() == tensor.SIMDNone {
 		t.Skip("no vector tier active on this host (or FLOWGEN_SIMD=off); nothing to differentiate")
@@ -44,50 +42,27 @@ func TestSIMDDispatchDifferentialAcrossDesigns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfgD.Precision = nn.Int8
-			fw8, err := New(cfgD, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			net := cfg.Arch.Build(seed)
 			pool := space.RandomUnique(fw32.rng, poolN)
 
 			// Vector-tier predictions: snapshots compiled while the host
 			// level is active.
 			vec32 := fw32.PredictPool(net, pool)
-			vec8 := fw8.PredictPool(net, pool)
 
-			// Scalar predictions: force dispatch off, recompile (fresh
-			// frameworks so the packed snapshots are rebuilt with the
-			// scalar layouts), restore.
+			// Scalar predictions: force dispatch off, recompile (a fresh
+			// framework so the packed snapshot is rebuilt with the scalar
+			// layouts), restore.
 			prev := tensor.SetSIMD(tensor.SIMDNone)
 			defer tensor.SetSIMD(prev)
-			cfgD.Precision = nn.F32
 			sfw32, err := New(cfgD, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfgD.Precision = nn.Int8
-			sfw8, err := New(cfgD, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			sca32 := sfw32.PredictPool(net, pool)
-			sca8 := sfw8.PredictPool(net, pool)
 			tensor.SetSIMD(prev)
 
 			for i := range pool {
-				// int8: bit-identical, classes and probabilities.
-				if vec8[i].Class != sca8[i].Class {
-					t.Fatalf("flow %d: int8 argmax %d (vector) != %d (scalar)", i, vec8[i].Class, sca8[i].Class)
-				}
-				for j := range sca8[i].Probs {
-					if vec8[i].Probs[j] != sca8[i].Probs[j] {
-						t.Fatalf("flow %d class %d: int8 prob %v (vector) != %v (scalar) — the tiers must be bit-identical",
-							i, j, vec8[i].Probs[j], sca8[i].Probs[j])
-					}
-				}
-				// f32: bounded drift, argmax stable outside ties.
+				// Bounded drift, argmax stable outside ties.
 				if vec32[i].Class != sca32[i].Class {
 					if best, second := top2(sca32[i].Probs); best-second > tieEps {
 						t.Fatalf("flow %d: f32 argmax %d (vector) != %d (scalar) beyond the tie tolerance",

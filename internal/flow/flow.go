@@ -244,15 +244,11 @@ func (s Space) EncodeLen() int { return s.Length() * s.N() }
 // EncodeOffset is the single source of truth for the one-hot layout:
 // flow position j with transformation t occupies flat element j·n + t of
 // the encoding (row j, column t of the L×n matrix of Section 3.2.1).
-// EncodeInto, EncodeInto32 and EncodeBits all write through this offset,
-// and the engines' sparse first-convolution paths read the same flat
+// EncodeInto and EncodeInto32 both write through this offset, and the
+// engines' sparse first-convolution paths read the same flat
 // index — change the layout here and every producer/consumer moves
 // together instead of silently desyncing.
 func (s Space) EncodeOffset(j, t int) int { return j*s.N() + t }
-
-// EncodeBitWords returns the uint64 word count of the bit-packed
-// encoding (EncodeBits).
-func (s Space) EncodeBitWords() int { return (s.EncodeLen() + 63) / 64 }
 
 // OneHot returns the L-by-n binary matrix M of Section 3.2.1: row j has a
 // single 1 in the column of the j-th transformation.
@@ -333,27 +329,6 @@ func (f Flow) EncodeInto32(s Space, dst []float32) {
 	}
 	for j, t := range f.Indices {
 		dst[s.EncodeOffset(j, t)] = 1
-	}
-}
-
-// EncodeBits writes the flow's one-hot encoding as a bitset: bit
-// EncodeOffset(j, tⱼ) of dst (bit i lives in dst[i/64] at position
-// i%64) — the input format of the int8 inference tier, whose sparse
-// first convolution iterates set bits with popcount/trailing-zero word
-// scans instead of reading L·n float rows. dst must hold
-// EncodeBitWords() words and is fully overwritten. The bitset carries
-// exactly the information of EncodeInto (the encoding is binary), 64
-// flow-matrix elements per word.
-func (f Flow) EncodeBits(s Space, dst []uint64) {
-	if len(dst) != s.EncodeBitWords() {
-		panic(fmt.Sprintf("flow: bit encoding needs %d words, dst has %d", s.EncodeBitWords(), len(dst)))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for j, t := range f.Indices {
-		off := s.EncodeOffset(j, t)
-		dst[off>>6] |= 1 << (uint(off) & 63)
 	}
 }
 

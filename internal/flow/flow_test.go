@@ -318,36 +318,3 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 	}()
 	s.Random(rng).EncodeInto(s, dst[:3])
 }
-
-// TestEncodeBitsMatchesEncodeInto: the bit-packed encoder must set
-// exactly the positions EncodeInto writes as 1.0 — both route through
-// EncodeOffset, and the int8 engine depends on the layouts never
-// drifting apart. Stale buffer words must be fully overwritten.
-func TestEncodeBitsMatchesEncodeInto(t *testing.T) {
-	for _, m := range []int{1, 2, 3} {
-		s := NewSpace([]string{"a", "b", "c", "d", "e"}, m)
-		rng := rand.New(rand.NewSource(int64(m)))
-		enc := make([]float64, s.EncodeLen())
-		bits := make([]uint64, s.EncodeBitWords())
-		for trial := 0; trial < 5; trial++ {
-			for i := range bits {
-				bits[i] = ^uint64(0) // stale garbage that must be cleared
-			}
-			f := s.Random(rng)
-			f.EncodeInto(s, enc)
-			f.EncodeBits(s, bits)
-			for p, v := range enc {
-				got := bits[p>>6]>>(uint(p)&63)&1 == 1
-				if got != (v == 1) {
-					t.Fatalf("m=%d trial %d position %d: bit %v, float %v", m, trial, p, got, v)
-				}
-			}
-			// Padding bits beyond EncodeLen stay zero.
-			for p := s.EncodeLen(); p < 64*len(bits); p++ {
-				if bits[p>>6]>>(uint(p)&63)&1 == 1 {
-					t.Fatalf("m=%d trial %d: padding bit %d set", m, trial, p)
-				}
-			}
-		}
-	}
-}

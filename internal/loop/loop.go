@@ -446,10 +446,15 @@ func (l *Loop) Observe(ctx context.Context, flows []flow.Flow) {
 // SubmitLabel records an externally measured QoR for a flow (the
 // /v1/label endpoint): the sample enters the corpus directly, skipping
 // the labeler. Returns whether the sample was new, and the corpus size
-// after the call.
+// after the call. A QoR that fails synth.QoR.Validate (NaN, infinite or
+// negative values) is rejected before it can reach the journal or the
+// class determinators.
 func (l *Loop) SubmitLabel(flowText string, q synth.QoR) (accepted bool, size int, err error) {
 	f, err := l.space.Parse(flowText)
 	if err != nil {
+		return false, l.store.Len(), err
+	}
+	if err := q.Validate(); err != nil {
 		return false, l.store.Len(), err
 	}
 	added, err := l.store.Add(f, q)

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -239,6 +241,70 @@ func TestLoopRestartResumesCorpus(t *testing.T) {
 	accepted, size, err := lp2.SubmitLabel(f.String(lp2.space), synth.QoR{Area: 1})
 	if err != nil || accepted || size != 16 {
 		t.Fatalf("cross-restart duplicate: accepted=%v size=%d err=%v", accepted, size, err)
+	}
+}
+
+// TestSubmitLabelRejectsInvalidQoR: external labels with NaN, infinite
+// or negative measurements are refused at the edge — the corpus and the
+// journal stay exactly as they were, so a bad client cannot poison the
+// class determinators.
+func TestSubmitLabelRejectsInvalidQoR(t *testing.T) {
+	reg, eng, _ := testLoopWorld(t)
+	cfg := testLoopConfig()
+	cfg.JournalPath = t.TempDir() + "/labels.journal"
+	lp, err := New(reg, eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lp.Close()
+	flows := lp.space.RandomUnique(rand.New(rand.NewSource(5)), 2)
+	if _, _, err := lp.SubmitLabel(flows[0].String(lp.space), synth.QoR{Area: 10, Delay: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lp.store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	journalSize := func() int64 {
+		fi, err := os.Stat(cfg.JournalPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	size0, persisted0, bytes0 := lp.Status().DatasetSize, lp.store.Persisted(), journalSize()
+
+	text := flows[1].String(lp.space)
+	for name, q := range map[string]synth.QoR{
+		"nan area":       {Area: math.NaN(), Delay: 1},
+		"inf delay":      {Area: 1, Delay: math.Inf(1)},
+		"negative area":  {Area: -1, Delay: 1},
+		"negative delay": {Area: 1, Delay: -1},
+		"negative gates": {Area: 1, Delay: 1, Gates: -1},
+		"negative ands":  {Area: 1, Delay: 1, Ands: -1},
+		"negative depth": {Area: 1, Delay: 1, Levels: -1},
+	} {
+		accepted, size, err := lp.SubmitLabel(text, q)
+		if err == nil || accepted {
+			t.Fatalf("%s: accepted=%v err=%v, want a rejection", name, accepted, err)
+		}
+		if size != size0 {
+			t.Fatalf("%s: reported dataset size %d, want %d", name, size, size0)
+		}
+	}
+	if err := lp.store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lp.Status().DatasetSize; got != size0 {
+		t.Fatalf("dataset size %d after rejected labels, want %d", got, size0)
+	}
+	if got := lp.store.Persisted(); got != persisted0 {
+		t.Fatalf("journal holds %d samples after rejected labels, want %d", got, persisted0)
+	}
+	if got := journalSize(); got != bytes0 {
+		t.Fatalf("journal grew from %d to %d bytes on rejected labels", bytes0, got)
+	}
+	if lp.store.Has(flows[1]) {
+		t.Fatal("a rejected flow reached the corpus")
 	}
 }
 

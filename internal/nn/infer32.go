@@ -26,7 +26,9 @@ import (
 //     encodings make its position-major patch matrix ~85% zeros;
 //   - pointwise activations run the polynomial f32 kernels (act32.go);
 //   - zero allocation per forward pass — each prediction worker owns a
-//     Scratch32 with every intermediate buffer pre-sized.
+//     Scratch32 with every intermediate buffer pre-sized for the samples
+//     it will score (a one-flow serving batch does not pay for a full
+//     predictChunk of buffers).
 //
 // Per-sample numerics are independent of batch composition and worker
 // sharding (every kernel fixes the per-element accumulation order), so
@@ -39,8 +41,6 @@ type InferenceNet struct {
 	inSize   int // per-sample input elements (1×InH×InW)
 	classes  int
 	layers   []infer32Layer
-	colsLen  int // shared im2row/patch scratch, in float32s
-	maxBuf   int // largest per-sample layer output
 	simd     tensor.SIMD
 }
 
@@ -49,29 +49,38 @@ type InferenceNet struct {
 // or in the layer's scratch buffer s.bufs[li].
 type infer32Layer interface {
 	forward(x []float32, n int, s *Scratch32, li int) []float32
-	outSize() int     // per-sample output elements
-	scratchNeed() int // shared cols/patch scratch requirement, in float32s
+	outSize() int          // per-sample output elements
+	scratchNeed(n int) int // shared cols/patch scratch for n samples, in float32s
 }
 
 // Scratch32 holds one prediction worker's buffers: a per-layer output
-// buffer sized for predictChunk samples plus the shared im2row/patch
-// matrix. Scratches must not be shared between concurrent forwards.
+// buffer plus the shared im2row/patch matrix, all sized for n samples.
+// Scratches must not be shared between concurrent forwards.
 type Scratch32 struct {
+	n    int // sample capacity
 	bufs [][]float32
 	cols []float32
 	in   []float32 // chunk input buffer (streaming fill target)
 }
 
-// NewScratch allocates a worker scratch for up to predictChunk samples.
-func (t *InferenceNet) NewScratch() *Scratch32 {
+// NewScratch allocates a worker scratch for up to n samples per forward
+// pass (1 ≤ n ≤ predictChunk). Sizing it to the samples actually scored
+// keeps small serving batches from allocating full-chunk buffers.
+func (t *InferenceNet) NewScratch(n int) *Scratch32 {
+	if n < 1 || n > predictChunk {
+		panic(fmt.Sprintf("nn: scratch for %d samples (want 1..%d)", n, predictChunk))
+	}
 	s := &Scratch32{
+		n:    n,
 		bufs: make([][]float32, len(t.layers)),
-		cols: make([]float32, t.colsLen),
-		in:   make([]float32, predictChunk*t.inSize),
+		in:   make([]float32, n*t.inSize),
 	}
+	cols := 0
 	for i, l := range t.layers {
-		s.bufs[i] = make([]float32, predictChunk*l.outSize())
+		s.bufs[i] = make([]float32, n*l.outSize())
+		cols = max(cols, l.scratchNeed(n))
 	}
+	s.cols = make([]float32, cols)
 	return s
 }
 
@@ -90,9 +99,10 @@ func (t *InferenceNet) InputShape() (h, w int) { return t.inH, t.inW }
 // Forward32 runs the compiled stack over n NHWC samples held in x
 // (n × InH·InW elements for the single-channel flow encodings) and
 // returns the n×classes logits, valid until the scratch's next use.
+// n must not exceed the scratch's sample capacity.
 func (t *InferenceNet) Forward32(x []float32, n int, s *Scratch32) []float32 {
-	if n < 1 || n > predictChunk {
-		panic(fmt.Sprintf("nn: inference chunk of %d samples (max %d)", n, predictChunk))
+	if n < 1 || n > s.n {
+		panic(fmt.Sprintf("nn: inference chunk of %d samples (scratch holds %d)", n, s.n))
 	}
 	if len(x) < n*t.inSize {
 		panic(fmt.Sprintf("nn: inference input has %d elements, want %d", len(x), n*t.inSize))
@@ -195,30 +205,22 @@ func NewInferenceNet(n *Network, inH, inW int) (*InferenceNet, error) {
 	if len(t.layers) == 0 {
 		return nil, fmt.Errorf("nn: empty network")
 	}
-	last := t.layers[len(t.layers)-1]
-	t.classes = last.outSize()
-	for _, l := range t.layers {
-		if need := l.scratchNeed(); need > t.colsLen {
-			t.colsLen = need
-		}
-		if l.outSize() > t.maxBuf {
-			t.maxBuf = l.outSize()
-		}
-	}
+	t.classes = t.layers[len(t.layers)-1].outSize()
 	return t, nil
 }
 
-// scratchNeed lets layers size the shared cols/patch buffer.
-func (l *conv32) scratchNeed() int {
+// scratchNeed lets layers size the shared cols/patch buffer for a
+// forward pass over n samples.
+func (l *conv32) scratchNeed(n int) int {
 	if l.sparse {
 		return 0 // the scatter path never materializes the patch matrix
 	}
-	return l.bs * l.hw * l.k
+	return min(l.bs, n) * l.hw * l.k
 }
-func (l *pool32) scratchNeed() int     { return 0 }
-func (l *local32) scratchNeed() int    { return predictChunk * l.k }
-func (l *dense32) scratchNeed() int    { return 0 }
-func (l *actLayer32) scratchNeed() int { return 0 }
+func (l *pool32) scratchNeed(int) int     { return 0 }
+func (l *local32) scratchNeed(n int) int  { return n * l.k }
+func (l *dense32) scratchNeed(int) int    { return 0 }
+func (l *actLayer32) scratchNeed(int) int { return 0 }
 
 // --------------------------------------------------------------- layers
 
@@ -581,8 +583,9 @@ func (t *InferenceNet) PredictStream32(ctx context.Context, total, workers int, 
 }
 
 // predictShards32 is the shared worker loop: chunks claimed atomically,
-// one scratch and one input buffer per worker, softmax in float64 over
-// the f32 logits.
+// one scratch and one input buffer per worker (sized to the largest
+// chunk, so a one-flow call allocates one sample's buffers), softmax in
+// float64 over the f32 logits.
 func (t *InferenceNet) predictShards32(ctx context.Context, total, workers int, fill func(dst []float32, lo, hi int)) ([][]float64, error) {
 	out := make([][]float64, total)
 	if total == 0 {
@@ -601,7 +604,7 @@ func (t *InferenceNet) predictShards32(ctx context.Context, total, workers int, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := t.NewScratch()
+			scratch := t.NewScratch(min(total, predictChunk))
 			logits64 := make([]float64, t.classes)
 			for ctx.Err() == nil {
 				ci := int(next.Add(1)) - 1

@@ -105,7 +105,7 @@ func TestInferenceNetMatchesF64(t *testing.T) {
 			probs64 := net.PredictBatch(x, 1)
 			probs32 := inet.PredictBatch32(x, 1)
 
-			scratch := inet.NewScratch()
+			scratch := inet.NewScratch(predictChunk)
 			for s0 := 0; s0 < n; s0 += predictChunk {
 				hi := s0 + predictChunk
 				if hi > n {

@@ -6,7 +6,8 @@ import "fmt"
 // time. Training and gradients always run float64 — classification only
 // needs argmax-stable logits, so the default inference path is the
 // packed float32 engine (InferenceNet), with float64 as the opt-out for
-// exact parity with training numerics.
+// exact parity with training numerics and as the differential oracle
+// the f32 engine is tested against.
 type Precision int
 
 const (
@@ -16,14 +17,6 @@ const (
 	// F64 routes prediction through the full-precision float64 network —
 	// the same numerics the training path uses.
 	F64
-	// Int8 routes prediction through the quantized engine (QuantNet):
-	// bit-packed one-hot inputs for the sparse first convolution and
-	// 7-bit per-channel symmetric weights contracted by the SWAR int8
-	// GEMM for the remaining conv/locally-connected/dense layers.
-	// Logits carry ~1% quantization noise relative to f64 (the one-hot
-	// inputs themselves quantize losslessly); the differential gates in
-	// internal/core bound the resulting argmax drift.
-	Int8
 )
 
 func (p Precision) String() string {
@@ -32,8 +25,6 @@ func (p Precision) String() string {
 		return "f32"
 	case F64:
 		return "f64"
-	case Int8:
-		return "int8"
 	}
 	return fmt.Sprintf("Precision(%d)", int(p))
 }
@@ -45,8 +36,6 @@ func ParsePrecision(s string) (Precision, error) {
 		return F32, nil
 	case "f64", "float64", "64":
 		return F64, nil
-	case "int8", "i8", "8":
-		return Int8, nil
 	}
-	return 0, fmt.Errorf("nn: unknown precision %q (want f32, f64 or int8)", s)
+	return 0, fmt.Errorf("nn: unknown precision %q (want f32 or f64)", s)
 }

@@ -10,9 +10,9 @@ import (
 	"flowgen/internal/tensor"
 )
 
-// Predictor is the one inference surface shared by the three precision
-// engines: the full-precision float64 clone pool, the packed float32
-// InferenceNet and the quantized int8 QuantNet all implement it.
+// Predictor is the one inference surface shared by the two precision
+// engines: the full-precision float64 clone pool and the packed float32
+// InferenceNet both implement it.
 // Consumers (serving, pool prediction, accuracy evaluation, the
 // continuous-retraining gate) program against this interface and never
 // switch on Precision themselves — NewPredictor is the single place a
@@ -37,22 +37,20 @@ type Predictor interface {
 	// Precision names the engine tier.
 	Precision() Precision
 	// SIMD names the kernel tier the engine was compiled for ("none"
-	// for the f64 path, the frozen pack-time tier for f32/int8).
+	// for the f64 path, the frozen pack-time tier for f32).
 	SIMD() string
 }
 
 // Source supplies streamed samples to Predictor.PredictStream in up to
-// three representations. Fill64 is the canonical form (one-hot float64,
-// perSample elements per sample); Fill32 and FillBits are optional
-// fast paths that skip the float64 round trip. Any missing typed fill
-// is derived from Fill64 (bits: nonzero element → set bit, matching
-// flow.EncodeBits for one-hot encodings), so a Source with only Fill64
-// works against every engine. Fills may run concurrently from several
-// workers on disjoint ranges and must write every element of dst.
+// two representations. Fill64 is the canonical form (one-hot float64,
+// perSample elements per sample); Fill32 is an optional fast path that
+// skips the float64 round trip. A missing fill is derived from the
+// other, so a Source with only one of them works against both engines.
+// Fills may run concurrently from several workers on disjoint ranges
+// and must write every element of dst.
 type Source struct {
-	Fill64   func(dst []float64, lo, hi int)
-	Fill32   func(dst []float32, lo, hi int)
-	FillBits func(dst []uint64, lo, hi int)
+	Fill64 func(dst []float64, lo, hi int)
+	Fill32 func(dst []float32, lo, hi int)
 }
 
 // fill64 returns the float64 fill, deriving it by widening Fill32 when
@@ -94,33 +92,6 @@ func (s Source) fill32(perSample int) func(dst []float32, lo, hi int) {
 	}
 }
 
-// fillBits returns the bit-packed fill, deriving it from Fill64 by
-// setting a bit per nonzero element (words uint64 words per sample) —
-// exact for the 0/1 one-hot encodings the quantized engine consumes.
-func (s Source) fillBits(perSample, words int) func(dst []uint64, lo, hi int) {
-	if s.FillBits != nil {
-		return s.FillBits
-	}
-	fill64 := s.fill64(perSample)
-	pool := newFillScratch[float64](perSample)
-	return func(dst []uint64, lo, hi int) {
-		buf := pool.get(hi - lo)
-		fill64(buf, lo, hi)
-		for i := range dst {
-			dst[i] = 0
-		}
-		for smp := 0; smp < hi-lo; smp++ {
-			base := smp * words
-			for p, v := range buf[smp*perSample : (smp+1)*perSample] {
-				if v != 0 {
-					dst[base+p>>6] |= 1 << (uint(p) & 63)
-				}
-			}
-		}
-		pool.put(buf)
-	}
-}
-
 // fillScratch pools per-call conversion buffers so derived fills stay
 // allocation-free in steady state even when several workers stream
 // concurrently.
@@ -149,11 +120,11 @@ func (s *fillScratch[T]) put(b []T) {
 
 // NewPredictor compiles a trained network into the engine prec selects
 // — the single precision dispatch point. F32 packs the weights for the
-// cache-blocked float32 kernels, Int8 quantizes them for the SWAR/SIMD
-// int8 kernels, F64 wraps the network in a clone pool that preserves
-// training numerics exactly. The returned Predictor snapshots the
-// weights (f32/int8) or shares them (f64 — later training steps are
-// visible); either way it is immutable API-wise and concurrency-safe.
+// cache-blocked float32 kernels, F64 wraps the network in a clone pool
+// that preserves training numerics exactly. The returned Predictor
+// snapshots the weights (f32) or shares them (f64 — later training
+// steps are visible); either way it is immutable API-wise and
+// concurrency-safe.
 func NewPredictor(net *Network, prec Precision, inH, inW int) (Predictor, error) {
 	defer obs.Default().DurationHistogram("flowgen_predictor_compile_seconds",
 		"Wall time to compile a trained network into a serving engine.",
@@ -161,8 +132,6 @@ func NewPredictor(net *Network, prec Precision, inH, inW int) (Predictor, error)
 	switch prec {
 	case F32:
 		return NewInferenceNet(net, inH, inW)
-	case Int8:
-		return NewQuantNet(net, inH, inW)
 	case F64:
 		return newClonePool(net, inH, inW)
 	}
@@ -211,7 +180,7 @@ func (p *clonePool) Classes() int         { return p.classes }
 func (p *clonePool) Precision() Precision { return F64 }
 func (p *clonePool) SIMD() string         { return tensor.SIMDNone.String() }
 
-// --- Predictor conformance for the typed engines -----------------------
+// --- Predictor conformance for the f32 engine ---------------------------
 
 // Classes returns the logit width (Predictor).
 func (t *InferenceNet) Classes() int { return t.classes }
@@ -226,21 +195,7 @@ func (t *InferenceNet) PredictStream(ctx context.Context, total, workers int, sr
 	return t.predictShards32(ctx, total, workers, src.fill32(t.inSize))
 }
 
-// Classes returns the logit width (Predictor).
-func (t *QuantNet) Classes() int { return t.classes }
-
-// Precision reports Int8 (Predictor).
-func (t *QuantNet) Precision() Precision { return Int8 }
-
-// PredictStream adapts the bit-packed streamed path to the Predictor
-// Source contract: samples arrive through the source's bit fill
-// (derived from Fill64 when absent — exact for one-hot encodings).
-func (t *QuantNet) PredictStream(ctx context.Context, total, workers int, src Source) ([][]float64, error) {
-	return t.predictShards8(ctx, total, workers, src.fillBits(t.inH*t.inW, t.inWords))
-}
-
 var (
 	_ Predictor = (*clonePool)(nil)
 	_ Predictor = (*InferenceNet)(nil)
-	_ Predictor = (*QuantNet)(nil)
 )

@@ -58,10 +58,9 @@ func sameProbs(a, b []float64) bool {
 // requires every response to be bit-identical to the direct batched
 // scoring of the same flow — and the traffic to have actually coalesced
 // into multi-request batches. It runs against both serving engines: the
-// packed f32 snapshot (the default), the f64 clone pool, and the int8
-// quantized snapshot.
+// packed f32 snapshot (the default) and the f64 clone pool.
 func TestBatcherMatchesDirect(t *testing.T) {
-	for _, prec := range []nn.Precision{nn.F32, nn.F64, nn.Int8} {
+	for _, prec := range []nn.Precision{nn.F32, nn.F64} {
 		t.Run(prec.String(), func(t *testing.T) {
 			m := testModel("m", 1)
 			m.Precision = prec
@@ -208,11 +207,10 @@ func TestBatcherEncodingMismatch(t *testing.T) {
 // while clients hammer the batcher, asserting zero downtime: every
 // response is bit-identical to the direct scoring of whichever version
 // it reports, and the final version's responses eventually flow. It
-// runs under both fast-path engines (f32 and int8) — a reload must
-// preserve the registered precision, so int8 responses stay int8
-// across every swap.
+// runs under both engines — a reload must preserve the registered
+// precision, so f64 responses stay f64 across every swap.
 func TestHotReloadDuringTraffic(t *testing.T) {
-	for _, prec := range []nn.Precision{nn.F32, nn.Int8} {
+	for _, prec := range []nn.Precision{nn.F32, nn.F64} {
 		t.Run(prec.String(), func(t *testing.T) {
 			testHotReloadDuringTraffic(t, prec)
 		})

@@ -54,16 +54,15 @@ type Model struct {
 
 	// Precision selects the serving engine compiled by Predictor: the
 	// zero value (nn.F32) scores through a packed float32 snapshot
-	// (nn.InferenceNet), nn.Int8 through the quantized engine, nn.F64
-	// through pooled full-precision inference clones. Set before the
-	// model is registered (a Model is immutable afterwards).
+	// (nn.InferenceNet), nn.F64 through pooled full-precision inference
+	// clones. Set before the model is registered (a Model is immutable
+	// afterwards).
 	Precision nn.Precision
 
 	// pred is the lazily compiled serving engine — one nn.Predictor per
-	// registered Model, compiled exactly once (weights converted,
-	// quantized and/or packed as the precision demands) and shared by
-	// every request: predictors are concurrency-safe, workers own their
-	// scratch.
+	// registered Model, compiled exactly once (weights converted and
+	// packed as the precision demands) and shared by every request:
+	// predictors are concurrency-safe, workers own their scratch.
 	predOnce sync.Once
 	pred     nn.Predictor
 	predErr  error
@@ -77,19 +76,6 @@ func (m *Model) Predictor() (nn.Predictor, error) {
 		m.pred, m.predErr = nn.NewPredictor(m.Net, m.Precision, m.Arch.InH, m.Arch.InW)
 	})
 	return m.pred, m.predErr
-}
-
-// QuantCompileTime reports how long the int8 snapshot took to compile,
-// or 0 when the model has not compiled one — surfaced by /v1/stats.
-func (m *Model) QuantCompileTime() time.Duration {
-	p, err := m.Predictor()
-	if err != nil {
-		return 0
-	}
-	if q, ok := p.(*nn.QuantNet); ok {
-		return q.CompileTime()
-	}
-	return 0
 }
 
 // SIMD names the kernel tier of the model's compiled serving engine
@@ -125,7 +111,7 @@ func (m *Model) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, workers i
 // PredictFlows streams the given flows through the model's serving
 // engine without materializing a pool-sized tensor: encodings fill
 // chunk-sized worker buffers in the engine's native representation
-// (core.FlowSource supplies all three). This is the scoring path behind
+// (core.FlowSource supplies both). This is the scoring path behind
 // multi-flow predicts and recommendation pools.
 func (m *Model) PredictFlows(ctx context.Context, flows []flow.Flow, workers int) ([][]float64, error) {
 	p, err := m.Predictor()

@@ -2,9 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"flowgen/internal/core"
+	"flowgen/internal/flow"
+	"flowgen/internal/tensor"
 )
 
 // TestModelRoundTrip proves a model survives serialization: the loaded
@@ -141,4 +147,50 @@ func TestCacheLRU(t *testing.T) {
 	if _, ok := off.Get("m", 1, "k"); ok {
 		t.Fatal("disabled cache must miss")
 	}
+}
+
+// TestF32PredictAllocationSizedToBatch pins the serving engine's per-call
+// allocation: scoring one flow through the bootstrap model's f32
+// predictor must allocate scratch for one sample, not a full prediction
+// chunk. Serving batches average under two flows, so a chunk-sized
+// scratch per call (~2.2 MB) dominated the serve path's allocation rate.
+func TestF32PredictAllocationSizedToBatch(t *testing.T) {
+	const calls, budget = 64, 128 << 10 // bytes per call
+	m := BootstrapModel("alloc")
+	pred, err := m.Predictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.Space.Random(rand.New(rand.NewSource(1)))
+	x := tensor.New(1, 1, m.Arch.InH, m.Arch.InW)
+	f.EncodeInto(m.Space, x.Data)
+	src := core.FlowSource(m.Space, []flow.Flow{f}, m.Arch.InH, m.Arch.InW)
+	ctx := context.Background()
+
+	perCall := func(name string, predict func() error) {
+		if err := predict(); err != nil { // warm up lazily built state
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if err := predict(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / calls
+		t.Logf("%s: %d B allocated per one-flow call", name, got)
+		if got > budget {
+			t.Errorf("%s allocates %d B per one-flow call, budget %d B", name, got, budget)
+		}
+	}
+	perCall("PredictStream", func() error {
+		_, err := pred.PredictStream(ctx, 1, 0, src)
+		return err
+	})
+	perCall("PredictBatchCtx", func() error {
+		_, err := pred.PredictBatchCtx(ctx, x, 0)
+		return err
+	})
 }

@@ -34,6 +34,9 @@ func (f *fakeLoop) SubmitLabel(text string, q synth.QoR) (bool, int, error) {
 	if text == "bogus" {
 		return false, len(f.labels), fmt.Errorf("unparseable flow")
 	}
+	if err := q.Validate(); err != nil { // as the real loop does
+		return false, len(f.labels), err
+	}
 	if _, dup := f.labels[text]; dup {
 		return false, len(f.labels), nil
 	}
@@ -246,6 +249,18 @@ func TestServerLoopEndpoints(t *testing.T) {
 	}
 	if code, _ := postJSON(t, ts.URL+"/v1/label", labelRequest{Flow: "bogus"}, nil); code != http.StatusBadRequest {
 		t.Fatal("unparseable label must be a 400")
+	}
+	// A negative measurement is a 400 with the error envelope, and
+	// never reaches the corpus.
+	code, body := postJSON(t, ts.URL+"/v1/label", labelRequest{Flow: "c; d", Area: -5, Delay: 403}, nil)
+	if code != http.StatusBadRequest {
+		t.Fatalf("negative-area label: %d %s, want 400", code, body)
+	}
+	if ec, _ := decodeEnvelope(t, body); ec != "bad_request" {
+		t.Fatalf("negative-area label code %q, want bad_request", ec)
+	}
+	if _, stored := lc.labels["c; d"]; stored {
+		t.Fatal("negative-area label reached the loop corpus")
 	}
 	if got := lc.labels["a; b"]; got.Area != 812 || got.Delay != 403 {
 		t.Fatalf("label payload: %+v", got)

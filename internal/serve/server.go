@@ -913,14 +913,12 @@ type statsResponse struct {
 	Loop          any                      `json:"loop,omitempty"` // loop.Status when a loop is attached
 }
 
-// ModelStats describes one registered model's serving engine: the
-// active precision and, for int8 models, how long the quantized
-// snapshot took to compile (weight quantization + SWAR packing).
+// ModelStats describes one registered model's serving engine: its
+// version, precision and kernel tier.
 type ModelStats struct {
-	Version           int     `json:"version"`
-	Precision         string  `json:"precision"`
-	SIMD              string  `json:"simd"` // kernel tier the snapshot was packed for
-	QuantCompileMicro float64 `json:"quant_compile_micro,omitempty"`
+	Version   int    `json:"version"`
+	Precision string `json:"precision"`
+	SIMD      string `json:"simd"` // kernel tier the snapshot was packed for
 }
 
 func (s *Server) handleStats(*http.Request) (any, error) {
@@ -939,10 +937,9 @@ func (s *Server) handleStats(*http.Request) (any, error) {
 	}
 	for _, m := range s.Registry.List() {
 		out.Models[m.Name] = ModelStats{
-			Version:           m.Version,
-			Precision:         m.Precision.String(),
-			SIMD:              m.SIMD(),
-			QuantCompileMicro: float64(m.QuantCompileTime().Nanoseconds()) / 1e3,
+			Version:   m.Version,
+			Precision: m.Precision.String(),
+			SIMD:      m.SIMD(),
 		}
 	}
 	s.metrics.Range(func(k, v any) bool {

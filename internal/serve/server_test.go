@@ -14,7 +14,6 @@ import (
 
 	"flowgen/internal/core"
 	"flowgen/internal/flow"
-	"flowgen/internal/nn"
 	"flowgen/internal/tensor"
 )
 
@@ -266,7 +265,6 @@ func TestServerModelsAndReload(t *testing.T) {
 // per-endpoint/batcher/cache/model counters populate under traffic.
 func TestServerHealthAndStats(t *testing.T) {
 	m := testModel("alu", 5)
-	m.Precision = nn.Int8
 	_, ts := newTestServer(t, m)
 
 	var health healthResponse
@@ -309,11 +307,8 @@ func TestServerHealthAndStats(t *testing.T) {
 	if !ok {
 		t.Fatalf("model stats missing: %+v", stats.Models)
 	}
-	if ms.Precision != "int8" || ms.Version != 1 {
-		t.Fatalf("model stats: %+v, want precision int8 v1", ms)
-	}
-	if ms.QuantCompileMicro <= 0 {
-		t.Fatalf("int8 model must report its quantized-snapshot compile time, got %+v", ms)
+	if ms.Precision != "f32" || ms.Version != 1 {
+		t.Fatalf("model stats: %+v, want precision f32 v1", ms)
 	}
 	if want := tensor.ActiveSIMD().String(); stats.SIMD != want || ms.SIMD != want {
 		t.Fatalf("simd tier: top-level %q model %q, want %q", stats.SIMD, ms.SIMD, want)

@@ -6,6 +6,7 @@ package synth
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,6 +25,25 @@ type QoR struct {
 	Gates  int     // mapped cell count
 	Ands   int     // AIG nodes after the flow
 	Levels int     // AIG depth after the flow
+}
+
+// Validate reports whether q is a physically meaningful measurement:
+// finite, non-negative area and delay and non-negative counts. The
+// engine only produces such values; labels measured elsewhere (the
+// loop's /v1/label path) are checked before they reach a corpus.
+func (q QoR) Validate() error {
+	for _, m := range []struct {
+		name string
+		v    float64
+	}{{"area", q.Area}, {"delay", q.Delay}} {
+		if math.IsNaN(m.v) || math.IsInf(m.v, 0) || m.v < 0 {
+			return fmt.Errorf("synth: %s %v is not a finite non-negative number", m.name, m.v)
+		}
+	}
+	if q.Gates < 0 || q.Ands < 0 || q.Levels < 0 {
+		return fmt.Errorf("synth: negative count in QoR (gates %d, ands %d, levels %d)", q.Gates, q.Ands, q.Levels)
+	}
+	return nil
 }
 
 // Metric selects a QoR component.

@@ -2,7 +2,7 @@ package tensor
 
 import "math"
 
-// Vectorized SELU for the f32/int8 inference engines. Profiling the
+// Vectorized SELU for the f32 inference engine. Profiling the
 // pool-prediction path shows the pointwise activation is the largest
 // non-GEMM cost once the GEMMs run on the vector tier, so SELU — the
 // default architecture's activation — gets its own AVX2 kernel. The

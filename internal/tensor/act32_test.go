@@ -59,8 +59,8 @@ func TestSELU32VectorMatchesScalar(t *testing.T) {
 }
 
 // TestAxpy32VectorMatchesScalar pins the AVX2 axpy kernel to the scalar
-// loop bit-for-bit, including α = 1 (the int8 front end's plain-add
-// case, exact by IEEE multiplication), α = 0 against negative values
+// loop bit-for-bit, including α = 1 (the one-hot plain-add case, exact
+// by IEEE multiplication), α = 0 against negative values
 // (−0 handling), and unaligned tails.
 func TestAxpy32VectorMatchesScalar(t *testing.T) {
 	if SupportedSIMD() < SIMDAVX2 {

@@ -2,9 +2,7 @@ package tensor
 
 // Axpy32 computes dst[i] += alpha·src[i] in place. The sparse one-hot
 // convolutions accumulate kernel rows into output rows with exactly
-// this shape (α = the input pixel value for f32, α = 1 for the
-// bit-packed int8 front end, where the multiply by 1.0 is exact), and
-// profiling shows those scatter-adds are the largest shared cost left
+// this shape (α = the input pixel value), and profiling shows those scatter-adds are the largest shared cost left
 // once the GEMMs and SELU run on the vector tier. Each output lane is
 // independent — no cross-lane reduction — and the AVX2 kernel uses
 // separate multiply and add instructions (no FMA), so every lane

@@ -34,6 +34,10 @@
 // position, stride, or worker sharding — the same discipline as the f32
 // kernels, with an even stronger guarantee (no rounding until the one
 // dequantizing multiply per output element).
+//
+// No inference engine calls these kernels any more: f32 is the only
+// fast tier (DESIGN.md §3.5). They stay, with their unit tests and fuzz
+// corpus, until they are deleted on their own.
 package tensor
 
 import (

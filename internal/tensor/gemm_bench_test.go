@@ -116,31 +116,3 @@ func BenchmarkGemm32PackedSIMD(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkGemm8PackedSIMD compares the scalar SWAR int8 kernel against
-// the AVX2 VPMADDUBSW kernel on the same operands (bit-identical
-// outputs, gated by FuzzInt8KernelsAgree).
-func BenchmarkGemm8PackedSIMD(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	for _, dims := range simdBenchShapes {
-		m, n, k := dims[0], dims[1], dims[2]
-		a := randSlice32(rng, m*k)
-		w := randSlice32(rng, n*k)
-		bias := randSlice32(rng, n)
-		c := make([]float32, m*n)
-		words, aStride, sums, scales, _ := quantRows8(a, m, k, 0)
-		for _, simd := range []SIMD{SIMDNone, SIMDAVX2} {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", simd, m, n, k), func(b *testing.B) {
-				if simd > SupportedSIMD() {
-					b.Skipf("%s not supported on this CPU", simd)
-				}
-				pb := PackB8SIMD(w, n, k, simd)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					Gemm8Packed(m, n, words, aStride, sums, scales, pb, c, n, bias)
-				}
-				b.ReportMetric(float64(2*m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-			})
-		}
-	}
-}

@@ -77,8 +77,7 @@ func BenchmarkPredictPool32(b *testing.B) {
 
 	// A pool pass is a short parallel region, so a single wall reading
 	// carries scheduler noise; each engine is timed as the best of three
-	// passes per iteration (identical treatment for all engines, same as
-	// the int8 benchmark).
+	// passes per iteration (identical treatment for all engines).
 	minDur := func(f func()) time.Duration {
 		best := time.Duration(1<<63 - 1)
 		for r := 0; r < 3; r++ {
