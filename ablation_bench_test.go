@@ -5,13 +5,16 @@
 package flowgen
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"flowgen/internal/circuits"
+	"flowgen/internal/core"
 	"flowgen/internal/exp"
 	"flowgen/internal/flow"
 	"flowgen/internal/label"
+	"flowgen/internal/nn"
 	"flowgen/internal/opt"
 	"flowgen/internal/stats"
 	"flowgen/internal/synth"
@@ -106,26 +109,20 @@ func BenchmarkAblation_Determinators(b *testing.B) {
 				b.Fatal(err)
 			}
 			rc := exp.DefaultRunConfig(bd.Space, synth.MetricArea)
-			rc.NumOut = benchNumOut(len(bd.Pool))
-			h, w := rc.Arch.InH, rc.Arch.InW
-			ds := &train.Dataset{H: h, W: w, NumCl: model.NumClasses()}
-			for j := range bd.Flows {
-				ds.Add(bd.Flows[j].Encode(bd.Space, h, w), model.Class(bd.QoRs[j]))
-			}
-			net := rc.Arch.Build(rc.Seed)
 			optimizer, err := opt.ByName(rc.Optimizer, rc.LearnRate)
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr := train.NewTrainer(net, optimizer, rc.Seed+1)
-			tr.SetData(ds)
-			if _, err := tr.Steps(600); err != nil {
+			tr := train.NewTrainer(rc.Arch.Build(rc.Seed), optimizer, rc.Seed+1)
+			round := core.Round{Space: bd.Space, H: rc.Arch.InH, W: rc.Arch.InW, Steps: 600, Precision: nn.F64}
+			rr, err := round.Run(context.Background(), tr, bd.Flows, bd.QoRs, model)
+			if err != nil {
 				b.Fatal(err)
 			}
 			extreme := model.Histogram(bd.PoolQoRs)
 			if i == 0 {
 				fmt.Printf("Ablation[determinators] %-26s train-acc %.3f pool classes %v\n",
-					tc.name, train.Accuracy(net, ds), extreme)
+					tc.name, rr.Acc, extreme)
 			}
 		}
 	}

@@ -156,8 +156,14 @@ func New(cfg Config, engine *synth.Engine) (*Framework, error) {
 	if cfg.TrainFlows < cfg.InitialLabeled {
 		return nil, fmt.Errorf("core: TrainFlows %d < InitialLabeled %d", cfg.TrainFlows, cfg.InitialLabeled)
 	}
-	if cfg.RetrainEvery <= 0 || cfg.InitialLabeled <= 0 || cfg.NumOut <= 0 {
-		return nil, fmt.Errorf("core: non-positive round sizes")
+	if _, err := Schedule(cfg.InitialLabeled, cfg.RetrainEvery, cfg.TrainFlows); err != nil {
+		return nil, err
+	}
+	if err := checkSteps(cfg.StepsPerRound); err != nil {
+		return nil, err
+	}
+	if cfg.NumOut <= 0 {
+		return nil, fmt.Errorf("core: non-positive NumOut %d", cfg.NumOut)
 	}
 	if _, err := opt.ByName(cfg.Optimizer, cfg.LearnRate); err != nil {
 		return nil, err
@@ -178,6 +184,10 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 	}
 	cfg := fw.Cfg
 
+	sizes, err := Schedule(cfg.InitialLabeled, cfg.RetrainEvery, cfg.TrainFlows)
+	if err != nil {
+		return nil, err
+	}
 	// ① Sample the training flows up front (they are labeled in
 	// increments below).
 	flows := cfg.Space.RandomUnique(fw.rng, cfg.TrainFlows)
@@ -189,31 +199,18 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 		return nil, err
 	}
 	trainer := train.NewTrainer(net, optimizer, cfg.Seed+2)
+	round := &Round{Space: cfg.Space, H: cfg.EncodeH, W: cfg.EncodeW,
+		Steps: cfg.StepsPerRound, Precision: cfg.Precision}
 
 	res := &Result{Net: net, TrainFlows: flows}
 	var model *label.Model
-	steps := 0
-	// One-hot encodings are a pure function of the flow, but every
-	// retraining round rebuilds the dataset over all flows labeled so
-	// far — memoize them so each flow is encoded exactly once per run.
-	encCache := make([][]float64, len(flows))
-
-	labeled := 0
-	for labeled < cfg.TrainFlows {
-		target := labeled + cfg.RetrainEvery
-		if labeled == 0 {
-			target = cfg.InitialLabeled
-		}
-		if target > cfg.TrainFlows {
-			target = cfg.TrainFlows
-		}
+	for _, labeled := range sizes {
 		tCollect := time.Now()
-		batch, err := fw.Engine.EvaluateAll(flows[labeled:target], nil)
+		batch, err := fw.Engine.EvaluateAll(flows[len(qors):labeled], nil)
 		if err != nil {
 			return nil, err
 		}
 		qors = append(qors, batch...)
-		labeled = target
 		collectDur := time.Since(tCollect)
 		progress("labeled %d/%d flows", labeled, cfg.TrainFlows)
 
@@ -223,25 +220,19 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds := fw.buildDataset(flows[:labeled], qors, model, encCache)
-		trainer.SetData(ds)
-
-		tTrain := time.Now()
-		loss, err := trainer.Steps(cfg.StepsPerRound)
+		rr, err := round.Run(context.Background(), trainer, flows[:labeled], qors, model)
 		if err != nil {
 			return nil, err
 		}
-		steps += cfg.StepsPerRound
 		res.Rounds = append(res.Rounds, RoundStat{
 			Labeled:   labeled,
-			Steps:     steps,
-			Loss:      loss,
-			TrainAcc:  train.AccuracyPrec(net, ds, 0, cfg.Precision),
+			Steps:     (len(res.Rounds) + 1) * cfg.StepsPerRound,
+			Loss:      rr.Loss,
+			TrainAcc:  rr.Acc,
 			Collect:   collectDur,
-			TrainTime: time.Since(tTrain),
+			TrainTime: rr.Train,
 		})
-		progress("round %d: loss %.4f train-acc %.3f", len(res.Rounds), loss,
-			res.Rounds[len(res.Rounds)-1].TrainAcc)
+		progress("round %d: loss %.4f train-acc %.3f", len(res.Rounds), rr.Loss, rr.Acc)
 	}
 	res.Model = model
 	res.TrainQoRs = qors
@@ -258,22 +249,6 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 	res.Angels, res.Devils = SelectFlows(preds, model.NumClasses(), cfg.NumOut)
 	progress("selected %d angel and %d devil flows", len(res.Angels), len(res.Devils))
 	return res, nil
-}
-
-// buildDataset encodes labeled flows for the CNN. encCache (indexed by
-// flow position) memoizes one-hot encodings across retraining rounds;
-// the class labels are still recomputed every round because the
-// determinators move as the dataset grows.
-func (fw *Framework) buildDataset(flows []flow.Flow, qors []synth.QoR, model *label.Model, encCache [][]float64) *train.Dataset {
-	cfg := fw.Cfg
-	ds := &train.Dataset{H: cfg.EncodeH, W: cfg.EncodeW, NumCl: model.NumClasses()}
-	for i, f := range flows {
-		if encCache[i] == nil {
-			encCache[i] = f.Encode(cfg.Space, cfg.EncodeH, cfg.EncodeW)
-		}
-		ds.Add(encCache[i], model.Class(qors[i]))
-	}
-	return ds
 }
 
 // GeneratePool samples cfg.SampleFlows unlabeled flows disjoint from the
@@ -301,36 +276,24 @@ func (fw *Framework) GeneratePool(exclude []flow.Flow) []flow.Flow {
 	return out
 }
 
-// EncodeFill returns a nn.PredictStream fill callback that one-hot
-// encodes pool flows directly into the worker's chunk buffer (hw
-// elements per sample) — the shared piece of every streamed pool
-// scorer (core, the experiment harness, the serving layer).
-func EncodeFill(space flow.Space, pool []flow.Flow, hw int) func(dst []float64, lo, hi int) {
-	return func(dst []float64, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pool[i].EncodeInto(space, dst[(i-lo)*hw:(i-lo+1)*hw])
-		}
-	}
-}
-
-// EncodeFill32 is EncodeFill for the float32 engine's
-// nn.InferenceNet.PredictStream32.
-func EncodeFill32(space flow.Space, pool []flow.Flow, hw int) func(dst []float32, lo, hi int) {
-	return func(dst []float32, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pool[i].EncodeInto32(space, dst[(i-lo)*hw:(i-lo+1)*hw])
-		}
-	}
-}
-
-// FlowSource bundles the two flow-encoding fills into one nn.Source,
-// so either nn.Predictor tier streams a flow pool through its native
-// representation with no conversion round trip.
+// FlowSource is the nn.Source that one-hot encodes pool flows straight
+// into a prediction worker's chunk buffer (h×w elements per sample), in
+// either predictor tier's native representation — the shared piece of
+// every streamed pool scorer (core, the experiment harness, the serving
+// layer).
 func FlowSource(space flow.Space, pool []flow.Flow, h, w int) nn.Source {
 	hw := h * w
 	return nn.Source{
-		Fill64: EncodeFill(space, pool, hw),
-		Fill32: EncodeFill32(space, pool, hw),
+		Fill64: func(dst []float64, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				pool[i].EncodeInto(space, dst[(i-lo)*hw:(i-lo+1)*hw])
+			}
+		},
+		Fill32: func(dst []float32, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				pool[i].EncodeInto32(space, dst[(i-lo)*hw:(i-lo+1)*hw])
+			}
+		},
 	}
 }
 

@@ -176,9 +176,19 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("expected error for unknown optimizer")
 	}
 	bad = cfg
+	bad.InitialLabeled = 0
+	if _, err := New(bad, engine); err == nil {
+		t.Fatal("expected error for zero InitialLabeled")
+	}
+	bad = cfg
 	bad.RetrainEvery = 0
 	if _, err := New(bad, engine); err == nil {
 		t.Fatal("expected error for zero RetrainEvery")
+	}
+	bad = cfg
+	bad.StepsPerRound = 0
+	if _, err := New(bad, engine); err == nil {
+		t.Fatal("expected error for zero StepsPerRound")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"flowgen/internal/aig"
@@ -38,43 +37,6 @@ type Bundle struct {
 	SynthTime  time.Duration // wall time spent synthesizing everything
 	PerFlowAvg time.Duration
 	Memo       synth.MemoStats // work sharing achieved during collection
-
-	// One-hot encoding memo for the training flows. Replays encode the
-	// same flows every retraining round and across every compared
-	// configuration, so the bundle caches them per image shape (all
-	// current architectures share the EncodeShape-derived shape). Pool
-	// encodings are deliberately NOT memoized: the pool is predicted
-	// through nn.PredictStream, which re-encodes chunks into flat worker
-	// buffers — far cheaper than pinning a pool-sized tensor (~115 MB at
-	// the paper's 100k flows) across the whole replay.
-	encMu   sync.Mutex
-	encH    int
-	encW    int
-	flowEnc [][]float64
-}
-
-// EncodedFlows returns the h×w one-hot encodings of the training flows,
-// memoized across retraining rounds and replays.
-func (b *Bundle) EncodedFlows(h, w int) [][]float64 {
-	b.encMu.Lock()
-	defer b.encMu.Unlock()
-	b.ensureShapeLocked(h, w)
-	if b.flowEnc == nil {
-		b.flowEnc = make([][]float64, len(b.Flows))
-		for i, f := range b.Flows {
-			b.flowEnc[i] = f.Encode(b.Space, h, w)
-		}
-	}
-	return b.flowEnc
-}
-
-// ensureShapeLocked invalidates the memo when the requested image shape
-// changes (possible only if a caller overrides the EncodeShape default).
-func (b *Bundle) ensureShapeLocked(h, w int) {
-	if b.encH != h || b.encW != w {
-		b.encH, b.encW = h, w
-		b.flowEnc = nil
-	}
 }
 
 // Collect evaluates trainN training flows and poolN disjoint sample
@@ -169,6 +131,10 @@ func DefaultRunConfig(space flow.Space, metric synth.Metric) RunConfig {
 // are refit, the CNN continues training, and the generated-flow accuracy
 // is measured against the pool's ground truth.
 func RunIncremental(b *Bundle, rc RunConfig) ([]CurvePoint, *nn.Network, *label.Model, error) {
+	sizes, err := core.Schedule(rc.InitialLabeled, rc.RetrainEvery, len(b.Flows))
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	net := rc.Arch.Build(rc.Seed)
 	optimizer, err := opt.ByName(rc.Optimizer, rc.LearnRate)
 	if err != nil {
@@ -176,48 +142,31 @@ func RunIncremental(b *Bundle, rc RunConfig) ([]CurvePoint, *nn.Network, *label.
 	}
 	trainer := train.NewTrainer(net, optimizer, rc.Seed+1)
 	h, w := rc.Arch.InH, rc.Arch.InW
+	round := &core.Round{Space: b.Space, H: h, W: w, Steps: rc.StepsPerRound,
+		Workers: rc.PredictWorkers, Precision: rc.Precision}
 
 	var curve []CurvePoint
 	var model *label.Model
-	labeled, steps := 0, 0
-	var simTime time.Duration
-	for labeled < len(b.Flows) {
-		target := labeled + rc.RetrainEvery
-		if labeled == 0 {
-			target = rc.InitialLabeled
-		}
-		if target > len(b.Flows) {
-			target = len(b.Flows)
-		}
-		simTime += b.PerFlowAvg * time.Duration(target-labeled)
-		labeled = target
-
+	var trained time.Duration
+	for _, labeled := range sizes {
 		model, err = label.Fit(b.QoRs[:labeled], []synth.Metric{rc.Metric}, label.DefaultPercentiles)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		enc := b.EncodedFlows(h, w)
-		ds := &train.Dataset{H: h, W: w, NumCl: model.NumClasses()}
-		for i := 0; i < labeled; i++ {
-			ds.Add(enc[i], model.Class(b.QoRs[i]))
-		}
-		trainer.SetData(ds)
-		tTrain := time.Now()
-		loss, err := trainer.Steps(rc.StepsPerRound)
+		rr, err := round.Run(context.Background(), trainer, b.Flows[:labeled], b.QoRs[:labeled], model)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		simTime += time.Since(tTrain)
-		steps += rc.StepsPerRound
+		trained += rr.Train
 
 		curve = append(curve, CurvePoint{
 			Round:    len(curve) + 1,
 			Labeled:  labeled,
-			Steps:    steps,
-			Loss:     loss,
-			TrainAcc: train.AccuracyPrec(net, ds, rc.PredictWorkers, rc.Precision),
+			Steps:    (len(curve) + 1) * rc.StepsPerRound,
+			Loss:     rr.Loss,
+			TrainAcc: rr.Acc,
 			GenAcc:   GeneratedAccuracy(b, net, model, rc, h, w),
-			SimTime:  simTime,
+			SimTime:  b.PerFlowAvg*time.Duration(labeled) + trained,
 		})
 	}
 	return curve, net, model, nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flowgen/internal/circuits"
+	"flowgen/internal/core"
 	"flowgen/internal/flow"
 	"flowgen/internal/synth"
 )
@@ -73,6 +74,67 @@ func TestRunIncrementalCurve(t *testing.T) {
 	sel := SelectWithTruth(b, net, model, rc)
 	if len(sel.AngelQoRs) != rc.NumOut || len(sel.DevilQoRs) != rc.NumOut {
 		t.Fatalf("selection sizes %d/%d", len(sel.AngelQoRs), len(sel.DevilQoRs))
+	}
+}
+
+// TestRunIncrementalMatchesFrameworkRun: replaying the incremental
+// protocol over a pre-collected bundle trains exactly what the
+// framework trains while it labels, round for round and bit for bit.
+func TestRunIncrementalMatchesFrameworkRun(t *testing.T) {
+	const seed = 4
+	space := flow.NewSpace(flow.DefaultAlphabet, 1)
+	cfg := core.DefaultConfig(space)
+	cfg.TrainFlows, cfg.InitialLabeled, cfg.RetrainEvery = 40, 20, 10
+	cfg.StepsPerRound, cfg.SampleFlows, cfg.NumOut, cfg.Seed = 30, 20, 5, seed
+	fw, err := core.New(cfg, synth.NewEngine(circuits.ALU(8), space))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fw.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Collect draws its training flows first from a generator seeded
+	// like the framework's, so they are the 40 flows Run labeled.
+	b, err := Collect(circuits.ALU(8), space, cfg.TrainFlows, 20, seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := DefaultRunConfig(space, synth.MetricArea)
+	rc.InitialLabeled, rc.RetrainEvery, rc.StepsPerRound = cfg.InitialLabeled, cfg.RetrainEvery, cfg.StepsPerRound
+	rc.NumOut = cfg.NumOut
+	rc.Seed = seed + 1 // exp builds its net at Seed, core at Seed+1
+	got, _, _, err := RunIncremental(b, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if len(got) != len(want.Rounds) {
+		t.Fatalf("replay ran %d rounds, Run %d", len(got), len(want.Rounds))
+	}
+	for i, w := range want.Rounds {
+		g := got[i]
+		if g.Labeled != w.Labeled || g.Steps != w.Steps || g.Loss != w.Loss || g.TrainAcc != w.TrainAcc {
+			t.Errorf("round %d: replay labeled %d steps %d loss %v acc %v; Run labeled %d steps %d loss %v acc %v",
+				i+1, g.Labeled, g.Steps, g.Loss, g.TrainAcc, w.Labeled, w.Steps, w.Loss, w.TrainAcc)
+		}
+	}
+}
+
+func TestRunIncrementalRejectsNonPositiveSizes(t *testing.T) {
+	b := tinyBundle(t)
+	for name, zero := range map[string]func(*RunConfig){
+		"InitialLabeled": func(rc *RunConfig) { rc.InitialLabeled = 0 },
+		"RetrainEvery":   func(rc *RunConfig) { rc.RetrainEvery = 0 },
+		"StepsPerRound":  func(rc *RunConfig) { rc.StepsPerRound = 0 },
+	} {
+		rc := DefaultRunConfig(b.Space, synth.MetricArea)
+		rc.InitialLabeled, rc.StepsPerRound = 20, 30
+		zero(&rc)
+		if curve, _, _, err := RunIncremental(b, rc); err == nil {
+			t.Errorf("zero %s: accepted, curve %+v", name, curve)
+		}
 	}
 }
 

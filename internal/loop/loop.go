@@ -37,10 +37,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flowgen/internal/core"
 	"flowgen/internal/fault"
 	"flowgen/internal/flow"
 	"flowgen/internal/label"
-	"flowgen/internal/nn"
 	"flowgen/internal/obs"
 	"flowgen/internal/opt"
 	"flowgen/internal/serve"
@@ -374,7 +374,7 @@ func (l *Loop) registerMetrics(o *obs.Registry) {
 	l.obsRetrainDur = o.DurationHistogram("flowgen_loop_retrain_duration_seconds",
 		"Wall time of one retraining round: refit, train, gate, publish.")
 	l.obsLastLoss = o.Gauge("flowgen_loop_last_loss",
-		"Final training loss of the most recent retraining round.")
+		"Mean minibatch loss over the most recent retraining round.")
 	l.obsCandAcc = o.Gauge("flowgen_loop_candidate_accuracy",
 		"Held-out accuracy of the most recent retrained candidate.")
 	l.obsServAcc = o.Gauge("flowgen_loop_serving_accuracy",
@@ -844,8 +844,6 @@ func (l *Loop) retrain(ctx context.Context) error {
 	}
 	l.persistCuts(round, model, len(flows))
 
-	trainSet, holdout := l.split(cur, flows, qors, model)
-
 	// Warm start: a fresh network with the serving model's weights, so
 	// each round refines rather than relearns (the serving network is
 	// shared with in-flight predictions and must never be trained in
@@ -862,41 +860,32 @@ func (l *Loop) retrain(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("retrain: %w", err)
 	}
-	tr := train.NewTrainer(cand, o, l.cfg.Seed+round)
-	tr.SetData(trainSet)
-	// Training runs in bounded chunks so the budget watchdog and
-	// shutdown are honored between chunks rather than only at the end of
-	// the full StepsPerRound block.
-	var loss float64
-	for done := 0; done < l.cfg.StepsPerRound; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		chunk := min(50, l.cfg.StepsPerRound-done)
-		loss, err = tr.Steps(chunk)
-		if err != nil {
-			return fmt.Errorf("retrain: %w", err)
-		}
-		done += chunk
-	}
-	if err := ctx.Err(); err != nil {
-		return err
+	// The round holds every k-th sample out and measures the candidate
+	// on it at the serving precision; the budget watchdog and shutdown
+	// are honored between its step chunks.
+	workers := l.cfg.LabelWorkers
+	rr, err := (&core.Round{
+		Space:     cur.Space,
+		H:         cur.Arch.InH,
+		W:         cur.Arch.InW,
+		Steps:     l.cfg.StepsPerRound,
+		Holdout:   max(2, int(math.Round(1/l.cfg.HoldoutFrac))),
+		Workers:   workers,
+		Precision: cur.Precision,
+	}).Run(ctx, train.NewTrainer(cand, o, l.cfg.Seed+round), flows, qors, model)
+	if err != nil {
+		return fmt.Errorf("retrain: %w", err)
 	}
 
 	// Accuracy gate, both sides through the one Predictor surface: the
 	// candidate compiled at the serving precision versus the serving
 	// model's live engine, on the same holdout.
-	candPred, err := nn.NewPredictor(cand, cur.Precision, cur.Arch.InH, cur.Arch.InW)
-	if err != nil {
-		return fmt.Errorf("retrain: compiling candidate: %w", err)
-	}
 	curPred, err := cur.Predictor()
 	if err != nil {
 		return fmt.Errorf("retrain: serving engine: %w", err)
 	}
-	workers := l.cfg.LabelWorkers
-	candAcc := train.AccuracyPredictor(candPred, holdout, workers)
-	curAcc := train.AccuracyPredictor(curPred, holdout, workers)
+	loss, candAcc := rr.Loss, rr.Acc
+	curAcc := train.AccuracyPredictor(curPred, rr.Eval, workers)
 
 	l.mu.Lock()
 	l.lastLoss, l.lastCand, l.lastServ = loss, candAcc, curAcc
@@ -1000,33 +989,6 @@ func appendJSONLine(path string, v any) error {
 		return err
 	}
 	return f.Close()
-}
-
-// split partitions the corpus into train/holdout by stride (every k-th
-// sample held out), encoding flows with the model's input shape and
-// labeling them under the freshly fit determinators. A corpus too small
-// to hold anything out gates against the training set itself.
-func (l *Loop) split(cur *serve.Model, flows []flow.Flow, qors []synth.QoR, model *label.Model) (trainSet, holdout *train.Dataset) {
-	h, w := cur.Arch.InH, cur.Arch.InW
-	trainSet = &train.Dataset{H: h, W: w, NumCl: model.NumClasses()}
-	holdout = &train.Dataset{H: h, W: w, NumCl: model.NumClasses()}
-	stride := max(2, int(math.Round(1/l.cfg.HoldoutFrac)))
-	for i, f := range flows {
-		x := f.Encode(cur.Space, h, w)
-		y := model.Class(qors[i])
-		if i%stride == stride-1 {
-			holdout.Add(x, y)
-		} else {
-			trainSet.Add(x, y)
-		}
-	}
-	if holdout.Len() == 0 {
-		holdout = trainSet
-	}
-	if trainSet.Len() == 0 {
-		trainSet = holdout
-	}
-	return trainSet, holdout
 }
 
 func (l *Loop) setErr(msg string) {

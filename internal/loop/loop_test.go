@@ -10,12 +10,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"flowgen/internal/circuits"
 	"flowgen/internal/flow"
+	"flowgen/internal/label"
 	"flowgen/internal/nn"
 	"flowgen/internal/serve"
 	"flowgen/internal/synth"
@@ -199,6 +203,116 @@ func TestLoopGateRejection(t *testing.T) {
 	}
 	if cur.Version != 1 || cur.Net != m.Net {
 		t.Fatalf("rejected candidate reached serving: v%d", cur.Version)
+	}
+}
+
+// addLabels puts n fresh flows with distinct synthetic QoRs straight
+// into the corpus, so retrain rounds can be driven without goroutines.
+func addLabels(t *testing.T, lp *Loop, rng *rand.Rand, n int) {
+	t.Helper()
+	for added := 0; added < n; {
+		f := lp.space.Random(rng)
+		ok, err := lp.store.Add(f, synth.QoR{Area: float64(rng.Intn(1000)), Delay: float64(rng.Intn(1000))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			added++
+		}
+	}
+}
+
+// TestRetrainBudgetAbortsRound: a round that cannot finish inside
+// RetrainBudget is counted as a timeout and explained in last_error,
+// and nothing is published — the serving model keeps its version and
+// network.
+func TestRetrainBudgetAbortsRound(t *testing.T) {
+	reg, eng, m := testLoopWorld(t)
+	cfg := testLoopConfig()
+	cfg.RetrainBudget = time.Nanosecond
+	lp, err := New(reg, eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lp.Close()
+	addLabels(t, lp, rand.New(rand.NewSource(7)), 24)
+	lp.retrainRound(context.Background())
+
+	st := lp.Status()
+	if st.Retrains != 1 || st.RetrainTimeouts != 1 || st.Published != 0 || st.Rejected != 0 {
+		t.Fatalf("budget did not abort the round: %+v", st)
+	}
+	if !strings.Contains(st.LastError, "budget") {
+		t.Fatalf("last_error %q does not explain the budget abort", st.LastError)
+	}
+	cur, err := reg.Get("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Version != 1 || cur.Net != m.Net {
+		t.Fatalf("an aborted candidate reached serving: v%d", cur.Version)
+	}
+}
+
+// TestCutsAuditOneLinePerFittedRound: every round that fits a labeling
+// model appends exactly one line to the cuts audit log — published,
+// rejected by the gate or aborted by the budget alike — and the line
+// holds the determinators fitted on that round's corpus.
+func TestCutsAuditOneLinePerFittedRound(t *testing.T) {
+	reg, eng, _ := testLoopWorld(t)
+	cfg := testLoopConfig()
+	cfg.CutsPath = filepath.Join(t.TempDir(), "labels.cuts")
+	lp, err := New(reg, eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lp.Close()
+
+	// An empty corpus fits nothing, so it audits nothing.
+	lp.retrainRound(context.Background())
+	if _, err := os.Stat(cfg.CutsPath); !os.IsNotExist(err) {
+		t.Fatalf("a round with nothing to fit wrote the audit log (stat: %v)", err)
+	}
+
+	base := lp.cfg
+	rng := rand.New(rand.NewSource(11))
+	for i, outcome := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"published", func(c *Config) {}},
+		{"rejected", func(c *Config) { c.GateSlack = -2 }},
+		{"budget-aborted", func(c *Config) { c.RetrainBudget = time.Nanosecond }},
+	} {
+		lp.cfg = base
+		outcome.set(&lp.cfg)
+		addLabels(t, lp, rng, 12)
+		_, qors := lp.store.Snapshot()
+		want, err := label.Fit(qors, lp.cfg.Metrics, lp.cfg.Percentiles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp.retrainRound(context.Background())
+
+		raw, err := os.ReadFile(cfg.CutsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+		if len(lines) != i+1 {
+			t.Fatalf("%s round: audit log has %d lines after %d fitted rounds", outcome.name, len(lines), i+1)
+		}
+		var rec cutsRecord
+		if err := json.Unmarshal([]byte(lines[i]), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Round != int64(i+2) || rec.Corpus != len(qors) || !reflect.DeepEqual(rec.Determinators, want.Determinators) {
+			t.Fatalf("%s round: audit line %+v, want round %d, corpus %d, determinators %v",
+				outcome.name, rec, i+2, len(qors), want.Determinators)
+		}
+	}
+	if st := lp.Status(); st.Published != 1 || st.Rejected != 1 || st.RetrainTimeouts != 1 {
+		t.Fatalf("round outcomes: %+v", st)
 	}
 }
 

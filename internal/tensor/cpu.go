@@ -1,13 +1,13 @@
 // Runtime SIMD dispatch. The packed inference kernels come in two
 // implementations: the portable scalar Go loops (the differential
 // oracle — they run everywhere and never change) and hand-written
-// amd64 vector microkernels (AVX2/FMA for float32, VPMADDUBSW for
-// int8). Which one a GEMM runs is decided ONCE, at pack time: the
-// packed weight operand's layout encodes the kernel (panel width 4 for
-// scalar, 16 floats / 8 interleaved byte columns for AVX2), so a model
-// snapshot compiled under one dispatch level keeps using that level's
-// kernels for its whole lifetime — no per-call branching drift, and a
-// serving process can report exactly which tier each model runs on.
+// amd64 AVX2/FMA float32 microkernels. Which one a GEMM runs is
+// decided ONCE, at pack time: the packed weight operand's layout
+// encodes the kernel (panel width 4 for scalar, 16 for AVX2), so a
+// model snapshot compiled under one dispatch level keeps using that
+// level's kernels for its whole lifetime — no per-call branching
+// drift, and a serving process can report exactly which tier each
+// model runs on.
 //
 // The level is detected from CPUID at startup (AVX2 + FMA + OS ymm
 // state) and can be overridden with FLOWGEN_SIMD:

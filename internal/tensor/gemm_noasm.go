@@ -2,18 +2,13 @@
 
 package tensor
 
-// The vector drivers are unreachable off amd64: PackB32SIMD/PackB8SIMD
-// clamp every request to the scalar layouts there, so a packed operand
-// can never carry a vector layout. These stubs keep the dispatch
-// switches compiling.
+// The vector drivers are unreachable off amd64: PackB32SIMD clamps
+// every request to the scalar layout there, so a packed operand can
+// never carry a vector layout. These stubs keep the dispatch switches
+// compiling.
 
 func gemm32PackedAVX2(m, n, k int, a []float32, aStride int, b *PackedB32, c []float32, cStride int) {
 	panic("tensor: AVX2 f32 kernel on a non-amd64 build")
-}
-
-func gemm8PackedAVX2(m, n int, a []uint64, aStride int, aScale []float32,
-	b *PackedB8, c []float32, cStride int, bias []float32) {
-	panic("tensor: AVX2 int8 kernel on a non-amd64 build")
 }
 
 func selu32Kern8(x *float32, vecs int, consts *float32) {

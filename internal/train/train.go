@@ -187,25 +187,10 @@ func (t *Trainer) Steps(n int) (float64, error) {
 	return total / float64(n), nil
 }
 
-// Accuracy returns the fraction of dataset samples whose argmax
-// prediction matches the label, evaluated with the batched parallel
-// full-precision prediction path.
-func Accuracy(net *nn.Network, d *Dataset) float64 {
-	return AccuracyWorkers(net, d, 0)
-}
-
-// AccuracyWorkers is Accuracy with an explicit prediction worker count
-// (≤0 selects GOMAXPROCS). Samples stream into chunk-sized worker
-// buffers rather than being packed into one dataset-sized tensor.
-func AccuracyWorkers(net *nn.Network, d *Dataset, workers int) float64 {
-	return AccuracyPrec(net, d, workers, nn.F64)
-}
-
-// AccuracyPrec is AccuracyWorkers with an explicit inference precision:
-// the network is compiled once into the engine prec selects
-// (nn.NewPredictor) and the dataset streams through it. The incremental
-// framework's per-round accuracy goes through this with its configured
-// precision.
+// AccuracyPrec returns the fraction of dataset samples whose argmax
+// prediction matches the label. The network is compiled once into the
+// engine prec selects (nn.NewPredictor) and the dataset streams through
+// it in chunk-sized worker buffers (workers ≤0 selects GOMAXPROCS).
 func AccuracyPrec(net *nn.Network, d *Dataset, workers int, prec nn.Precision) float64 {
 	if d.Len() == 0 {
 		return 0

@@ -51,7 +51,7 @@ func TestTrainerLearnsSeparableProblem(t *testing.T) {
 	if _, err := tr.Steps(400); err != nil {
 		t.Fatal(err)
 	}
-	if acc := Accuracy(net, data); acc < 0.95 {
+	if acc := AccuracyPrec(net, data, 0, nn.F64); acc < 0.95 {
 		t.Fatalf("accuracy %.3f after training, want >= 0.95", acc)
 	}
 }
