@@ -72,7 +72,6 @@ func main() {
 		defName    = flag.String("default", "", "default model name (first loaded if empty)")
 		bootstrap  = flag.String("bootstrap", "", "register a freshly initialized in-memory model under this name (demo/smoke use)")
 		maxBatch   = flag.Int("maxbatch", 64, "max coalesced requests per forward pass")
-		maxWait    = flag.Duration("maxwait", 500*time.Microsecond, "max time the first request of a batch waits for companions")
 		queueCap   = flag.Int("queue", 1024, "bounded prediction queue depth (beyond it requests are shed)")
 		workers    = cliflags.Workers(flag.CommandLine, "workers", "prediction workers per batch (0 = GOMAXPROCS)")
 		cacheN     = flag.Int("cache", 4096, "scored-flow cache capacity (0 disables)")
@@ -170,7 +169,7 @@ func main() {
 	}
 
 	cfg := serve.DefaultServerConfig()
-	cfg.Batcher = serve.BatcherConfig{MaxBatch: *maxBatch, MaxWait: *maxWait, QueueCap: *queueCap, Workers: *workers}
+	cfg.Batcher = serve.BatcherConfig{MaxBatch: *maxBatch, QueueCap: *queueCap, Workers: *workers}
 	cfg.CacheSize = *cacheN
 	cfg.MaxPool = *maxPool
 	cfg.RequestTimeout = *reqTimeout

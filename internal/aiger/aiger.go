@@ -121,6 +121,12 @@ func writeDelta(bw *bufio.Writer, d uint32) {
 	bw.WriteByte(byte(d))
 }
 
+// MaxVars bounds every count an AIGER header may declare (variables,
+// inputs, outputs, ANDs), so a hostile header is rejected before
+// anything is allocated. 1<<22 variables is about 21× aes128, the
+// largest built-in design (~192k ANDs).
+const MaxVars = 1 << 22
+
 // Read parses either AIGER variant (dispatching on the header word).
 func Read(r io.Reader) (*aig.AIG, error) {
 	br := bufio.NewReader(r)
@@ -132,28 +138,39 @@ func Read(r io.Reader) (*aig.AIG, error) {
 	if len(f) < 6 {
 		return nil, fmt.Errorf("aiger: short header %q", header)
 	}
-	nums := make([]int, 5)
-	for i := 0; i < 5; i++ {
+	nums := make([]int, len(f)-1)
+	for i := range nums {
 		nums[i], err = strconv.Atoi(f[i+1])
 		if err != nil {
 			return nil, fmt.Errorf("aiger: bad header field %q", f[i+1])
+		}
+		if nums[i] < 0 || nums[i] > MaxVars {
+			return nil, fmt.Errorf("aiger: header count %d outside [0, %d]", nums[i], MaxVars)
 		}
 	}
 	maxVar, numIn, numLatch, numOut, numAnd := nums[0], nums[1], nums[2], nums[3], nums[4]
 	if numLatch != 0 {
 		return nil, fmt.Errorf("aiger: sequential models are not supported")
 	}
+	for _, n := range nums[5:] {
+		if n != 0 {
+			return nil, fmt.Errorf("aiger: bad-state, constraint, justice and fairness sections are not supported")
+		}
+	}
 	if maxVar < numIn+numAnd {
 		return nil, fmt.Errorf("aiger: inconsistent header")
 	}
 	switch f[0] {
 	case "aag":
-		return readASCII(br, numIn, numOut, numAnd)
+		return readASCII(br, maxVar, numIn, numOut, numAnd)
 	case "aig":
-		return readBinary(br, numIn, numOut, numAnd)
+		return readBinary(br, maxVar, numIn, numOut, numAnd)
 	}
 	return nil, fmt.Errorf("aiger: unknown magic %q", f[0])
 }
+
+// undefined marks an AIGER variable no input or AND has defined yet.
+const undefined = aig.Lit(^uint32(0))
 
 type parseState struct {
 	g    *aig.AIG
@@ -166,16 +183,30 @@ func (ps *parseState) lit(aigerLit uint32) (aig.Lit, error) {
 		return 0, fmt.Errorf("aiger: literal %d out of range", aigerLit)
 	}
 	l := ps.lits[v]
-	if l == aig.Lit(^uint32(0)) {
+	if l == undefined {
 		return 0, fmt.Errorf("aiger: literal %d used before defined", aigerLit)
 	}
 	return l.NotIf(aigerLit&1 == 1), nil
 }
 
-func newParseState(numIn, numAnd int) *parseState {
-	ps := &parseState{g: aig.New(), lits: make([]aig.Lit, 1+numIn+numAnd)}
+// and defines AIGER variable lhs/2 as the conjunction of r0 and r1.
+func (ps *parseState) and(lhs, r0, r1 uint32) error {
+	f0, err := ps.lit(r0)
+	if err != nil {
+		return err
+	}
+	f1, err := ps.lit(r1)
+	if err != nil {
+		return err
+	}
+	ps.lits[lhs/2] = ps.g.And(f0, f1)
+	return nil
+}
+
+func newParseState(maxVar, numIn int) *parseState {
+	ps := &parseState{g: aig.New(), lits: make([]aig.Lit, 1+maxVar)}
 	for i := range ps.lits {
-		ps.lits[i] = aig.Lit(^uint32(0))
+		ps.lits[i] = undefined
 	}
 	ps.lits[0] = aig.ConstFalse
 	for i := 0; i < numIn; i++ {
@@ -184,73 +215,73 @@ func newParseState(numIn, numAnd int) *parseState {
 	return ps
 }
 
-func readASCII(br *bufio.Reader, numIn, numOut, numAnd int) (*aig.AIG, error) {
-	ps := newParseState(numIn, numAnd)
-	readInts := func(n int) ([]uint32, error) {
-		out := make([]uint32, 0, n)
-		for len(out) < n {
-			line, err := br.ReadString('\n')
-			if err != nil && len(strings.TrimSpace(line)) == 0 {
-				return nil, fmt.Errorf("aiger: truncated body: %w", err)
-			}
-			for _, tok := range strings.Fields(line) {
-				v, err := strconv.ParseUint(tok, 10, 32)
-				if err != nil {
-					return nil, fmt.Errorf("aiger: bad literal %q", tok)
-				}
-				out = append(out, uint32(v))
-			}
+// readLine reads one body line holding exactly len(dst) literals.
+func readLine(br *bufio.Reader, dst []uint32) error {
+	line, err := br.ReadString('\n')
+	if err != nil && line == "" {
+		return fmt.Errorf("aiger: truncated body: %w", err)
+	}
+	f := strings.Fields(line)
+	if len(f) != len(dst) {
+		return fmt.Errorf("aiger: want %d literals on line %q", len(dst), line)
+	}
+	for i, tok := range f {
+		v, err := strconv.ParseUint(tok, 10, 32)
+		if err != nil {
+			return fmt.Errorf("aiger: bad literal %q", tok)
 		}
-		return out, nil
+		dst[i] = uint32(v)
 	}
-	ins, err := readInts(numIn)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range ins {
-		if v != uint32(2*(i+1)) {
-			return nil, fmt.Errorf("aiger: unexpected input literal %d", v)
+	return nil
+}
+
+func readASCII(br *bufio.Reader, maxVar, numIn, numOut, numAnd int) (*aig.AIG, error) {
+	ps := newParseState(maxVar, numIn)
+	var in [1]uint32
+	for i := 0; i < numIn; i++ {
+		if err := readLine(br, in[:]); err != nil {
+			return nil, err
+		}
+		if in[0] != uint32(2*(i+1)) {
+			return nil, fmt.Errorf("aiger: unexpected input literal %d", in[0])
 		}
 	}
-	outs, err := readInts(numOut)
-	if err != nil {
-		return nil, err
+	outs := make([]uint32, numOut)
+	for i := range outs {
+		if err := readLine(br, outs[i:i+1]); err != nil {
+			return nil, err
+		}
 	}
-	andTriples, err := readInts(numAnd * 3)
-	if err != nil {
-		return nil, err
-	}
+	var and [3]uint32
 	for i := 0; i < numAnd; i++ {
-		lhs, r0, r1 := andTriples[3*i], andTriples[3*i+1], andTriples[3*i+2]
-		if lhs%2 != 0 {
+		if err := readLine(br, and[:]); err != nil {
+			return nil, err
+		}
+		lhs, v := and[0], int(and[0]/2)
+		switch {
+		case lhs%2 != 0:
 			return nil, fmt.Errorf("aiger: AND lhs %d is negated", lhs)
+		case v <= numIn:
+			return nil, fmt.Errorf("aiger: AND lhs %d redefines the constant or an input", lhs)
+		case v > maxVar:
+			return nil, fmt.Errorf("aiger: AND lhs %d exceeds maximum variable %d", lhs, maxVar)
+		case ps.lits[v] != undefined:
+			return nil, fmt.Errorf("aiger: AND lhs %d defined twice", lhs)
 		}
-		f0, err := ps.lit(r0)
-		if err != nil {
+		if err := ps.and(lhs, and[1], and[2]); err != nil {
 			return nil, err
 		}
-		f1, err := ps.lit(r1)
-		if err != nil {
-			return nil, err
-		}
-		ps.lits[lhs/2] = ps.g.And(f0, f1)
 	}
 	return finish(ps, br, outs)
 }
 
-func readBinary(br *bufio.Reader, numIn, numOut, numAnd int) (*aig.AIG, error) {
-	ps := newParseState(numIn, numAnd)
+func readBinary(br *bufio.Reader, maxVar, numIn, numOut, numAnd int) (*aig.AIG, error) {
+	ps := newParseState(maxVar, numIn)
 	outs := make([]uint32, numOut)
 	for i := range outs {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("aiger: truncated outputs: %w", err)
+		if err := readLine(br, outs[i:i+1]); err != nil {
+			return nil, err
 		}
-		v, err := strconv.ParseUint(strings.TrimSpace(line), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("aiger: bad output %q", line)
-		}
-		outs[i] = uint32(v)
 	}
 	for i := 0; i < numAnd; i++ {
 		lhs := uint32(2 * (1 + numIn + i))
@@ -262,17 +293,12 @@ func readBinary(br *bufio.Reader, numIn, numOut, numAnd int) (*aig.AIG, error) {
 		if err != nil {
 			return nil, err
 		}
-		r0 := lhs - d0
-		r1 := r0 - d1
-		f0, err := ps.lit(r0)
-		if err != nil {
+		if d0 > lhs || d1 > lhs-d0 {
+			return nil, fmt.Errorf("aiger: AND %d has a fanin delta below literal 0", lhs)
+		}
+		if err := ps.and(lhs, lhs-d0, lhs-d0-d1); err != nil {
 			return nil, err
 		}
-		f1, err := ps.lit(r1)
-		if err != nil {
-			return nil, err
-		}
-		ps.lits[lhs/2] = ps.g.And(f0, f1)
 	}
 	return finish(ps, br, outs)
 }

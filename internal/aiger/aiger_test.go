@@ -2,6 +2,7 @@ package aiger
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -130,14 +131,31 @@ o1 notcarry
 	}
 }
 
+// malformed holds inputs Read must reject; each used to panic or be
+// misread. FuzzAIGER starts from them too.
+var malformed = map[string]string{
+	"badmagic":      "xyz 1 1 0 1 0\n2\n2\n",
+	"latches":       "aag 2 1 1 1 0\n2\n4 2\n2\n",
+	"short":         "aag 5 2\n",
+	"fwdref":        "aag 2 1 0 1 1\n2\n4\n4 6 2\n",
+	"negin":         "aag 0 -1 0 0 0\n",
+	"negout":        "aag 0 0 0 -1 0\n",
+	"negand":        "aag 0 0 0 0 -5\n",
+	"huge":          "aag 4194305 0 0 0 0\n",
+	"lhsbeyond":     "aag 1 0 0 0 1\n100 0 0\n",
+	"lhsbeyond2":    "aag 2 1 0 1 1\n2\n4\n40 2 2\n",
+	"lhsodd":        "aag 2 1 0 1 1\n2\n4\n5 2 2\n",
+	"lhsinput":      "aag 2 1 0 1 1\n2\n4\n2 2 2\n",
+	"lhsconst":      "aag 2 1 0 1 1\n2\n4\n0 2 2\n",
+	"lhstwice":      "aag 3 1 0 1 2\n2\n4\n4 2 2\n4 3 3\n",
+	"badstates":     "aag 1 1 0 1 0 1\n2\n2\n2\n",
+	"twoperline":    "aag 2 2 0 0 0\n2 4\n",
+	"bindeltawrap":  "aig 1 0 0 0 1\n\x05\x00",
+	"bindelta1wrap": "aig 2 1 0 0 1\n\x02\x7f",
+}
+
 func TestReadErrors(t *testing.T) {
-	cases := map[string]string{
-		"badmagic": "xyz 1 1 0 1 0\n2\n2\n",
-		"latches":  "aag 2 1 1 1 0\n2\n4 2\n2\n",
-		"short":    "aag 5 2\n",
-		"fwdref":   "aag 2 1 0 1 1\n2\n4\n4 6 2\n",
-	}
-	for name, src := range cases {
+	for name, src := range malformed {
 		if _, err := Read(strings.NewReader(src)); err == nil {
 			t.Fatalf("%s: expected error", name)
 		}
@@ -161,4 +179,48 @@ func TestConstantOutputs(t *testing.T) {
 	if out[0] != false || out[1] != true {
 		t.Fatalf("constants: %v", out)
 	}
+}
+
+// sameGraph reports whether b has a's interface and, by simulation
+// signature, its function.
+func sameGraph(a, b *aig.AIG) bool {
+	return a.NumPIs() == b.NumPIs() && a.NumPOs() == b.NumPOs() &&
+		aig.SigEqual(a.SimSignature(9, 2), b.SimSignature(9, 2))
+}
+
+// FuzzAIGER feeds arbitrary bytes to Read: it must never panic, and a
+// graph it accepts must survive an ASCII and a binary round trip with
+// its interface and function intact.
+func FuzzAIGER(f *testing.F) {
+	for _, src := range malformed {
+		f.Add([]byte(src))
+	}
+	f.Add([]byte("aag 3 2 0 2 1\n2\n4\n6\n7\n6 2 4\ni0 a\ni1 b\no0 carry\no1 notcarry\n"))
+	g := buildRandom(rand.New(rand.NewSource(5)), 3, 8)
+	for _, write := range []func(io.Writer, *aig.AIG) error{WriteASCII, WriteBinary} {
+		var buf bytes.Buffer
+		if err := write(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for binary, write := range []func(io.Writer, *aig.AIG) error{WriteASCII, WriteBinary} {
+			var buf bytes.Buffer
+			if err := write(&buf, g); err != nil {
+				t.Fatalf("binary=%v: writing an accepted graph: %v", binary == 1, err)
+			}
+			g2, err := Read(&buf)
+			if err != nil {
+				t.Fatalf("binary=%v: re-reading %q: %v", binary == 1, buf.String(), err)
+			}
+			if !sameGraph(g, g2) {
+				t.Fatalf("binary=%v: round trip changed the graph", binary == 1)
+			}
+		}
+	})
 }

@@ -21,25 +21,41 @@ import (
 
 // Write serializes the graph as a BLIF model. Every AND node becomes a
 // two-input .names cover; complemented edges become complemented cover
-// literals, and complemented outputs get an inverter cover.
+// literals, and each output is a buffer or inverter cover of its source.
+// Every signal gets a distinct name: inputs keep their sanitized names
+// and outputs theirs, each made unique with a _<k> suffix when taken;
+// internal nodes (n<id>, const0) avoid all of them. An output that is an
+// input of the same name needs no cover.
 func Write(w io.Writer, g *aig.AIG, model string) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, ".model %s\n", model)
 
+	used := make(map[string]bool)
+	unique := func(base string) string {
+		n := base
+		for k := 1; used[n]; k++ {
+			n = fmt.Sprintf("%s_%d", base, k)
+		}
+		used[n] = true
+		return n
+	}
 	name := make(map[int]string)
-	name[0] = "const0"
 	fmt.Fprint(bw, ".inputs")
 	for i := 0; i < g.NumPIs(); i++ {
-		n := sanitize(g.PIName(i))
+		n := unique(sanitize(g.PIName(i)))
 		name[g.PI(i).Node()] = n
 		fmt.Fprintf(bw, " %s", n)
 	}
 	fmt.Fprintln(bw)
 	fmt.Fprint(bw, ".outputs")
 	poNames := make([]string, g.NumPOs())
-	for i := 0; i < g.NumPOs(); i++ {
-		poNames[i] = sanitize(g.POName(i))
-		fmt.Fprintf(bw, " %s", poNames[i])
+	for i := range poNames {
+		n, l := sanitize(g.POName(i)), g.PO(i)
+		if l.IsNeg() || name[l.Node()] != n { // name holds only inputs so far
+			n = unique(n)
+		}
+		poNames[i] = n
+		fmt.Fprintf(bw, " %s", n)
 	}
 	fmt.Fprintln(bw)
 
@@ -56,13 +72,13 @@ func Write(w io.Writer, g *aig.AIG, model string) error {
 		}
 	}
 	if constUsed {
-		fmt.Fprintln(bw, ".names const0")
-		// Empty cover = constant 0.
+		name[0] = unique("const0")
+		fmt.Fprintf(bw, ".names %s\n", name[0]) // empty cover = constant 0
 	}
 
 	lit := func(l aig.Lit) (string, bool) { return name[l.Node()], l.IsNeg() }
 	g.ForEachLiveAnd(func(id int) {
-		n := fmt.Sprintf("n%d", id)
+		n := unique(fmt.Sprintf("n%d", id))
 		name[id] = n
 		a, an := lit(g.Fanin0(id))
 		b, bn := lit(g.Fanin1(id))
@@ -80,9 +96,12 @@ func Write(w io.Writer, g *aig.AIG, model string) error {
 	for i := 0; i < g.NumPOs(); i++ {
 		l := g.PO(i)
 		src := name[l.Node()]
-		if l.IsNeg() {
+		switch {
+		case src == poNames[i]:
+			// The output is the input of the same name.
+		case l.IsNeg():
 			fmt.Fprintf(bw, ".names %s %s\n0 1\n", src, poNames[i])
-		} else {
+		default:
 			fmt.Fprintf(bw, ".names %s %s\n1 1\n", src, poNames[i])
 		}
 	}

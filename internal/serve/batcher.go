@@ -27,11 +27,6 @@ var (
 type BatcherConfig struct {
 	// MaxBatch caps how many requests one PredictBatchCtx call serves.
 	MaxBatch int
-	// MaxWait bounds how long the first request of a batch waits for
-	// companions. 0 flushes as soon as the queue stops yielding
-	// requests without blocking (lowest latency, still coalescing
-	// whatever arrived together).
-	MaxWait time.Duration
 	// QueueCap bounds the request queue; submits beyond it fail fast
 	// with ErrQueueFull instead of building unbounded backlog.
 	QueueCap int
@@ -46,10 +41,10 @@ type BatcherConfig struct {
 }
 
 // DefaultBatcherConfig returns production-shaped defaults: batches up
-// to the prediction chunk size, a sub-millisecond coalescing window,
-// and a queue deep enough to absorb bursts.
+// to the prediction chunk size and a queue deep enough to absorb
+// bursts. There is no coalescing window; see Batcher.
 func DefaultBatcherConfig() BatcherConfig {
-	return BatcherConfig{MaxBatch: 64, MaxWait: 500 * time.Microsecond, QueueCap: 1024}
+	return BatcherConfig{MaxBatch: 64, QueueCap: 1024}
 }
 
 // Prediction is one scored flow as served: the softmax distribution,
@@ -96,12 +91,14 @@ func (s BatcherStats) MeanBatch() float64 {
 
 // Batcher coalesces concurrent single-flow prediction requests into
 // micro-batches. Submissions enter a bounded queue; a scheduler
-// goroutine gathers up to MaxBatch requests (waiting at most MaxWait
-// after the first), resolves the current model snapshot once per batch,
-// and executes one batched forward pass for all of them — so N
-// concurrent clients cost one GEMM-blocked PredictBatchCtx call instead
-// of N single-sample forwards. Per-sample numerics are independent of
-// batch composition, so responses are bit-identical to direct
+// goroutine is work-conserving: it takes the first queued request,
+// adds every request already queued behind it (up to MaxBatch) without
+// waiting, resolves the current model snapshot once, and executes one
+// batched forward pass for all of them. Requests that arrive during a
+// forward pass queue up and form the next batch, so batch size grows
+// with load rather than with a timer, and a lone request is scored as
+// soon as the predictor is free. Per-sample numerics are independent
+// of batch composition, so responses are bit-identical to direct
 // PredictBatch calls regardless of how requests coalesce.
 type Batcher struct {
 	cfg      BatcherConfig
@@ -155,7 +152,7 @@ func NewBatcher(resolve func() (*Model, error), cfg BatcherConfig) *Batcher {
 	b.obsFlushDur = cfg.Obs.DurationHistogram("flowgen_batcher_flush_duration_seconds",
 		"Wall time of one batch flush: resolve, forward pass, distribute.", lbl)
 	b.obsWait = cfg.Obs.DurationHistogram("flowgen_batcher_wait_seconds",
-		"Submit-to-response latency including queueing and coalescing.", lbl)
+		"Submit-to-response latency: queueing behind earlier batches plus the flush (no coalescing wait).", lbl)
 	b.obsShed = cfg.Obs.Counter("flowgen_batcher_shed_total",
 		"Submissions rejected because the request queue was full.", lbl)
 	b.obsPanics = cfg.Obs.Counter("flowgen_batcher_panics_total",
@@ -243,31 +240,15 @@ func (b *Batcher) loop() {
 	}
 }
 
-// gather collects companions for the first request: up to MaxBatch
-// total, waiting at most MaxWait after the first arrival (or only for
-// already-queued requests when MaxWait is 0).
+// gather returns the first request plus every request already queued
+// behind it, up to MaxBatch, without blocking.
 func (b *Batcher) gather(first *request) []*request {
 	batch := append(make([]*request, 0, b.cfg.MaxBatch), first)
-	if b.cfg.MaxWait <= 0 {
-		for len(batch) < b.cfg.MaxBatch {
-			select {
-			case r := <-b.queue:
-				batch = append(batch, r)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(b.cfg.MaxWait)
-	defer timer.Stop()
 	for len(batch) < b.cfg.MaxBatch {
 		select {
 		case r := <-b.queue:
 			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		case <-b.quit:
+		default:
 			return batch
 		}
 	}

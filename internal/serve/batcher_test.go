@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,8 +58,10 @@ func sameProbs(a, b []float64) bool {
 // TestBatcherMatchesDirect hammers one batcher from many goroutines and
 // requires every response to be bit-identical to the direct batched
 // scoring of the same flow — and the traffic to have actually coalesced
-// into multi-request batches. It runs against both serving engines: the
-// packed f32 snapshot (the default) and the f64 clone pool.
+// into multi-request batches. Coalescing is made certain, not left to
+// scheduling: the first flush holds the predictor until every client's
+// first request is queued behind it. It runs against both serving
+// engines: the packed f32 snapshot (the default) and the f64 clone pool.
 func TestBatcherMatchesDirect(t *testing.T) {
 	for _, prec := range []nn.Precision{nn.F32, nn.F64} {
 		t.Run(prec.String(), func(t *testing.T) {
@@ -68,8 +71,16 @@ func TestBatcherMatchesDirect(t *testing.T) {
 			flows := m.Space.RandomUnique(rand.New(rand.NewSource(2)), clients*perClient)
 			want := directProbs(m, flows)
 
-			b := NewBatcher(func() (*Model, error) { return m, nil },
-				BatcherConfig{MaxBatch: 32, MaxWait: 2 * time.Millisecond, QueueCap: 512, Workers: 1})
+			var b *Batcher
+			var gate sync.Once
+			b = NewBatcher(func() (*Model, error) {
+				gate.Do(func() {
+					for b.Stats().Requests < clients {
+						time.Sleep(100 * time.Microsecond)
+					}
+				})
+				return m, nil
+			}, BatcherConfig{MaxBatch: 32, QueueCap: 512, Workers: 1})
 			defer b.Close()
 
 			errs := make(chan error, clients)
@@ -116,6 +127,65 @@ func TestBatcherMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestBatcherWorkConserving pins the scheduling rule: a lone request is
+// flushed alone, without waiting for companions, and requests that
+// arrive while the predictor is busy form the next batches, split at
+// MaxBatch. The first flush blocks in the resolver until released, so
+// the batch boundaries are exact.
+func TestBatcherWorkConserving(t *testing.T) {
+	const maxBatch, queued = 4, 10
+	m := testModel("m", 1)
+	flows := m.Space.RandomUnique(rand.New(rand.NewSource(5)), 1+queued)
+	want := directProbs(m, flows)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	b := NewBatcher(func() (*Model, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return m, nil
+	}, BatcherConfig{MaxBatch: maxBatch, QueueCap: 64, Workers: 1})
+	defer b.Close()
+
+	errs := make(chan error, 1+queued)
+	submit := func(i int) {
+		pred, err := b.Submit(context.Background(), m.EncodeFlow(flows[i]))
+		switch {
+		case err != nil:
+			errs <- fmt.Errorf("flow %d: %v", i, err)
+		case !sameProbs(pred.Probs, want[i]):
+			errs <- fmt.Errorf("flow %d: response differs from direct scoring", i)
+		default:
+			errs <- nil
+		}
+	}
+	go submit(0)
+	<-entered // the lone request is being flushed, alone
+	for i := 1; i <= queued; i++ {
+		go submit(i)
+	}
+	for b.Stats().Requests < 1+queued {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	for i := 0; i < 1+queued; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One batch of 1, then the 10 queued requests as 4, 4 and 2.
+	st := b.Stats()
+	if wantBatches := int64(1 + (queued+maxBatch-1)/maxBatch); st.Batches != wantBatches {
+		t.Fatalf("%d batches, want %d: %+v", st.Batches, wantBatches, st)
+	}
+	if st.MaxBatch != maxBatch || st.BatchedFlows != 1+queued {
+		t.Fatalf("want largest batch %d over %d flows: %+v", maxBatch, 1+queued, st)
+	}
+}
+
 // TestBatcherCancellationAndQueueFull drives the failure paths
 // deterministically by blocking the model resolver: a queued request
 // can be cancelled while waiting, submissions beyond QueueCap are shed
@@ -124,7 +194,7 @@ func TestBatcherCancellationAndQueueFull(t *testing.T) {
 	m := testModel("m", 1)
 	release := make(chan struct{})
 	b := NewBatcher(func() (*Model, error) { <-release; return m, nil },
-		BatcherConfig{MaxBatch: 1, MaxWait: 0, QueueCap: 2, Workers: 1})
+		BatcherConfig{MaxBatch: 1, QueueCap: 2, Workers: 1})
 	defer b.Close()
 
 	enc := m.EncodeFlow(m.Space.Random(rand.New(rand.NewSource(3))))
@@ -196,7 +266,7 @@ func TestBatcherCancellationAndQueueFull(t *testing.T) {
 func TestBatcherEncodingMismatch(t *testing.T) {
 	m := testModel("m", 1)
 	b := NewBatcher(func() (*Model, error) { return m, nil },
-		BatcherConfig{MaxBatch: 4, MaxWait: 0, QueueCap: 8, Workers: 1})
+		BatcherConfig{MaxBatch: 4, QueueCap: 8, Workers: 1})
 	defer b.Close()
 	if _, err := b.Submit(context.Background(), make([]float64, 3)); err == nil {
 		t.Fatal("want an encoding-size error")
@@ -240,7 +310,7 @@ func testHotReloadDuringTraffic(t *testing.T, prec nn.Precision) {
 	wantBySeed := [][][]float64{directProbs(v1, flows), directProbs(v2, flows)}
 
 	b := NewBatcher(func() (*Model, error) { return reg.Get("m") },
-		BatcherConfig{MaxBatch: 16, MaxWait: 200 * time.Microsecond, QueueCap: 1024, Workers: 1})
+		BatcherConfig{MaxBatch: 16, QueueCap: 1024, Workers: 1})
 	defer b.Close()
 
 	errs := make(chan error, clients+1)

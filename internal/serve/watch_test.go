@@ -53,7 +53,7 @@ func TestWatchReloadsOnFileChange(t *testing.T) {
 	wantBySeed := [][][]float64{directProbs(v1, flows), directProbs(v2, flows)}
 
 	b := NewBatcher(func() (*Model, error) { return reg.Get("m") },
-		BatcherConfig{MaxBatch: 16, MaxWait: 200 * time.Microsecond, QueueCap: 1024, Workers: 1})
+		BatcherConfig{MaxBatch: 16, QueueCap: 1024, Workers: 1})
 	defer b.Close()
 
 	errs := make(chan error, 8)

@@ -188,7 +188,7 @@ func BenchmarkServePredict32(b *testing.B) {
 		wg.Wait()
 	}
 
-	cfg := serve.BatcherConfig{MaxBatch: 64, MaxWait: 200 * time.Microsecond, QueueCap: total}
+	cfg := serve.BatcherConfig{MaxBatch: 64, QueueCap: total}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
