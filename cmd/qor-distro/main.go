@@ -72,6 +72,10 @@ func main() {
 		sample = space.Enumerate(0)
 		fmt.Printf("exhaustive mode: synthesizing all %d flows of the space\n", len(sample))
 	} else {
+		if !space.Holds(*flows) {
+			fmt.Fprintf(os.Stderr, "-flows %d exceeds the space's %v flows\n", *flows, space.Count())
+			os.Exit(1)
+		}
 		rng := rand.New(rand.NewSource(*seed))
 		sample = space.RandomUnique(rng, *flows)
 	}

@@ -16,7 +16,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"math/rand"
 	"sort"
 	"time"
@@ -156,6 +155,10 @@ func New(cfg Config, engine *synth.Engine) (*Framework, error) {
 	if cfg.TrainFlows < cfg.InitialLabeled {
 		return nil, fmt.Errorf("core: TrainFlows %d < InitialLabeled %d", cfg.TrainFlows, cfg.InitialLabeled)
 	}
+	if !cfg.Space.Holds(cfg.TrainFlows + cfg.SampleFlows) {
+		return nil, fmt.Errorf("core: TrainFlows %d + SampleFlows %d exceed the space's %v flows",
+			cfg.TrainFlows, cfg.SampleFlows, cfg.Space.Count())
+	}
 	if _, err := Schedule(cfg.InitialLabeled, cfg.RetrainEvery, cfg.TrainFlows); err != nil {
 		return nil, err
 	}
@@ -252,12 +255,12 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 }
 
 // GeneratePool samples cfg.SampleFlows unlabeled flows disjoint from the
-// given training flows. It panics if the space cannot supply that many
-// distinct flows beyond the excluded set (only possible for toy spaces).
+// given training flows. New has checked that the space holds the pool and
+// cfg.TrainFlows more, so it panics only when exclude holds more flows
+// than that.
 func (fw *Framework) GeneratePool(exclude []flow.Flow) []flow.Flow {
-	need := big.NewInt(int64(fw.Cfg.SampleFlows + len(exclude)))
-	if need.Cmp(fw.Cfg.Space.Count()) > 0 {
-		panic("core: sample pool plus training flows exceed the flow space size")
+	if !fw.Cfg.Space.Holds(fw.Cfg.SampleFlows + len(exclude)) {
+		panic("core: sample pool plus excluded flows exceed the flow space size")
 	}
 	seen := make(map[string]struct{}, len(exclude))
 	for _, f := range exclude {

@@ -190,6 +190,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad, engine); err == nil {
 		t.Fatal("expected error for zero StepsPerRound")
 	}
+	// The m=1 space holds 720 flows: a pool that fits alone but not
+	// beside the training flows, and training flows that do not fit at
+	// all, are errors before any labeling.
+	bad = cfg
+	bad.TrainFlows, bad.SampleFlows = 200, 600
+	if _, err := New(bad, engine); err == nil {
+		t.Fatal("expected error for TrainFlows + SampleFlows beyond the space")
+	}
+	bad = cfg
+	bad.TrainFlows = 800
+	if _, err := New(bad, engine); err == nil {
+		t.Fatal("expected error for TrainFlows beyond the space")
+	}
 }
 
 func TestPaperConfigShape(t *testing.T) {

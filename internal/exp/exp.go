@@ -48,6 +48,9 @@ func Collect(design *aig.AIG, space flow.Space, trainN, poolN int, seed int64, p
 // CollectMode is Collect with an explicit memoization toggle (memo=false
 // forces one independent synthesis per flow, e.g. for baseline timing).
 func CollectMode(design *aig.AIG, space flow.Space, trainN, poolN int, seed int64, memo bool, progress func(done, total int)) (*Bundle, error) {
+	if !space.Holds(trainN + poolN) {
+		return nil, fmt.Errorf("exp: %d training + %d pool flows exceed the space's %v flows", trainN, poolN, space.Count())
+	}
 	engine := synth.NewEngine(design, space)
 	engine.Memo = memo
 	rng := rand.New(rand.NewSource(seed))

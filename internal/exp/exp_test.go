@@ -41,6 +41,10 @@ func TestCollectShapes(t *testing.T) {
 			t.Fatal("pool overlaps train")
 		}
 	}
+	// The m=1 space holds 720 flows.
+	if _, err := CollectMode(circuits.ALU(8), b.Space, 200, 600, 1, false, nil); err == nil {
+		t.Fatal("collecting 800 flows from a 720-flow space succeeded")
+	}
 }
 
 func TestRunIncrementalCurve(t *testing.T) {

@@ -115,10 +115,15 @@ func (s Space) Random(rng *rand.Rand) Flow {
 	return Flow{Indices: idx}
 }
 
+// Holds reports whether the space contains at least n distinct flows.
+func (s Space) Holds(n int) bool {
+	return big.NewInt(int64(n)).Cmp(s.Count()) <= 0
+}
+
 // RandomUnique returns count distinct random flows. It panics if count
 // exceeds the space size.
 func (s Space) RandomUnique(rng *rand.Rand, count int) []Flow {
-	if big.NewInt(int64(count)).Cmp(s.Count()) > 0 {
+	if !s.Holds(count) {
 		panic("flow: requested more unique flows than the space contains")
 	}
 	seen := make(map[string]struct{}, count)

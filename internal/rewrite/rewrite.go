@@ -21,8 +21,11 @@ package rewrite
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"flowgen/internal/aig"
+	"flowgen/internal/bitvec"
 	"flowgen/internal/cut"
 	"flowgen/internal/fraig"
 	"flowgen/internal/sop"
@@ -40,21 +43,32 @@ type Transform func(*aig.AIG) *aig.AIG
 // rewrite -z, refactor -z}.
 var Names = []string{"balance", "restructure", "rewrite", "refactor", "rewrite -z", "refactor -z"}
 
-// ByName returns the transformation with the given ABC command name.
-func ByName(name string) (Transform, error) {
+// ByName returns the transformation with the given ABC command name. Each
+// application factors through a fresh library.
+func ByName(name string) (Transform, error) { return byName(name, NewLibrary) }
+
+// ByName returns the transformation with the given ABC command name,
+// bound to l: its applications factor through l.
+func (l *Library) ByName(name string) (Transform, error) {
+	return byName(name, func() *Library { return l })
+}
+
+// byName resolves name to a transformation whose factoring passes take
+// their library from lib.
+func byName(name string, lib func() *Library) (Transform, error) {
 	switch name {
 	case "balance", "b":
 		return Balance, nil
 	case "rewrite", "rw":
-		return func(g *aig.AIG) *aig.AIG { return Rewrite(g, false) }, nil
+		return func(g *aig.AIG) *aig.AIG { return lib().rewrite(g, false) }, nil
 	case "rewrite -z", "rwz":
-		return func(g *aig.AIG) *aig.AIG { return Rewrite(g, true) }, nil
+		return func(g *aig.AIG) *aig.AIG { return lib().rewrite(g, true) }, nil
 	case "refactor", "rf":
-		return func(g *aig.AIG) *aig.AIG { return Refactor(g, false) }, nil
+		return func(g *aig.AIG) *aig.AIG { return lib().refactor(g, false) }, nil
 	case "refactor -z", "rfz":
-		return func(g *aig.AIG) *aig.AIG { return Refactor(g, true) }, nil
+		return func(g *aig.AIG) *aig.AIG { return lib().refactor(g, true) }, nil
 	case "restructure", "rs":
-		return Restructure, nil
+		return func(g *aig.AIG) *aig.AIG { return lib().restructure(g) }, nil
 	case "fraig":
 		// Extension beyond the paper's alphabet S: simulation-guided,
 		// SAT-proven functional reduction (ABC's fraig).
@@ -132,12 +146,92 @@ func Balance(g *aig.AIG) *aig.AIG {
 	return ng.Cleanup()
 }
 
-// libEntry caches the factored implementation of a cut function: in
-// Rewrite per 16-bit table of a 4-input cut, in refactorK per cone table.
-// Each pass owns its cache (passes run concurrently on different graphs).
-type libEntry struct {
-	expr *sop.Expr
+// Library holds the factored form of every table its passes have
+// factored: the 4-input cut tables of rewrite and rewrite -z, and the
+// cone tables of refactor, refactor -z and restructure. A form is a pure
+// function of its table, so passes on different graphs may share one
+// library from several goroutines and get the graphs a fresh library
+// gives. Each of the two maps stops accepting entries at libraryCap;
+// after that, lookups still hit and a miss is factored for its one use.
+type Library struct {
+	mu    sync.RWMutex
+	cuts  map[uint16]factored
+	cones map[coneKey]factored
+
+	hits, misses atomic.Int64 // lookups of ended passes
+}
+
+// libraryCap bounds each map of a Library. A synthesis engine keeps its
+// library as long as it lives, which for the online loop is the process,
+// so this is the only limit on it; DESIGN.md §6.2 gives the sweep that
+// sized it against the benchmark's RSS bound.
+const libraryCap = 2048
+
+// factored is a library entry: a form and whether it computes the
+// complement of its table.
+type factored struct {
+	form sop.Form
 	inv  bool
+}
+
+// NewLibrary returns an empty library.
+func NewLibrary() *Library {
+	return &Library{cuts: make(map[uint16]factored), cones: make(map[coneKey]factored)}
+}
+
+// Counts returns the library lookups that hit and that missed, summed
+// over the passes that have ended.
+func (l *Library) Counts() (hits, misses int) {
+	return int(l.hits.Load()), int(l.misses.Load())
+}
+
+// pass is one synthesis pass's view of a library: the pass's own
+// factoring workspace and its lookup counts, which reach the library
+// once, when the pass ends.
+type pass struct {
+	lib          *Library
+	ws           sop.Workspace
+	hits, misses int64
+	lits         []aig.Lit // leaf-literal buffer reused across builds
+}
+
+// end adds the pass's lookup counts to its library.
+func (p *pass) end() {
+	p.lib.hits.Add(p.hits)
+	p.lib.misses.Add(p.misses)
+}
+
+// lookup returns the factored form of tt, the table keyed k in m. A miss
+// is factored outside the lock on the pass's workspace; below the cap
+// the library stores a copy, so two passes that miss the same table
+// store equal forms. On the 4-variable cut tables FactorTTFast is the
+// FactorTT that Rewrite always used.
+func lookup[K comparable](p *pass, m map[K]factored, k K, tt bitvec.TT) factored {
+	p.lib.mu.RLock()
+	e, ok := m[k]
+	p.lib.mu.RUnlock()
+	if ok {
+		p.hits++
+		return e
+	}
+	p.misses++
+	e.form, e.inv = p.ws.FactorTTFast(tt)
+	p.lib.mu.Lock()
+	if len(m) < libraryCap {
+		m[k] = factored{form: slices.Clone(e.form), inv: e.inv}
+	}
+	p.lib.mu.Unlock()
+	return e
+}
+
+// build constructs the factored form over the leaf nodes in g and
+// returns its output literal.
+func (p *pass) build(g *aig.AIG, e factored, leaves []int) aig.Lit {
+	p.lits = p.lits[:0]
+	for _, l := range leaves {
+		p.lits = append(p.lits, aig.MakeLit(l, false))
+	}
+	return p.ws.BuildAIG(g, e.form, p.lits).NotIf(e.inv)
 }
 
 // Rewrite performs DAG-aware cut rewriting with 4-input cuts: for every
@@ -145,24 +239,21 @@ type libEntry struct {
 // built and the replacement with the best positive gain (node count
 // decrease) is committed. With zero true, zero-gain replacements that
 // change structure are also accepted.
-func Rewrite(g *aig.AIG, zero bool) *aig.AIG {
+func Rewrite(g *aig.AIG, zero bool) *aig.AIG { return NewLibrary().rewrite(g, zero) }
+
+// rewrite is Rewrite, factoring cut functions through l.
+func (l *Library) rewrite(g *aig.AIG, zero bool) *aig.AIG {
 	g.RecomputeRefs()
 	g.RecomputeLevels()
 	cuts := cut.Enumerate(g, 4, 8)
-	lib := make(map[uint16]libEntry, 256)
-	var ws sop.Workspace
+	p := &pass{lib: l}
+	defer p.end()
 	ids := g.LiveAnds()
-	var lits []aig.Lit // leaf-literal buffer reused across candidates
-	// build speculatively constructs cut c's factored form in g.
+	// build speculatively constructs cut c's factored form in g. Cut
+	// tables are over 4 variables, so their low 16 bits identify them.
 	build := func(c *cut.Cut) aig.Lit {
-		tt16 := uint16(c.TT.Words()[0] & 0xFFFF)
-		e, ok := lib[tt16]
-		if !ok {
-			e.expr, e.inv = ws.FactorTT(c.TT)
-			lib[tt16] = e
-		}
-		lits = leafLits(lits, c.Leaves)
-		return ws.BuildAIG(g, e.expr, lits).NotIf(e.inv)
+		e := lookup(p, l.cuts, uint16(c.TT.Words()[0]&0xFFFF), c.TT)
+		return p.build(g, e, c.Leaves)
 	}
 
 	for _, id := range ids {
@@ -238,21 +329,15 @@ func leavesUsable(g *aig.AIG, root int, leaves []int) bool {
 	return true
 }
 
-// leafLits refills buf with the positive literals of the leaf nodes.
-func leafLits(buf []aig.Lit, leaves []int) []aig.Lit {
-	buf = buf[:0]
-	for _, l := range leaves {
-		buf = append(buf, aig.MakeLit(l, false))
-	}
-	return buf
-}
-
 // Refactor performs reconvergence-driven refactoring: for each node a
 // cut of up to K=10 leaves is computed, the cone function is collapsed to
 // a truth table, refactored algebraically, and rebuilt if it reduces the
 // node count (or keeps it equal, with zero true).
-func Refactor(g *aig.AIG, zero bool) *aig.AIG {
-	return refactorK(g, zero, refactorLeaves, false)
+func Refactor(g *aig.AIG, zero bool) *aig.AIG { return NewLibrary().refactor(g, zero) }
+
+// refactor is Refactor, factoring cone functions through l.
+func (l *Library) refactor(g *aig.AIG, zero bool) *aig.AIG {
+	return l.refactorK(g, zero, refactorLeaves, false)
 }
 
 // refactorLeaves is the cut width of Refactor, the widest cone refactorK
@@ -262,8 +347,11 @@ const refactorLeaves = 10
 // Restructure is cut-based resynthesis with K=8 cuts that targets depth:
 // a rebuilt cone is accepted when it reduces node count, or keeps the
 // count while reducing the cone's local depth.
-func Restructure(g *aig.AIG) *aig.AIG {
-	return refactorK(g, false, 8, true)
+func Restructure(g *aig.AIG) *aig.AIG { return NewLibrary().restructure(g) }
+
+// restructure is Restructure, factoring cone functions through l.
+func (l *Library) restructure(g *aig.AIG) *aig.AIG {
+	return l.refactorK(g, false, 8, true)
 }
 
 // coneKey identifies a cone function: its variable count and table.
@@ -275,17 +363,17 @@ type coneKey struct {
 // maxConeWords is the table size of the widest cone refactorK collapses.
 const maxConeWords = 1 << (refactorLeaves - 6)
 
-func refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
+// refactorK collapses each node's reconvergent cone of up to k leaves
+// and rebuilds its factored form. Structured circuits (adder grids, S-box
+// arrays) repeat cone functions heavily, across passes as well as within
+// one, which is what the library's cone map catches.
+func (l *Library) refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
 	g.RecomputeRefs()
 	g.RecomputeLevels()
-	// The factored form of each cone function, keyed by its table.
-	// Structured circuits (adder grids, S-box arrays) repeat cone
-	// functions heavily, making the cache highly effective.
-	cache := make(map[coneKey]libEntry)
-	var ws sop.Workspace
+	p := &pass{lib: l}
+	defer p.end()
 	cones := cut.NewCones(g)
 	ids := g.LiveAnds()
-	var lits []aig.Lit // leaf-literal buffer reused across cones
 	for _, id := range ids {
 		if !g.IsAnd(id) || g.Ref(id) == 0 {
 			continue
@@ -309,15 +397,10 @@ func refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
 		}
 		key := coneKey{nvars: len(leaves)}
 		copy(key.words[:], tt.Words())
-		e, hit := cache[key]
-		if !hit {
-			e.expr, e.inv = ws.FactorTTFast(tt)
-			cache[key] = e
-		}
+		e := lookup(p, l.cones, key, tt)
 		oldLevel := g.Level(id)
 		freed := g.BeginSpeculate(id)
-		lits = leafLits(lits, leaves)
-		newLit := ws.BuildAIG(g, e.expr, lits).NotIf(e.inv)
+		newLit := p.build(g, e, leaves)
 		if newLit.Node() == id {
 			g.AbortSpeculate(id)
 			continue
@@ -349,9 +432,10 @@ func refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
 // this to merge convergent flows under aig.StructuralFingerprint, and
 // every other Apply caller gets the same flow semantics.
 func Apply(g *aig.AIG, names []string) (*aig.AIG, []aig.Stats, error) {
+	lib := NewLibrary()
 	stats := make([]aig.Stats, 0, len(names))
 	for _, n := range names {
-		t, err := ByName(n)
+		t, err := lib.ByName(n)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -3,11 +3,16 @@ package rewrite
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"flowgen/internal/aig"
+	"flowgen/internal/bitvec"
 	"flowgen/internal/circuits"
 )
+
+// raceEnabled reports a race-detector build (race_test.go sets it).
+var raceEnabled bool
 
 // buildRandom constructs a random, somewhat redundant DAG.
 func buildRandom(rng *rand.Rand, nin, nand int) *aig.AIG {
@@ -234,21 +239,21 @@ func TestApplySequenceStats(t *testing.T) {
 }
 
 // TestCutPassAllocationBudget bounds the garbage one cut-based pass
-// leaves on miniaes2: cut sets, cone tables, ISOP stacks and factored
-// forms come from per-pass workspaces, so a pass allocates a few hundred
-// times (graphs, caches, chunks), not once per cut or table. Before the
+// leaves on miniaes2: cut sets, cone tables and ISOP stacks come from
+// per-pass workspaces and factored forms from the pass's library, so a
+// pass allocates a few hundred times (graphs, cut chunks, the forms it
+// adds to the library), not once per cut or table. Before the
 // workspaces, one refactor pass allocated 63 MB in 1.09 million objects.
+// Through a library the other passes have filled, a cone pass factors
+// nothing and keeps only its graph and cone scratch.
 func TestCutPassAllocationBudget(t *testing.T) {
 	d, err := circuits.ByName("miniaes2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g0 := d.Build().Cleanup()
-	for _, name := range []string{"restructure", "rewrite", "refactor", "rewrite -z", "refactor -z"} {
-		tr, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	names := []string{"restructure", "rewrite", "refactor", "rewrite -z", "refactor -z"}
+	perPass := func(tr Transform) (bytes, objects uint64) {
 		const runs = 3
 		var before, after runtime.MemStats
 		graphs := make([]*aig.AIG, runs)
@@ -260,12 +265,149 @@ func TestCutPassAllocationBudget(t *testing.T) {
 			Step(tr, g)
 		}
 		runtime.ReadMemStats(&after)
-		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
-		objects := (after.Mallocs - before.Mallocs) / runs
+		return (after.TotalAlloc - before.TotalAlloc) / runs, (after.Mallocs - before.Mallocs) / runs
+	}
+	for _, name := range names {
+		tr, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes, objects := perPass(tr)
 		t.Logf("%s: %d bytes in %d objects per pass", name, bytes, objects)
 		if bytes > 8<<20 || objects > 4000 {
 			t.Errorf("%s allocates %d bytes in %d objects per pass, budget 8 MiB in 4000", name, bytes, objects)
 		}
+	}
+
+	lib := NewLibrary()
+	for _, name := range names {
+		tr, err := lib.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Step(tr, g0.Clone())
+	}
+	for _, name := range []string{"restructure", "refactor", "refactor -z"} {
+		tr, err := lib.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes, objects := perPass(tr)
+		t.Logf("%s, warm library: %d bytes in %d objects per pass", name, bytes, objects)
+		// Under the race detector, appends of a make that the compiler
+		// otherwise folds into one growth (cut.Cones.begin) allocate the
+		// temporary, so only bytes are budgeted there.
+		if bytes > 512<<10 || objects > 200 && !raceEnabled {
+			t.Errorf("%s through a warm library allocates %d bytes in %d objects per pass, budget 512 KiB in 200", name, bytes, objects)
+		}
+	}
+}
+
+// TestLibrarySharedAcrossPasses runs every transformation through one
+// library from several goroutines at once, twice over, so that the
+// second round runs on tables the other transformations factored: each
+// result must be the graph a fresh library gives.
+func TestLibrarySharedAcrossPasses(t *testing.T) {
+	for _, design := range []string{"alu8", "miniaes2", "mont8"} {
+		d, err := circuits.ByName(design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g0 := d.Build().Cleanup()
+		want := make(map[string]aig.Fingerprint)
+		for _, name := range Names {
+			tr, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[name] = Step(tr, g0.Clone()).StructuralFingerprint()
+		}
+		lib := NewLibrary()
+		const workers, rounds = 4, 2
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			graphs := make([]*aig.AIG, rounds*len(Names))
+			for i := range graphs {
+				graphs[i] = g0.Clone()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, g := range graphs {
+					name := Names[(i+w)%len(Names)]
+					tr, err := lib.ByName(name)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if Step(tr, g).StructuralFingerprint() != want[name] {
+						t.Errorf("%s: %s through a shared library differs from a fresh library", design, name)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if hits, misses := lib.Counts(); hits == 0 || misses == 0 {
+			t.Errorf("%s: library counted %d hits and %d misses, want both", design, hits, misses)
+		}
+	}
+}
+
+// TestLibraryStopsAtCap feeds one library more distinct cone tables than
+// its cap: it holds exactly the cap, still hits on what it holds, and the
+// forms it returns past the cap compute their tables.
+func TestLibraryStopsAtCap(t *testing.T) {
+	const nvars = 6
+	rng := rand.New(rand.NewSource(8))
+	seen := make(map[uint64]bool)
+	var tables []bitvec.TT
+	for len(tables) < libraryCap+64 {
+		w := rng.Uint64()
+		if !seen[w] {
+			seen[w] = true
+			tables = append(tables, bitvec.FromWords(nvars, []uint64{w}))
+		}
+	}
+	key := func(tt bitvec.TT) coneKey {
+		k := coneKey{nvars: nvars}
+		copy(k.words[:], tt.Words())
+		return k
+	}
+	lib := NewLibrary()
+	p := &pass{lib: lib}
+	for i, tt := range tables {
+		e := lookup(p, lib.cones, key(tt), tt)
+		if i < libraryCap {
+			continue
+		}
+		g := aig.New()
+		leaves := make([]aig.Lit, nvars)
+		for v := range leaves {
+			leaves[v] = g.AddInput("x")
+		}
+		g.AddOutput(p.ws.BuildAIG(g, e.form, leaves).NotIf(e.inv), "f")
+		in := make([]bool, nvars)
+		for m := 0; m < tt.NumBits(); m++ {
+			for v := range in {
+				in[v] = m>>v&1 != 0
+			}
+			if g.EvalUint(in)[0] != tt.Bit(m) {
+				t.Fatalf("table %d past the cap: form %v (inv=%v) wrong on minterm %d", i, e.form, e.inv, m)
+			}
+		}
+	}
+	p.end()
+	if len(lib.cones) != libraryCap {
+		t.Fatalf("library holds %d cone tables, want the cap %d", len(lib.cones), libraryCap)
+	}
+	if hits, misses := lib.Counts(); hits != 0 || misses != len(tables) {
+		t.Fatalf("filling counted %d hits and %d misses, want 0 and %d", hits, misses, len(tables))
+	}
+	p = &pass{lib: lib}
+	lookup(p, lib.cones, key(tables[0]), tables[0])
+	lookup(p, lib.cones, key(tables[libraryCap]), tables[libraryCap])
+	if p.hits != 1 || p.misses != 1 {
+		t.Fatalf("a held and a refused table counted %d hits and %d misses, want 1 and 1", p.hits, p.misses)
 	}
 }
 

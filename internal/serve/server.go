@@ -782,6 +782,9 @@ func (s *Server) handleRecommend(r *http.Request) (any, error) {
 		if req.Pool > s.cfg.MaxPool {
 			return nil, badRequest("pool %d exceeds the limit of %d", req.Pool, s.cfg.MaxPool)
 		}
+		if !m.Space.Holds(req.Pool) {
+			return nil, badRequest("pool %d exceeds the %v flows of model %s's space", req.Pool, m.Space.Count(), m.Name)
+		}
 		seed := req.Seed
 		if seed == 0 {
 			seed = 1

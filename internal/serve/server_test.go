@@ -14,6 +14,7 @@ import (
 
 	"flowgen/internal/core"
 	"flowgen/internal/flow"
+	"flowgen/internal/nn"
 	"flowgen/internal/tensor"
 )
 
@@ -194,6 +195,22 @@ func TestServerRecommend(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/recommend",
 		recommendRequest{Pool: 100000}, nil); code != http.StatusBadRequest {
 		t.Fatalf("oversized pool: %d", code)
+	}
+
+	// A pool within MaxPool but beyond the model's space is a bad
+	// request too: an m=1 space holds 720 flows.
+	arch := nn.FastArch(5)
+	arch.InH, arch.InW = 6, 6
+	small := &Model{Name: "m1", Space: flow.NewSpace(flow.DefaultAlphabet, 1), Arch: arch, Net: arch.Build(3)}
+	s1, ts1 := newTestServer(t, small)
+	s1.cfg.MaxPool = 5000
+	if code, body := postJSON(t, ts1.URL+"/v1/recommend",
+		recommendRequest{Model: "m1", Pool: 720}, &rec); code != http.StatusOK || rec.PoolSize != 720 {
+		t.Fatalf("whole m=1 space as pool: %d %s", code, body)
+	}
+	if code, body := postJSON(t, ts1.URL+"/v1/recommend",
+		recommendRequest{Model: "m1", Pool: 800}, nil); code != http.StatusBadRequest {
+		t.Fatalf("pool beyond the m=1 space: %d %s", code, body)
 	}
 }
 

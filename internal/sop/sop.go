@@ -93,57 +93,20 @@ func (s SOP) TT() bitvec.TT {
 
 // Workspace holds the scratch memory of the resynthesis kernels: the
 // truth-table stack of ISOP, the cover it builds, the partition buffer of
-// factoring and the operand stack of BuildAIG. Once its buffers have
-// grown, ISOP and BuildAIG allocate nothing, and factoring carves the
-// expressions it returns out of chunks of exprChunk nodes. A Workspace is
-// not safe for concurrent use: a synthesis pass owns one. The zero value
-// is ready to use.
+// factoring, the forms it emits and the operand stack of BuildAIG. Once
+// its buffers have grown, none of them allocates. A Form returned by a
+// Workspace method belongs to the workspace until its next factoring
+// call; a caller that keeps it copies it. A Workspace is not safe for
+// concurrent use: a synthesis pass owns one. The zero value is ready to
+// use.
 type Workspace struct {
 	mem   []uint64 // ISOP table stack, in use up to top
 	top   int
 	cubes []Cube    // cover under construction
 	part  []Cube    // factoring partition scratch
-	alt   []Cube    // FactorTT: the positive phase's cover
-	dry   []Cube    // FactorTT: the cover a dry run permutes
+	form  Form      // form under construction
+	alt   Form      // FactorTT: the positive phase's form
 	lits  []aig.Lit // BuildAIG operand stack
-	exprs []Expr    // expression chunk
-	args  []*Expr   // argument-list chunk
-}
-
-// exprChunk is the number of expression nodes (and argument pointers)
-// allocated at once. An expression keeps its chunk alive, which is what
-// a pass's factoring cache wants anyway.
-const exprChunk = 256
-
-// carve returns n elements of the chunk *buf, starting a new chunk when
-// it is full. Slices handed out earlier stay valid.
-func carve[T any](buf *[]T, n int) []T {
-	if len(*buf)+n > cap(*buf) {
-		*buf = make([]T, 0, max(exprChunk, n))
-	}
-	l := len(*buf)
-	*buf = (*buf)[:l+n]
-	return (*buf)[l : l+n : l+n]
-}
-
-// expr returns a workspace-allocated copy of e, or nil on a dry run.
-func (w *Workspace) expr(build bool, e Expr) *Expr {
-	if !build {
-		return nil
-	}
-	p := &carve(&w.exprs, 1)[0]
-	*p = e
-	return p
-}
-
-// pair returns a two-element argument list, or nil on a dry run.
-func (w *Workspace) pair(build bool, a, b *Expr) []*Expr {
-	if !build {
-		return nil
-	}
-	args := carve(&w.args, 2)
-	args[0], args[1] = a, b
-	return args
 }
 
 // ISOP computes an irredundant sum-of-products cover of the fully
@@ -326,130 +289,141 @@ func fillWords(t []uint64, x uint64) {
 	}
 }
 
-// Expr is a node of a factored-form expression tree.
-type Expr struct {
-	Kind ExprKind
-	Neg  bool    // for KindLit and KindConst (Neg means const 0); next to Kind, so a node is 40 bytes
-	Var  int     // for KindLit
-	Args []*Expr // for KindAnd / KindOr
-}
+// Form is a factored form in postfix order, and holds no pointers. Each
+// code pushes one result onto an operand stack: a constant, a literal of
+// a variable, or the AND or OR of the n results on top of the stack,
+// which it pops. A form leaves exactly one result, its function.
+type Form []uint16
 
-// ExprKind discriminates expression nodes.
-type ExprKind uint8
-
+// The top two bits of a code select its kind. The low 14 bits hold a
+// constant's value, a literal's variable<<1|negation, or an AND's or OR's
+// operand count. Counts stay far below 1<<14: factoring builds binary
+// ANDs and ORs, products of one cube's at most 32 literals, and sums of
+// cubes that share no literal, of which there are at most 65.
 const (
-	// KindConst is a constant (Neg: false=1, true=0).
-	KindConst ExprKind = iota
-	// KindLit is a variable literal.
-	KindLit
-	// KindAnd is a conjunction of Args.
-	KindAnd
-	// KindOr is a disjunction of Args.
-	KindOr
+	codeConst uint16 = iota << 14
+	codeLit
+	codeAnd
+	codeOr
+
+	codeKind = codeOr
 )
 
-// NumLiterals counts literal leaves of the expression.
-func (e *Expr) NumLiterals() int {
-	switch e.Kind {
-	case KindLit:
-		return 1
-	case KindAnd, KindOr:
-		n := 0
-		for _, a := range e.Args {
-			n += a.NumLiterals()
+// NumLiterals counts the form's literals.
+func (f Form) NumLiterals() int {
+	n := 0
+	for _, c := range f {
+		if c&codeKind == codeLit {
+			n++
 		}
-		return n
-	default:
-		return 0
 	}
+	return n
 }
 
-// String renders the expression with x<i> variables.
-func (e *Expr) String() string {
-	switch e.Kind {
-	case KindConst:
-		if e.Neg {
-			return "0"
-		}
-		return "1"
-	case KindLit:
-		if e.Neg {
-			return fmt.Sprintf("x%d'", e.Var)
-		}
-		return fmt.Sprintf("x%d", e.Var)
-	case KindAnd:
-		parts := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			if a.Kind == KindOr {
-				parts[i] = "(" + a.String() + ")"
-			} else {
-				parts[i] = a.String()
-			}
-		}
-		return strings.Join(parts, "*")
-	case KindOr:
-		parts := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			parts[i] = a.String()
-		}
-		return strings.Join(parts, " + ")
+// String renders the form with x<i> variables, e.g. "x0*(x1 + x2')".
+func (f Form) String() string {
+	type term struct {
+		s  string
+		or bool
 	}
-	return "?"
+	var stack []term
+	for _, c := range f {
+		x := int(c &^ codeKind)
+		switch c & codeKind {
+		case codeConst:
+			stack = append(stack, term{s: fmt.Sprint(x)})
+		case codeLit:
+			s := fmt.Sprintf("x%d", x>>1)
+			if x&1 != 0 {
+				s += "'"
+			}
+			stack = append(stack, term{s: s})
+		default:
+			or := c&codeKind == codeOr
+			args := stack[len(stack)-x:]
+			parts := make([]string, x)
+			for i, a := range args {
+				parts[i] = a.s
+				if !or && a.or {
+					parts[i] = "(" + a.s + ")"
+				}
+			}
+			sep := "*"
+			if or {
+				sep = " + "
+			}
+			stack = append(stack[:len(stack)-x], term{strings.Join(parts, sep), or})
+		}
+	}
+	if len(stack) != 1 {
+		return "?"
+	}
+	return stack[0].s
+}
+
+// emit appends one code to the form under construction.
+func (w *Workspace) emit(kind uint16, x int) {
+	w.form = append(w.form, kind|uint16(x))
+}
+
+// lit emits literal v, negated when neg is set.
+func (w *Workspace) lit(v int, neg bool) {
+	x := v << 1
+	if neg {
+		x |= 1
+	}
+	w.emit(codeLit, x)
 }
 
 // Factor converts an SOP cover into a factored form using recursive
 // literal factoring (the "quick factor" algebraic method): the most
 // frequent literal is factored out, and quotient and remainder are
 // factored recursively.
-func Factor(s SOP) *Expr {
+func Factor(s SOP) Form {
 	var w Workspace
-	e, _ := w.factor(append([]Cube(nil), s.Cubes...), true)
-	return e
+	w.factor(append([]Cube(nil), s.Cubes...))
+	return w.form
 }
 
-// factor factors the cover, reordering and rewriting cubes in place, and
-// returns the literal count of the factored form. It builds the
-// expression only when build is set: a dry run lets FactorTT pick the
-// cheaper phase before allocating anything.
-func (w *Workspace) factor(cubes []Cube, build bool) (*Expr, int) {
+// factor factors the cover into w.form, reordering and rewriting cubes in
+// place.
+func (w *Workspace) factor(cubes []Cube) {
+	w.form = w.form[:0]
 	if len(cubes) == 0 {
-		return w.expr(build, Expr{Kind: KindConst, Neg: true}), 0
+		w.emit(codeConst, 0)
+		return
 	}
 	// Tautology cube present?
 	for _, c := range cubes {
 		if c.Pos == 0 && c.Neg == 0 {
-			return w.expr(build, Expr{Kind: KindConst}), 0
+			w.emit(codeConst, 1)
+			return
 		}
 	}
-	return w.factorCubes(cubes, build)
+	w.factorCubes(cubes)
 }
 
-// cubeExpr builds the product of a cube's literals, in variable order.
-func (w *Workspace) cubeExpr(c Cube, build bool) (*Expr, int) {
-	n := c.NumLits()
-	if !build {
-		return nil, n
+// cube emits the product of a cube's literals, in variable order.
+func (w *Workspace) cube(c Cube) {
+	n := 0
+	for m := c.Pos | c.Neg; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros32(m)
+		w.lit(v, c.Neg&(1<<uint(v)) != 0)
+		n++
 	}
 	switch n {
 	case 0:
-		return w.expr(true, Expr{Kind: KindConst}), 0
+		w.emit(codeConst, 1)
 	case 1:
-		v := bits.TrailingZeros32(c.Pos | c.Neg)
-		return w.expr(true, Expr{Kind: KindLit, Var: v, Neg: c.Pos == 0}), 1
+	default:
+		w.emit(codeAnd, n)
 	}
-	args := carve(&w.args, n)
-	i := 0
-	for m := c.Pos | c.Neg; m != 0; m &= m - 1 {
-		v := bits.TrailingZeros32(m)
-		args[i] = w.expr(true, Expr{Kind: KindLit, Var: v, Neg: c.Neg&(1<<uint(v)) != 0})
-		i++
-	}
-	return w.expr(true, Expr{Kind: KindAnd, Args: args}), n
 }
 
-func (w *Workspace) factorCubes(cubes []Cube, build bool) (*Expr, int) {
+func (w *Workspace) factorCubes(cubes []Cube) {
 	if len(cubes) == 1 {
-		return w.cubeExpr(cubes[0], build)
+		w.cube(cubes[0])
+		return
 	}
 	// Count literal occurrences: positive phases in [0,32), negative in
 	// [32,64). The most frequent literal wins, the lowest index on ties;
@@ -473,19 +447,11 @@ func (w *Workspace) factorCubes(cubes []Cube, build bool) (*Expr, int) {
 	}
 	if best < 0 {
 		// No literal shared by two cubes: plain disjunction of products.
-		var args []*Expr
-		if build {
-			args = carve(&w.args, len(cubes))
+		for _, c := range cubes {
+			w.cube(c)
 		}
-		lits := 0
-		for i, c := range cubes {
-			e, n := w.cubeExpr(c, build)
-			if build {
-				args[i] = e
-			}
-			lits += n
-		}
-		return w.expr(build, Expr{Kind: KindOr, Args: args}), lits
+		w.emit(codeOr, len(cubes))
+		return
 	}
 	v, neg := best, false
 	if best >= 32 {
@@ -510,76 +476,68 @@ func (w *Workspace) factorCubes(cubes []Cube, build bool) (*Expr, int) {
 	w.part = rem[:0]
 	quot := cubes[:nq]
 
-	lit := w.expr(build, Expr{Kind: KindLit, Var: v, Neg: neg})
-	qex, lits := lit, 1 // lit * 1
+	// lit * quotient, or lit alone when the quotient is 1.
+	w.lit(v, neg)
 	if len(quot) != 1 || quot[0].Pos != 0 || quot[0].Neg != 0 {
-		q, n := w.factorCubes(quot, build)
-		qex, lits = w.expr(build, Expr{Kind: KindAnd, Args: w.pair(build, lit, q)}), 1+n
+		w.factorCubes(quot)
+		w.emit(codeAnd, 2)
 	}
 	if nq == len(cubes) {
-		return qex, lits
+		return
 	}
-	r, n := w.factorCubes(cubes[nq:], build)
-	return w.expr(build, Expr{Kind: KindOr, Args: w.pair(build, qex, r)}), lits + n
+	w.factorCubes(cubes[nq:])
+	w.emit(codeOr, 2)
 }
 
 // FactorTT composes ISOP and Factor, choosing whichever of f's or its
 // complement's factored form has fewer literals (the complement costs one
 // extra output inversion, which is free in an AIG). The returned bool
-// reports whether the expression computes NOT f. Both phases are factored
-// dry on copies of their covers; only the winner is built.
-func (w *Workspace) FactorTT(f bitvec.TT) (*Expr, bool) {
-	w.alt = append(w.alt[:0], w.cover(f, false)...)
-	w.dry = append(w.dry[:0], w.alt...)
-	_, pos := w.factor(w.dry, false)
-	w.dry = append(w.dry[:0], w.cover(f, true)...)
-	_, neg := w.factor(w.dry, false)
-	if neg < pos {
-		e, _ := w.factor(w.cubes, true)
-		return e, true
+// reports whether the form computes NOT f. The form belongs to w until
+// its next factoring call.
+func (w *Workspace) FactorTT(f bitvec.TT) (Form, bool) {
+	w.factor(w.cover(f, false))
+	w.form, w.alt = w.alt, w.form
+	w.factor(w.cover(f, true))
+	if w.form.NumLiterals() < w.alt.NumLiterals() {
+		return w.form, true
 	}
-	e, _ := w.factor(w.alt, true)
-	return e, false
+	return w.alt, false
 }
 
 // FactorTTFast is the large-cone variant used by refactoring: for tables
 // over more than 8 variables, only the phase with fewer minterms is
 // factored (the other phase's ISOP is usually larger and twice the ISOP
 // work dominates refactoring runtime); small tables use both phases.
-func (w *Workspace) FactorTTFast(f bitvec.TT) (*Expr, bool) {
+func (w *Workspace) FactorTTFast(f bitvec.TT) (Form, bool) {
 	if f.NumVars() <= 8 {
 		return w.FactorTT(f)
 	}
 	compl := f.CountOnes() > f.NumBits()/2
-	e, _ := w.factor(w.cover(f, compl), true)
-	return e, compl
+	w.factor(w.cover(f, compl))
+	return w.form, compl
 }
 
-// BuildAIG constructs the expression over the given leaf literals in g and
-// returns the output literal. AND/OR argument lists are built as balanced
-// trees ordered by current node level, minimizing added depth. Each
-// AND/OR node pushes its operands on w's stack, combines them in place
-// and pops them.
-func (w *Workspace) BuildAIG(g *aig.AIG, e *Expr, leaves []aig.Lit) aig.Lit {
-	switch e.Kind {
-	case KindConst:
-		if e.Neg {
-			return aig.ConstFalse
+// BuildAIG constructs the form over the given leaf literals in g and
+// returns the output literal. The form runs on w's operand stack: each
+// AND or OR combines the operands on top of the stack into a balanced
+// tree ordered by current node level, minimizing added depth, and
+// replaces them with its result.
+func (w *Workspace) BuildAIG(g *aig.AIG, f Form, leaves []aig.Lit) aig.Lit {
+	w.lits = w.lits[:0]
+	for _, c := range f {
+		x := int(c &^ codeKind)
+		switch c & codeKind {
+		case codeConst:
+			w.lits = append(w.lits, aig.ConstFalse.NotIf(x != 0))
+		case codeLit:
+			w.lits = append(w.lits, leaves[x>>1].NotIf(x&1 != 0))
+		default:
+			top := len(w.lits) - x
+			w.lits[top] = combineBalanced(g, w.lits[top:], c&codeKind == codeOr)
+			w.lits = w.lits[:top+1]
 		}
-		return aig.ConstTrue
-	case KindLit:
-		return leaves[e.Var].NotIf(e.Neg)
-	case KindAnd, KindOr:
-		base := len(w.lits)
-		for _, a := range e.Args {
-			l := w.BuildAIG(g, a, leaves)
-			w.lits = append(w.lits, l)
-		}
-		l := combineBalanced(g, w.lits[base:], e.Kind == KindOr)
-		w.lits = w.lits[:base]
-		return l
 	}
-	panic("sop: invalid expression kind")
+	return w.lits[0]
 }
 
 // combineBalanced reduces the literals with AND (or OR when disj is true)

@@ -83,9 +83,9 @@ func TestFactorPreservesFunction(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			f := randomTT(rng, k)
 			e := Factor(ISOP(f))
-			// Evaluate the expression on every minterm.
+			// Evaluate the form on every minterm.
 			for i := 0; i < f.NumBits(); i++ {
-				if evalExpr(e, i) != f.Bit(i) {
+				if evalForm(e, i) != f.Bit(i) {
 					t.Fatalf("k=%d trial=%d minterm %d: %s", k, trial, i, e)
 				}
 			}
@@ -93,29 +93,32 @@ func TestFactorPreservesFunction(t *testing.T) {
 	}
 }
 
-func evalExpr(e *Expr, minterm int) bool {
-	switch e.Kind {
-	case KindConst:
-		return !e.Neg
-	case KindLit:
-		v := minterm&(1<<uint(e.Var)) != 0
-		return v != e.Neg
-	case KindAnd:
-		for _, a := range e.Args {
-			if !evalExpr(a, minterm) {
-				return false
+// evalForm evaluates the form on one minterm of its variables with its
+// own operand stack.
+func evalForm(f Form, minterm int) bool {
+	var stack []bool
+	for _, c := range f {
+		x := int(c &^ codeKind)
+		switch c & codeKind {
+		case codeConst:
+			stack = append(stack, x != 0)
+		case codeLit:
+			stack = append(stack, minterm&(1<<uint(x>>1)) != 0 != (x&1 != 0))
+		default:
+			and := c&codeKind == codeAnd
+			r := and
+			for _, a := range stack[len(stack)-x:] {
+				if a != and {
+					r = a // a false operand decides an AND, a true one an OR
+				}
 			}
+			stack = append(stack[:len(stack)-x], r)
 		}
-		return true
-	case KindOr:
-		for _, a := range e.Args {
-			if evalExpr(a, minterm) {
-				return true
-			}
-		}
-		return false
 	}
-	return false
+	if len(stack) != 1 {
+		panic("malformed form")
+	}
+	return stack[0]
 }
 
 func TestFactorSharesLiterals(t *testing.T) {
@@ -146,7 +149,7 @@ func TestFactorTTPicksMinimalPhase(t *testing.T) {
 			t.Fatalf("trial %d: got %d literals, want %d", trial, e.NumLiterals(), want)
 		}
 		for i := 0; i < f.NumBits(); i++ {
-			if (evalExpr(e, i) != inv) != f.Bit(i) {
+			if (evalForm(e, i) != inv) != f.Bit(i) {
 				t.Fatalf("trial %d minterm %d: wrong function", trial, i)
 			}
 		}
@@ -183,12 +186,13 @@ func TestBuildAIGBalancedDepth(t *testing.T) {
 	// An 8-literal conjunction must be built with depth 3, not 7.
 	g := aig.New()
 	leaves := make([]aig.Lit, 8)
-	args := make([]*Expr, 8)
+	var f Form
 	for i := range leaves {
 		leaves[i] = g.AddInput("x")
-		args[i] = &Expr{Kind: KindLit, Var: i}
+		f = append(f, codeLit|uint16(i)<<1)
 	}
-	out := new(Workspace).BuildAIG(g, &Expr{Kind: KindAnd, Args: args}, leaves)
+	f = append(f, codeAnd|8)
+	out := new(Workspace).BuildAIG(g, f, leaves)
 	g.AddOutput(out, "f")
 	if lv := g.RecomputeLevels(); lv != 3 {
 		t.Fatalf("depth = %d, want 3", lv)
@@ -228,11 +232,11 @@ func TestQuickFactorNoWorseThanSOP(t *testing.T) {
 	}
 }
 
-// TestWorkspaceReuseAndDryRuns checks the two shortcuts of the
-// Workspace: covers computed on a reused workspace equal those of a
-// fresh one, and a dry factoring run counts exactly the literals the
-// built expression has.
-func TestWorkspaceReuseAndDryRuns(t *testing.T) {
+// TestWorkspaceReuse checks that a reused workspace computes what a fresh
+// one does: the same covers and the same factored forms. So a form is a
+// function of its table alone, which lets a library share it between
+// passes.
+func TestWorkspaceReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var w Workspace
 	for trial := 0; trial < 60; trial++ {
@@ -244,11 +248,14 @@ func TestWorkspaceReuseAndDryRuns(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%v compl=%v: reused workspace cover %v, fresh %v", f, compl, got, want)
 			}
-			_, n := w.factor(slices.Clone(got), false)
-			e, _ := w.factor(got, true)
-			if n != e.NumLiterals() {
-				t.Fatalf("%v compl=%v: dry run counted %d literals, built %d", f, compl, n, e.NumLiterals())
+			w.factor(got)
+			if e := Factor(SOP{NVars: f.NumVars(), Cubes: want}); !slices.Equal(w.form, e) {
+				t.Fatalf("%v compl=%v: reused workspace factored %v, fresh %v", f, compl, w.form, e)
 			}
+		}
+		fe, finv := new(Workspace).FactorTTFast(f)
+		if e, inv := w.FactorTTFast(f); inv != finv || !slices.Equal(e, fe) {
+			t.Fatalf("%v: reused workspace FactorTTFast %v (inv=%v), fresh %v (inv=%v)", f, e, inv, fe, finv)
 		}
 	}
 }
@@ -265,6 +272,18 @@ func TestWorkspaceAllocationFree(t *testing.T) {
 		t.Errorf("ISOP cover allocates %v times per call pair, want 0", n)
 	}
 
+	// Factoring emits into the workspace's own forms: once they have
+	// grown, neither phase choice allocates.
+	f8 := randomTT(rng, 8)
+	w.FactorTT(f8)
+	w.FactorTTFast(f)
+	if n := testing.AllocsPerRun(20, func() {
+		w.FactorTT(f8)
+		w.FactorTTFast(f)
+	}); n != 0 {
+		t.Errorf("FactorTT and FactorTTFast allocate %v times per call pair, want 0", n)
+	}
+
 	// Rebuilding a factored form that already exists in the graph only
 	// hits the structural hash: BuildAIG itself must not allocate.
 	g := aig.New()
@@ -272,7 +291,7 @@ func TestWorkspaceAllocationFree(t *testing.T) {
 	for i := range leaves {
 		leaves[i] = g.AddInput("x")
 	}
-	e, _ := w.FactorTT(randomTT(rng, 8))
+	e, _ := w.FactorTT(f8)
 	w.BuildAIG(g, e, leaves)
 	if n := testing.AllocsPerRun(20, func() { w.BuildAIG(g, e, leaves) }); n != 0 {
 		t.Errorf("BuildAIG allocates %v times per call, want 0", n)
@@ -282,7 +301,8 @@ func TestWorkspaceAllocationFree(t *testing.T) {
 // FuzzISOP checks the word-level ISOP on arbitrary tables of up to 8
 // variables: the cover computes the function, a workspace that just
 // covered another function gives the same cover as a fresh one, and the
-// factored form of either phase computes its function.
+// postfix form FactorTT emits computes the function in the phase it
+// reports.
 func FuzzISOP(f *testing.F) {
 	f.Add(uint8(4), uint64(0x6996), uint64(0), uint64(0), uint64(0))
 	f.Add(uint8(8), uint64(0x8000000000000001), ^uint64(0), uint64(0), uint64(0x0123456789abcdef))
@@ -307,7 +327,7 @@ func FuzzISOP(f *testing.F) {
 		}
 		e, inv := w.FactorTT(tt)
 		for m := 0; m < tt.NumBits(); m++ {
-			if evalExpr(e, m) != (tt.Bit(m) != inv) {
+			if evalForm(e, m) != (tt.Bit(m) != inv) {
 				t.Fatalf("factored form %v (inv=%v) of %v wrong on minterm %d", e, inv, tt, m)
 			}
 		}

@@ -36,8 +36,10 @@ func fuzzAIG(data []byte) *aig.AIG {
 }
 
 // FuzzMemoVsDirect checks the memoized engine on arbitrary small graphs:
-// it must label a batch of m=1 flows exactly as the direct path does, and
-// every flow must preserve the graph's function.
+// it labels a batch of m=1 flows in two EvaluateAll calls, the second on
+// the factoring library and memo tables the first warmed, and both halves
+// must equal the direct path; every flow must preserve the graph's
+// function.
 func FuzzMemoVsDirect(f *testing.F) {
 	f.Add(uint64(1), uint8(4), []byte{3, 0, 2, 4, 7, 9, 10, 12, 1, 14, 17, 16, 5})
 	f.Add(uint64(7), uint8(8), []byte{7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24})
@@ -45,11 +47,18 @@ func FuzzMemoVsDirect(f *testing.F) {
 	space := flow.NewSpace(flow.DefaultAlphabet, 1)
 	f.Fuzz(func(t *testing.T, seed uint64, nflows uint8, data []byte) {
 		design := fuzzAIG(data)
-		flows := space.RandomUnique(rand.New(rand.NewSource(int64(seed))), 1+int(nflows)%6)
-		memo, err := NewEngine(design, space).EvaluateAll(flows, nil)
+		flows := space.RandomUnique(rand.New(rand.NewSource(int64(seed))), 2+int(nflows)%6)
+		eng := NewEngine(design, space)
+		half := len(flows) / 2
+		memo, err := eng.EvaluateAll(flows[:half], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		warm, err := eng.EvaluateAll(flows[half:], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo = append(memo, warm...)
 		direct := NewEngine(design, space)
 		direct.Memo = false
 		want, err := direct.EvaluateAll(flows, nil)
@@ -59,7 +68,7 @@ func FuzzMemoVsDirect(f *testing.F) {
 		sig := design.SimSignature(99, 2)
 		for i, f := range flows {
 			if memo[i] != want[i] {
-				t.Fatalf("flow %s: memoized %+v, direct %+v", f.String(space), memo[i], want[i])
+				t.Fatalf("flow %s (warm call: %v): memoized %+v, direct %+v", f.String(space), i >= half, memo[i], want[i])
 			}
 			g, _, err := rewrite.Apply(design.Cleanup(), f.Names(space))
 			if err != nil {

@@ -48,6 +48,8 @@ type MemoStats struct {
 	MapCacheHits   int // leaf evaluations served by the final-graph QoR cache
 	Clones         int // graph clones made for multi-consumer prefixes
 	PeakGraphs     int // peak number of simultaneously cached intermediate graphs
+	FactorHits     int // cut and cone tables found in the engine's factoring library
+	FactorMisses   int // cut and cone tables factored because the library lacked them
 }
 
 // SpeedupFactor estimates the transformation-work reduction: direct
@@ -341,7 +343,7 @@ func (m *memoEval) finishFlows(n *flow.TrieNode, entry *memoState, fp aig.Finger
 func (e *Engine) evaluateAllMemo(flows []flow.Flow, progress func(done int)) ([]QoR, error) {
 	transforms := make([]rewrite.Transform, len(e.Space.Alphabet))
 	for i, name := range e.Space.Alphabet {
-		t, err := rewrite.ByName(name)
+		t, err := e.lib.ByName(name)
 		if err != nil {
 			return nil, err
 		}
@@ -406,9 +408,12 @@ func (e *Engine) evaluateAllMemo(flows []flow.Flow, progress func(done int)) ([]
 }
 
 // MemoStats returns the accumulated sharing statistics of the engine's
-// memoized evaluations.
+// memoized evaluations. The factoring counts cover the passes that have
+// ended.
 func (e *Engine) MemoStats() MemoStats {
 	e.memo.mu.Lock()
-	defer e.memo.mu.Unlock()
-	return e.memo.stats
+	s := e.memo.stats
+	e.memo.mu.Unlock()
+	s.FactorHits, s.FactorMisses = e.lib.Counts()
+	return s
 }

@@ -1,13 +1,16 @@
 package synth
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"flowgen/internal/aig"
 	"flowgen/internal/circuits"
 	"flowgen/internal/flow"
+	"flowgen/internal/obs"
 )
 
 // TestMemoizedMatchesDirectAllDesigns is the differential proof behind
@@ -197,6 +200,23 @@ func TestMemoStatsAccumulateAcrossBatches(t *testing.T) {
 	}
 	if second.SpeedupFactor() < 1 {
 		t.Fatalf("speedup factor below 1: %+v", second)
+	}
+	// The factoring library persists across calls: the second batch
+	// finds tables the first one factored.
+	if first.FactorMisses == 0 || second.FactorHits <= first.FactorHits {
+		t.Fatalf("factoring library did not accumulate hits: first %+v second %+v", first, second)
+	}
+	reg := obs.NewRegistry()
+	e.RegisterMetrics(reg)
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	for _, want := range []string{
+		fmt.Sprintf("flowgen_synth_memo_factor_hits %d\n", second.FactorHits),
+		fmt.Sprintf("flowgen_synth_memo_factor_misses %d\n", second.FactorMisses),
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("metrics lack %q", want)
+		}
 	}
 }
 

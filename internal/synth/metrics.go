@@ -33,6 +33,10 @@ func (e *Engine) RegisterMetrics(o *obs.Registry) {
 		stat(func(s MemoStats) int { return s.Clones }))
 	o.GaugeFunc("flowgen_synth_memo_peak_graphs", "Peak simultaneously cached intermediate graphs.",
 		stat(func(s MemoStats) int { return s.PeakGraphs }))
+	o.GaugeFunc("flowgen_synth_memo_factor_hits", "Cut and cone tables found in the engine's factoring library.",
+		stat(func(s MemoStats) int { return s.FactorHits }))
+	o.GaugeFunc("flowgen_synth_memo_factor_misses", "Cut and cone tables factored because the library lacked them.",
+		stat(func(s MemoStats) int { return s.FactorMisses }))
 	o.GaugeFunc("flowgen_synth_memo_speedup_factor", "Direct steps divided by transformations actually run.",
 		func() float64 { return e.MemoStats().SpeedupFactor() })
 }

@@ -88,7 +88,12 @@ type Engine struct {
 	master  *aig.AIG
 	matcher *techmap.Matcher
 	memo    *memoTable
-	evals   atomic.Int64
+	// lib is the factoring library of the memoized path's passes, shared
+	// by its workers and kept across EvaluateAll calls. The direct path
+	// never reads it: rewrite.Apply factors through a library of its own
+	// per flow, so it stays an independent reference.
+	lib   *rewrite.Library
+	evals atomic.Int64
 }
 
 // NewEngine builds an engine for the design with the paper's default
@@ -103,6 +108,7 @@ func NewEngine(design *aig.AIG, space flow.Space) *Engine {
 		master:  design.Cleanup(),
 		matcher: techmap.NewMatcher(cells.New14nm()),
 		memo:    newMemoTable(),
+		lib:     rewrite.NewLibrary(),
 	}
 }
 
