@@ -1,5 +1,7 @@
 // Command cec proves or refutes combinational equivalence of two
-// netlists (BLIF or AIGER, by extension), the counterpart of ABC's cec.
+// netlists (BLIF or AIGER, by extension), the counterpart of ABC's cec:
+// it simulates their miter, sweeps it with fraig and SAT-solves the
+// outputs the sweep leaves (internal/cec).
 //
 //	cec golden.blif optimized.aig
 //	cec -conflicts 100000 a.blif b.blif
@@ -19,8 +21,8 @@ import (
 )
 
 func main() {
-	conflicts := flag.Int64("conflicts", 0, "SAT conflict budget (0 = unlimited)")
-	simWords := flag.Int("sim", 4, "64-bit random simulation words before SAT")
+	conflicts := flag.Int64("conflicts", 0, "SAT conflict budget for all the outputs the sweep leaves, not per output (0 = unlimited)")
+	simWords := flag.Int("sim", 4, "64-bit random simulation words for the miter and the sweep")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: cec [-conflicts N] [-sim W] <a.blif|a.aag|a.aig> <b.blif|b.aag|b.aig>")

@@ -577,59 +577,56 @@ func (s Stats) String() string {
 	return fmt.Sprintf("pi=%d po=%d and=%d lev=%d", s.PIs, s.POs, s.Ands, s.Levels)
 }
 
+// SimulateNodes evaluates the live graph on 64-bit-parallel input
+// patterns: patterns[i] holds the words of primary input i, all of one
+// length nwords. The result is node-major: node id's words are
+// [id*nwords, (id+1)*nwords). The constant node and dead nodes read 0.
+func (g *AIG) SimulateNodes(patterns [][]uint64) []uint64 {
+	if len(patterns) != len(g.pis) {
+		panic("aig: pattern count != PI count")
+	}
+	nw := 0
+	if len(patterns) > 0 {
+		nw = len(patterns[0])
+	}
+	val := make([]uint64, len(g.nodes)*nw)
+	for i, pi := range g.pis {
+		if len(patterns[i]) != nw {
+			panic("aig: ragged patterns")
+		}
+		copy(val[pi*nw:], patterns[i])
+	}
+	g.ForEachLiveAnd(func(id int) {
+		f0, f1 := g.Fanin0(id), g.Fanin1(id)
+		a, b := val[f0.Node()*nw:][:nw], val[f1.Node()*nw:][:nw]
+		m0, m1 := -uint64(f0&1), -uint64(f1&1)
+		out := val[id*nw:][:nw]
+		for w := range out {
+			out[w] = (a[w] ^ m0) & (b[w] ^ m1)
+		}
+	})
+	return val
+}
+
+// appendLitWords appends the nw words of literal l, read from the
+// node-major values of SimulateNodes, to dst.
+func appendLitWords(dst, val []uint64, nw int, l Lit) []uint64 {
+	m := -uint64(l & 1)
+	for _, w := range val[l.Node()*nw:][:nw] {
+		dst = append(dst, w^m)
+	}
+	return dst
+}
+
 // Simulate evaluates the graph on 64-bit-parallel input patterns.
 // patterns[i] holds nwords words for primary input i. The result holds
 // nwords words per primary output.
 func (g *AIG) Simulate(patterns [][]uint64) [][]uint64 {
-	if len(patterns) != len(g.pis) {
-		panic("aig: pattern count != PI count")
-	}
-	nwords := 0
-	if len(patterns) > 0 {
-		nwords = len(patterns[0])
-	}
-	val := make([][]uint64, len(g.nodes))
-	zero := make([]uint64, nwords)
-	val[0] = zero
-	for i, pi := range g.pis {
-		if len(patterns[i]) != nwords {
-			panic("aig: ragged patterns")
-		}
-		val[pi] = patterns[i]
-	}
-	read := func(l Lit, buf []uint64) []uint64 {
-		v := val[l.Node()]
-		if !l.IsNeg() {
-			return v
-		}
-		for w := range v {
-			buf[w] = ^v[w]
-		}
-		return buf
-	}
-	b0 := make([]uint64, nwords)
-	b1 := make([]uint64, nwords)
-	g.ForEachLiveAnd(func(id int) {
-		v0 := read(g.Fanin0(id), b0)
-		v1 := read(g.Fanin1(id), b1)
-		out := make([]uint64, nwords)
-		for w := range out {
-			out[w] = v0[w] & v1[w]
-		}
-		val[id] = out
-	})
+	val := g.SimulateNodes(patterns)
+	nw := len(val) / len(g.nodes)
 	res := make([][]uint64, len(g.pos))
 	for i := range g.pos {
-		l := g.PO(i)
-		v := val[l.Node()]
-		out := make([]uint64, nwords)
-		copy(out, v)
-		if l.IsNeg() {
-			for w := range out {
-				out[w] = ^out[w]
-			}
-		}
-		res[i] = out
+		res[i] = appendLitWords(make([]uint64, 0, nw), val, nw, g.PO(i))
 	}
 	return res
 }
@@ -657,24 +654,31 @@ func (g *AIG) EvalUint(inputs []bool) []bool {
 	return res
 }
 
+// RandomPatterns draws nwords random words for each of npis primary
+// inputs, input by input, from a generator seeded by seed: the patterns
+// SimSignature simulates.
+func RandomPatterns(seed int64, npis, nwords int) [][]uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	pats := make([][]uint64, npis)
+	for i := range pats {
+		pats[i] = make([]uint64, nwords)
+		for w := range pats[i] {
+			pats[i][w] = rng.Uint64()
+		}
+	}
+	return pats
+}
+
 // SimSignature returns a deterministic simulation signature over nwords
 // random 64-bit patterns seeded by seed. Two graphs with identical PI/PO
 // counts and equal signatures are (with overwhelming probability)
 // functionally equivalent; unequal signatures prove inequivalence.
 func (g *AIG) SimSignature(seed int64, nwords int) []uint64 {
-	rng := rand.New(rand.NewSource(seed))
-	pats := make([][]uint64, len(g.pis))
-	for i := range pats {
-		p := make([]uint64, nwords)
-		for w := range p {
-			p[w] = rng.Uint64()
-		}
-		pats[i] = p
-	}
-	out := g.Simulate(pats)
-	sig := make([]uint64, 0, len(out)*nwords)
-	for _, o := range out {
-		sig = append(sig, o...)
+	val := g.SimulateNodes(RandomPatterns(seed, len(g.pis), nwords))
+	nw := len(val) / len(g.nodes)
+	sig := make([]uint64, 0, len(g.pos)*nw)
+	for i := range g.pos {
+		sig = appendLitWords(sig, val, nw, g.PO(i))
 	}
 	return sig
 }

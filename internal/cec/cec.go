@@ -1,23 +1,23 @@
 // Package cec implements combinational equivalence checking of AIGs,
-// ABC's `cec` command: a miter of the two circuits is encoded to CNF by
-// Tseitin transformation, random simulation looks for cheap
-// counterexamples first, and the SAT solver (internal/sat) proves or
-// refutes each output pair. It upgrades the repository's probabilistic
-// simulation-signature checks into proofs that synthesis flows preserve
-// circuit function.
+// ABC's `cec` command, as one pipeline over a miter: the two circuits
+// share their primary inputs, and output o of the miter is the XOR of
+// their outputs o. Random simulation of the miter looks for a cheap
+// counterexample first. fraig.Reduce then sweeps the miter, merging
+// every AND that SAT proves equal to an earlier node, so an output whose
+// halves agree becomes constant false. Last, SAT on the same Tseitin
+// encoding (fraig.Encode) proves or refutes each output the sweep left.
+// It upgrades the repository's probabilistic simulation-signature checks
+// into proofs that synthesis flows preserve circuit function.
 package cec
 
 import (
 	"fmt"
-	"math/rand"
+	"math/bits"
 
 	"flowgen/internal/aig"
+	"flowgen/internal/fraig"
 	"flowgen/internal/sat"
 )
-
-// newSimRand mirrors the generator aig.SimSignature uses, so simulation
-// counterexamples can be replayed bit-exactly.
-func newSimRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Verdict is the outcome of an equivalence check.
 type Verdict int
@@ -48,14 +48,19 @@ type Report struct {
 	Verdict        Verdict
 	FailingOutput  int    // for NotEquivalent: index of the differing PO
 	Counterexample []bool // PI assignment exposing the difference
-	SATConflicts   int64
-	SimRounds      int
+	SATConflicts   int64  // conflicts of the sweep and of the residual check
 }
 
 // Options tunes the checker.
 type Options struct {
-	SimWords     int   // 64-bit random simulation words before SAT (default 4)
-	MaxConflicts int64 // SAT conflict budget per output (0 = unlimited)
+	// SimWords is the number of 64-bit random simulation words for the
+	// miter and for the sweep's classes (default 4).
+	SimWords int
+	// MaxConflicts is the SAT conflict budget of the residual check: one
+	// budget for all the outputs the sweep left, not one per output
+	// (0 = unlimited). Each of the sweep's candidate pairs has fraig's
+	// default budget.
+	MaxConflicts int64
 	Seed         int64
 }
 
@@ -70,151 +75,89 @@ func Check(a, b *aig.AIG, opt Options) (Report, error) {
 	if opt.SimWords == 0 {
 		opt.SimWords = 4
 	}
+	m := miter(a, b)
 
-	// Phase 1: random simulation — a cheap counterexample search.
-	sigA := a.SimSignature(opt.Seed+1, opt.SimWords)
-	sigB := b.SimSignature(opt.Seed+1, opt.SimWords)
-	rep := Report{SimRounds: opt.SimWords}
-	if !aig.SigEqual(sigA, sigB) {
-		// Locate the differing output and extract the counterexample by
-		// re-simulating bit positions.
-		for o := 0; o < a.NumPOs(); o++ {
-			for w := 0; w < opt.SimWords; w++ {
-				diff := sigA[o*opt.SimWords+w] ^ sigB[o*opt.SimWords+w]
-				if diff == 0 {
-					continue
-				}
-				bit := 0
-				for diff&1 == 0 {
-					diff >>= 1
-					bit++
-				}
-				rep.Verdict = NotEquivalent
-				rep.FailingOutput = o
-				rep.Counterexample = extractPattern(a, opt.Seed+1, opt.SimWords, w, bit)
-				return rep, nil
+	// Simulation: a set bit in an output's words is a pattern on which
+	// the circuits differ.
+	pats := aig.RandomPatterns(opt.Seed, m.NumPIs(), opt.SimWords)
+	for o, words := range m.Simulate(pats) {
+		for w, diff := range words {
+			if diff == 0 {
+				continue
 			}
+			bit := bits.TrailingZeros64(diff)
+			cex := make([]bool, len(pats))
+			for i, p := range pats {
+				cex[i] = p[w]>>bit&1 != 0
+			}
+			return Report{Verdict: NotEquivalent, FailingOutput: o, Counterexample: cex}, nil
 		}
 	}
 
-	// Phase 2: SAT on the miter, one output pair at a time.
+	// Sweep, then SAT on each output the sweep did not reduce to false.
+	red, st := fraig.Reduce(m, fraig.Options{SimWords: opt.SimWords, Seed: opt.Seed})
 	s := sat.New()
 	s.MaxConflicts = opt.MaxConflicts
-	varsA := encode(s, a)
-	varsB := encodeShared(s, b, varsA.piVars)
-
-	for o := 0; o < a.NumPOs(); o++ {
-		la := litOf(s, varsA, a.PO(o))
-		lb := litOf(s, varsB, b.PO(o))
-		// XOR output: x = la != lb, assert x and solve.
-		x := s.NewVar()
-		xl := sat.MkLit(x, false)
-		s.AddClause(xl.Not(), la, lb)
-		s.AddClause(xl.Not(), la.Not(), lb.Not())
-		s.AddClause(xl, la, lb.Not())
-		s.AddClause(xl, la.Not(), lb)
-		switch s.Solve(xl) {
-		case sat.Sat:
-			model := s.Model()
-			cex := make([]bool, a.NumPIs())
-			for i, v := range varsA.piVars {
-				cex[i] = model[v]
-			}
-			rep.Verdict = NotEquivalent
-			rep.FailingOutput = o
-			rep.Counterexample = cex
-			rep.SATConflicts = s.Conflicts
-			return rep, nil
-		case sat.Unknown:
-			rep.Verdict = Undecided
-			rep.SATConflicts = s.Conflicts
-			return rep, nil
-		}
-		// Unsat: this pair proven equal; pin x false so later solves are
-		// not confused by the floating XOR.
-		s.AddClause(xl.Not())
-	}
-	rep.Verdict = Equivalent
-	rep.SATConflicts = s.Conflicts
+	vars := fraig.Encode(s, red)
+	rep := residual(s, vars, red)
+	rep.SATConflicts = st.Conflicts + s.Conflicts
 	return rep, nil
 }
 
-// vars maps graph nodes to CNF variables.
-type vars struct {
-	nodeVar map[int]int
-	piVars  []int
-	constV  int
-}
-
-// encode Tseitin-encodes the graph into the solver, creating fresh PI
-// variables.
-func encode(s *sat.Solver, g *aig.AIG) *vars {
-	v := &vars{nodeVar: map[int]int{}}
-	v.constV = s.NewVar()
-	s.AddClause(sat.MkLit(v.constV, true)) // constant node is false
-	v.nodeVar[0] = v.constV
-	v.piVars = make([]int, g.NumPIs())
-	for i := 0; i < g.NumPIs(); i++ {
-		v.piVars[i] = s.NewVar()
-		v.nodeVar[g.PI(i).Node()] = v.piVars[i]
-	}
-	encodeAnds(s, g, v)
-	return v
-}
-
-// encodeShared encodes g reusing existing PI variables (the miter shares
-// inputs).
-func encodeShared(s *sat.Solver, g *aig.AIG, piVars []int) *vars {
-	v := &vars{nodeVar: map[int]int{}, piVars: piVars}
-	v.constV = s.NewVar()
-	s.AddClause(sat.MkLit(v.constV, true))
-	v.nodeVar[0] = v.constV
-	for i := 0; i < g.NumPIs(); i++ {
-		v.nodeVar[g.PI(i).Node()] = piVars[i]
-	}
-	encodeAnds(s, g, v)
-	return v
-}
-
-func encodeAnds(s *sat.Solver, g *aig.AIG, v *vars) {
-	g.ForEachLiveAnd(func(id int) {
-		out := s.NewVar()
-		v.nodeVar[id] = out
-		o := sat.MkLit(out, false)
-		a := toSat(v, g.Fanin0(id))
-		b := toSat(v, g.Fanin1(id))
-		// out <-> a & b
-		s.AddClause(o.Not(), a)
-		s.AddClause(o.Not(), b)
-		s.AddClause(o, a.Not(), b.Not())
-	})
-}
-
-func toSat(v *vars, l aig.Lit) sat.Lit {
-	nv, ok := v.nodeVar[l.Node()]
-	if !ok {
-		panic(fmt.Sprintf("cec: node %d not encoded", l.Node()))
-	}
-	return sat.MkLit(nv, l.IsNeg())
-}
-
-func litOf(s *sat.Solver, v *vars, l aig.Lit) sat.Lit { return toSat(v, l) }
-
-// extractPattern rebuilds the PI assignment of one simulation bit.
-func extractPattern(g *aig.AIG, seed int64, nwords, word, bit int) []bool {
-	// SimSignature seeds a generator and draws nwords words per PI in
-	// order; replay that to recover the pattern.
-	rng := newSimRand(seed)
-	out := make([]bool, g.NumPIs())
-	for i := 0; i < g.NumPIs(); i++ {
-		var w uint64
-		for k := 0; k < nwords; k++ {
-			x := rng.Uint64()
-			if k == word {
-				w = x
-			}
+// residual solves each output of the reduced miter for true: a model is
+// a counterexample, and an output proven false is pinned for the next.
+func residual(s *sat.Solver, vars []int, red *aig.AIG) Report {
+	for o := 0; o < red.NumPOs(); o++ {
+		po := red.PO(o)
+		if po == aig.ConstFalse {
+			continue
 		}
-		out[i] = w&(1<<uint(bit)) != 0
+		x := sat.MkLit(vars[po.Node()], po.IsNeg())
+		switch s.Solve(x) {
+		case sat.Sat:
+			model := s.Model()
+			cex := make([]bool, red.NumPIs())
+			for i := range cex {
+				cex[i] = model[vars[red.PI(i).Node()]]
+			}
+			return Report{Verdict: NotEquivalent, FailingOutput: o, Counterexample: cex}
+		case sat.Unknown:
+			return Report{Verdict: Undecided}
+		}
+		s.AddClause(x.Not())
 	}
-	return out
+	return Report{Verdict: Equivalent}
+}
+
+// miter returns the graph with a's primary inputs, shared by b, whose
+// output o is a.PO(o) XOR b.PO(o).
+func miter(a, b *aig.AIG) *aig.AIG {
+	m := aig.New()
+	pis := make([]aig.Lit, a.NumPIs())
+	for i := range pis {
+		pis[i] = m.AddInput(a.PIName(i))
+	}
+	pa, pb := copyInto(m, a, pis), copyInto(m, b, pis)
+	for o := range pa {
+		m.AddOutput(m.Xor(pa[o], pb[o]), a.POName(o))
+	}
+	return m
+}
+
+// copyInto rebuilds g's live logic in m on the given input literals and
+// returns the literals of g's outputs.
+func copyInto(m, g *aig.AIG, pis []aig.Lit) []aig.Lit {
+	lits := make([]aig.Lit, g.NumNodesRaw())
+	for i, l := range pis {
+		lits[g.PI(i).Node()] = l
+	}
+	mapLit := func(l aig.Lit) aig.Lit { return lits[l.Node()].NotIf(l.IsNeg()) }
+	g.ForEachLiveAnd(func(id int) {
+		lits[id] = m.And(mapLit(g.Fanin0(id)), mapLit(g.Fanin1(id)))
+	})
+	pos := make([]aig.Lit, g.NumPOs())
+	for o := range pos {
+		pos[o] = mapLit(g.PO(o))
+	}
+	return pos
 }

@@ -3,10 +3,12 @@ package cec
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"flowgen/internal/aig"
 	"flowgen/internal/circuits"
 	"flowgen/internal/flow"
+	"flowgen/internal/fraig"
 	"flowgen/internal/rewrite"
 )
 
@@ -152,6 +154,128 @@ func TestFlowsProvenEquivalent(t *testing.T) {
 		}
 		t.Logf("flow %q proven equivalent (%d conflicts)", f.String(space), rep.SATConflicts)
 	}
+}
+
+// TestCheckDesignFamilies proves one paper-space flow on each design
+// family: arithmetic (alu8), AES (miniaes2) and Montgomery (mont8).
+func TestCheckDesignFamilies(t *testing.T) {
+	space := flow.PaperSpace()
+	for i, name := range []string{"alu8", "miniaes2", "mont8"} {
+		if name == "mont8" && testing.Short() {
+			t.Log("mont8 skipped under -short")
+			continue
+		}
+		d, err := circuits.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := space.Random(rand.New(rand.NewSource(int64(i + 1))))
+		optimized, _, err := rewrite.Apply(d.Build(), f.Names(space))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		rep, err := Check(d.Build(), optimized, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Verdict != Equivalent {
+			t.Fatalf("%s, flow %q: %v (output %d)", name, f.String(space), rep.Verdict, rep.FailingOutput)
+		}
+		t.Logf("%s proven equivalent in %v (%d SAT conflicts)", name, time.Since(start), rep.SATConflicts)
+	}
+}
+
+// fuzzAIG builds a small graph from fuzz bytes, as synth's fuzzAIG
+// does: the first byte picks 1–8 PIs, each following pair of bytes one
+// AND of two earlier literals (up to 150), and the last four literals
+// drive the outputs. The flip-th AND, if there is one, gets its first
+// fanin complemented.
+func fuzzAIG(data []byte, flip int) *aig.AIG {
+	g := aig.New()
+	npi := 1
+	if len(data) > 0 {
+		npi += int(data[0]) % 8
+		data = data[1:]
+	}
+	lits := make([]aig.Lit, 0, npi+150)
+	for i := 0; i < npi; i++ {
+		lits = append(lits, g.AddInput("i"))
+	}
+	for i := 0; i+1 < len(data) && i < 300; i += 2 {
+		a, b := data[i], data[i+1]
+		x := lits[int(a>>1)%len(lits)].NotIf(a&1 != 0 != (i/2 == flip))
+		y := lits[int(b>>1)%len(lits)].NotIf(b&1 != 0)
+		lits = append(lits, g.And(x, y))
+	}
+	for i := 0; i < 4 && i < len(lits); i++ {
+		g.AddOutput(lits[len(lits)-1-i], "o")
+	}
+	return g
+}
+
+// exhaustive returns g's output words over all minterms of its (at most
+// eight) inputs.
+func exhaustive(g *aig.AIG) []uint64 {
+	pats := make([][]uint64, g.NumPIs())
+	for i := range pats {
+		pats[i] = make([]uint64, 4)
+		for m := 0; m < 256; m++ {
+			pats[i][m/64] |= uint64(m>>i&1) << (m % 64)
+		}
+	}
+	var words []uint64
+	for _, o := range g.Simulate(pats) {
+		words = append(words, o...)
+	}
+	return words
+}
+
+// FuzzCheck compares the checker with exhaustive simulation on small
+// random graphs, each paired with a flow's result (equivalent) or with a
+// copy that has one AND fanin complemented (usually not). One simulation
+// word leaves aliasing candidates for SAT to refute.
+func FuzzCheck(f *testing.F) {
+	f.Add(uint64(1), uint8(0), []byte{3, 0, 2, 4, 7, 9, 10, 12, 1, 14, 17, 16, 5})
+	f.Add(uint64(2), uint8(3), []byte{3, 0, 2, 4, 7, 9, 10, 12, 1, 14, 17, 16, 5})
+	f.Add(uint64(7), uint8(0), []byte{7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24})
+	f.Add(uint64(7), uint8(9), []byte{7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24})
+	f.Add(uint64(3), uint8(1), []byte{0})
+	space := flow.NewSpace(flow.DefaultAlphabet, 1)
+	f.Fuzz(func(t *testing.T, seed uint64, mode uint8, data []byte) {
+		g := fuzzAIG(data, -1)
+		var h *aig.AIG
+		if mode&1 == 0 {
+			fl := space.Random(rand.New(rand.NewSource(int64(seed))))
+			var err error
+			if h, _, err = rewrite.Apply(fuzzAIG(data, -1), fl.Names(space)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			h = fuzzAIG(data, int(mode>>1))
+		}
+		rep, err := Check(g, h, Options{SimWords: 1, Seed: int64(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NotEquivalent
+		if aig.SigEqual(exhaustive(g), exhaustive(h)) {
+			want = Equivalent
+		}
+		if rep.Verdict != want {
+			t.Fatalf("verdict %v, exhaustive simulation says %v", rep.Verdict, want)
+		}
+		if want == NotEquivalent {
+			o := rep.FailingOutput
+			if g.EvalUint(rep.Counterexample)[o] == h.EvalUint(rep.Counterexample)[o] {
+				t.Fatalf("counterexample %v does not distinguish output %d", rep.Counterexample, o)
+			}
+		}
+		red, st := fraig.Reduce(g, fraig.Options{SimWords: 1, Seed: int64(seed)})
+		if !aig.SigEqual(exhaustive(g), exhaustive(red)) {
+			t.Fatalf("fraig.Reduce changed the function (stats %+v)", st)
+		}
+	})
 }
 
 func BenchmarkCECALU8AfterFlow(b *testing.B) {

@@ -1,15 +1,17 @@
 // Package fraig implements functional reduction of AIGs (Mishchenko et
-// al.'s FRAIG): random simulation partitions nodes into candidate
-// equivalence classes, SAT proves candidate pairs equivalent (up to
-// complement), and proven-equivalent nodes are merged. It is the classic
-// ABC combination of simulation and SAT on top of internal/sat, offered
-// here as an extension transformation beyond the paper's flow alphabet
-// (the paper's S is kept as published; fraig is registered separately).
+// al.'s FRAIG, ABC's fraig) and the one Tseitin encoding of AIG nodes
+// (Encode) that it shares with the equivalence checker, internal/cec.
+// Random simulation (aig.SimulateNodes) sorts the constant, the primary
+// inputs and the live ANDs, in that order, into candidate classes of
+// nodes equal up to complement. The first member heads its class, so
+// the constant and the inputs head theirs. SAT then checks each later
+// AND against its class head, and an AND proven equal to it is merged
+// into it. fraig is an extension transformation beyond the paper's flow
+// alphabet (the paper's S is kept as published; fraig is registered
+// separately).
 package fraig
 
 import (
-	"math/rand"
-
 	"flowgen/internal/aig"
 	"flowgen/internal/sat"
 )
@@ -23,15 +25,15 @@ type Options struct {
 
 // Stats reports what a Reduce call did.
 type Stats struct {
-	Classes  int // non-trivial candidate classes
-	Proved   int // merges proven by SAT
-	Disprove int // candidates refuted (simulation aliasing)
-	Timeout  int // candidates skipped on conflict budget
+	Proved    int   // merges proven by SAT
+	Disprove  int   // candidates refuted (simulation aliasing)
+	Timeout   int   // candidates left unmerged on the conflict budget
+	Conflicts int64 // SAT conflicts spent on all candidates
 }
 
 // Reduce returns a functionally reduced copy of g along with merge
-// statistics. The result is functionally equivalent to the input (every
-// merge is SAT-proven).
+// statistics. The result is functionally equivalent to the input: every
+// merge is SAT-proven, and only a proven pair constrains later proofs.
 func Reduce(g *aig.AIG, opt Options) (*aig.AIG, Stats) {
 	if opt.SimWords == 0 {
 		opt.SimWords = 8
@@ -40,171 +42,106 @@ func Reduce(g *aig.AIG, opt Options) (*aig.AIG, Stats) {
 		opt.MaxConflicts = 1000
 	}
 	var st Stats
-
-	// Phase 1: random simulation signatures per node.
-	rng := rand.New(rand.NewSource(opt.Seed + 101))
-	pats := make([][]uint64, g.NumPIs())
-	for i := range pats {
-		p := make([]uint64, opt.SimWords)
-		for w := range p {
-			p[w] = rng.Uint64()
+	sim := g.SimulateNodes(aig.RandomPatterns(opt.Seed+101, g.NumPIs(), opt.SimWords))
+	nw := len(sim) / g.NumNodesRaw()
+	// class hashes (FNV-1a) a node's words, complemented so that the
+	// first pattern reads 0, and returns the node's literal in that phase.
+	class := func(id int) (uint64, aig.Lit) {
+		ws := sim[id*nw:][:nw]
+		var m uint64
+		if nw > 0 {
+			m = -(ws[0] & 1)
 		}
-		pats[i] = p
+		h := uint64(14695981039346656037)
+		for _, w := range ws {
+			h = (h ^ w ^ m) * 1099511628211
+		}
+		return h, aig.MakeLit(id, m != 0)
 	}
-	sigs := simulateAll(g, pats)
-
-	// Group live AND nodes by canonical signature (complement-normalized:
-	// the signature's LSB is forced to 0 by complementing).
-	type class struct{ members []int } // node ids in topo order
-	classes := map[string]*class{}
-	order := g.LiveAnds()
-	canon := func(id int) (string, bool) {
-		s := sigs[id]
-		neg := s[0]&1 == 1
-		key := make([]byte, 0, len(s)*8)
-		for _, w := range s {
-			if neg {
-				w = ^w
-			}
-			for b := 0; b < 8; b++ {
-				key = append(key, byte(w>>uint(8*b)))
-			}
+	// join returns the head of id's class, or makes id the head of a new
+	// one. The constant and the inputs join first, so an AND equal to a
+	// constant or an input merges into it.
+	heads := map[uint64]aig.Lit{}
+	join := func(id int) (head, l aig.Lit, ok bool) {
+		h, l := class(id)
+		if head, ok = heads[h]; !ok {
+			heads[h] = l
 		}
-		return string(key), neg
+		return head, l, ok
 	}
-	for _, id := range order {
-		k, _ := canon(id)
-		c := classes[k]
-		if c == nil {
-			c = &class{}
-			classes[k] = c
-		}
-		c.members = append(c.members, id)
+	join(0)
+	for i := 0; i < g.NumPIs(); i++ {
+		join(g.PI(i).Node())
 	}
 
-	// Phase 2: SAT-prove candidate merges against the original graph.
 	s := sat.New()
-	s.MaxConflicts = 0 // budget applied per solve via conflict deltas
-	nodeVar := encode(s, g)
-	// merges[id] = literal (of another node, possibly complemented) this
-	// node merges into.
-	merges := map[int]aig.Lit{}
-	var solved int64
-	for _, id := range order {
-		k, negID := canon(id)
-		c := classes[k]
-		if len(c.members) < 2 {
-			continue
-		}
-		if c.members[0] == id {
-			continue // class representative
-		}
-		st.Classes++
-		rep := c.members[0]
-		_, negRep := canon(rep)
-		// Conjecture: id == rep ^ (negID != negRep).
-		phase := negID != negRep
-		x := s.NewVar()
-		xl := sat.MkLit(x, false)
-		la := sat.MkLit(nodeVar[id], false)
-		lb := sat.MkLit(nodeVar[rep], phase)
-		s.AddClause(xl.Not(), la, lb)
-		s.AddClause(xl.Not(), la.Not(), lb.Not())
-		s.AddClause(xl, la, lb.Not())
-		s.AddClause(xl, la.Not(), lb)
-		s.MaxConflicts = solved + opt.MaxConflicts
-		res := s.Solve(xl)
-		solved = s.Conflicts
-		switch res {
+	vars := Encode(s, g)
+	satLit := func(l aig.Lit) sat.Lit { return sat.MkLit(vars[l.Node()], l.IsNeg()) }
+	// equal SAT-checks a == b; only a proof pins a == b for later checks.
+	equal := func(a, b aig.Lit) bool {
+		x := sat.MkLit(s.NewVar(), false)
+		la, lb := satLit(a), satLit(b)
+		s.AddClause(x.Not(), la, lb)
+		s.AddClause(x.Not(), la.Not(), lb.Not())
+		s.AddClause(x, la, lb.Not())
+		s.AddClause(x, la.Not(), lb)
+		s.MaxConflicts = s.Conflicts + opt.MaxConflicts
+		switch s.Solve(x) {
 		case sat.Unsat:
-			merges[id] = aig.MakeLit(rep, phase)
 			st.Proved++
+			s.AddClause(x.Not())
+			return true
 		case sat.Sat:
 			st.Disprove++
 		default:
 			st.Timeout++
 		}
-		s.AddClause(xl.Not())
+		return false
 	}
 
-	// Phase 3: rebuild with merges applied. A merge target may itself be
-	// merged; resolve transitively.
-	var resolveMerge func(l aig.Lit) aig.Lit
-	resolveMerge = func(l aig.Lit) aig.Lit {
-		if m, ok := merges[l.Node()]; ok {
-			return resolveMerge(m).NotIf(l.IsNeg())
-		}
-		return l
-	}
 	ng := aig.New()
-	newLit := map[int]aig.Lit{0: aig.ConstFalse}
+	lits := make([]aig.Lit, g.NumNodesRaw()) // node -> literal in ng
 	for i := 0; i < g.NumPIs(); i++ {
-		newLit[g.PI(i).Node()] = ng.AddInput(g.PIName(i))
+		lits[g.PI(i).Node()] = ng.AddInput(g.PIName(i))
 	}
-	mapLit := func(l aig.Lit) aig.Lit {
-		r := resolveMerge(l)
-		return newLit[r.Node()].NotIf(r.IsNeg())
-	}
-	for _, id := range order {
-		if _, merged := merges[id]; merged {
-			continue
+	mapLit := func(l aig.Lit) aig.Lit { return lits[l.Node()].NotIf(l.IsNeg()) }
+	g.ForEachLiveAnd(func(id int) {
+		if head, l, ok := join(id); ok {
+			// l and head have equal words, so node id conjecturally
+			// equals head complemented by l's phase.
+			if r := head.NotIf(l.IsNeg()); equal(aig.MakeLit(id, false), r) {
+				lits[id] = mapLit(r)
+				return
+			}
 		}
-		newLit[id] = ng.And(mapLit(g.Fanin0(id)), mapLit(g.Fanin1(id)))
-	}
+		lits[id] = ng.And(mapLit(g.Fanin0(id)), mapLit(g.Fanin1(id)))
+	})
+	st.Conflicts = s.Conflicts
 	for i := 0; i < g.NumPOs(); i++ {
 		ng.AddOutput(mapLit(g.PO(i)), g.POName(i))
 	}
-	out := ng.Cleanup()
-	return out, st
+	return ng.Cleanup(), st
 }
 
-// simulateAll computes per-node simulation words over the live graph.
-func simulateAll(g *aig.AIG, pats [][]uint64) map[int][]uint64 {
-	nw := len(pats[0])
-	sigs := map[int][]uint64{0: make([]uint64, nw)}
+// Encode Tseitin-encodes the live graph into s and returns the SAT
+// variable of each node, indexed by node id; it is the one CNF encoding
+// of AIG nodes. The constant node's variable is pinned false. Only the
+// constant, the primary inputs and live ANDs get a variable; other
+// entries are 0.
+func Encode(s *sat.Solver, g *aig.AIG) []int {
+	vars := make([]int, g.NumNodesRaw())
+	vars[0] = s.NewVar()
+	s.AddClause(sat.MkLit(vars[0], true))
 	for i := 0; i < g.NumPIs(); i++ {
-		sigs[g.PI(i).Node()] = pats[i]
+		vars[g.PI(i).Node()] = s.NewVar()
 	}
-	read := func(l aig.Lit) []uint64 {
-		v := sigs[l.Node()]
-		if !l.IsNeg() {
-			return v
-		}
-		out := make([]uint64, nw)
-		for i, w := range v {
-			out[i] = ^w
-		}
-		return out
-	}
+	lit := func(l aig.Lit) sat.Lit { return sat.MkLit(vars[l.Node()], l.IsNeg()) }
 	g.ForEachLiveAnd(func(id int) {
-		a, b := read(g.Fanin0(id)), read(g.Fanin1(id))
-		out := make([]uint64, nw)
-		for i := range out {
-			out[i] = a[i] & b[i]
-		}
-		sigs[id] = out
-	})
-	return sigs
-}
-
-// encode Tseitin-encodes the live graph, returning node -> SAT variable.
-func encode(s *sat.Solver, g *aig.AIG) map[int]int {
-	nodeVar := map[int]int{}
-	cv := s.NewVar()
-	s.AddClause(sat.MkLit(cv, true))
-	nodeVar[0] = cv
-	for i := 0; i < g.NumPIs(); i++ {
-		nodeVar[g.PI(i).Node()] = s.NewVar()
-	}
-	g.ForEachLiveAnd(func(id int) {
-		out := s.NewVar()
-		nodeVar[id] = out
-		o := sat.MkLit(out, false)
-		a := sat.MkLit(nodeVar[g.Fanin0(id).Node()], g.Fanin0(id).IsNeg())
-		b := sat.MkLit(nodeVar[g.Fanin1(id).Node()], g.Fanin1(id).IsNeg())
+		vars[id] = s.NewVar()
+		o, a, b := sat.MkLit(vars[id], false), lit(g.Fanin0(id)), lit(g.Fanin1(id))
 		s.AddClause(o.Not(), a)
 		s.AddClause(o.Not(), b)
 		s.AddClause(o, a.Not(), b.Not())
 	})
-	return nodeVar
+	return vars
 }
