@@ -72,11 +72,11 @@ type (
 	// trained network — the serving/pool-prediction fast path.
 	InferenceNet = nn.InferenceNet
 	// Predictor is the one inference surface every precision tier
-	// implements; consumers hold a Predictor and never switch on
-	// precision (DESIGN.md §3.5).
+	// implements: PredictStream scores streamed samples, and consumers
+	// never switch on precision (DESIGN.md §3.5).
 	Predictor = nn.Predictor
-	// PredictSource feeds encoded inputs to a Predictor in whichever
-	// numeric form its tier consumes (f64 or f32).
+	// PredictSource fills a Predictor's chunk buffers with float32
+	// encodings (exact for one-hot flows under either tier).
 	PredictSource = nn.Source
 	// Loop is the continuous flow-development loop: online labeling,
 	// journaled corpus, gated background retraining (DESIGN.md §4).

@@ -248,7 +248,7 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 	// ③ Predict the unlabeled pool and pick the extremes.
 	pool := fw.GeneratePool(flows)
 	progress("predicting %d sample flows", len(pool))
-	preds := fw.PredictPool(net, pool)
+	preds := PredictPool(net, cfg.Precision, cfg.Space, pool, cfg.EncodeH, cfg.EncodeW, 0)
 	res.Angels, res.Devils = SelectFlows(preds, model.NumClasses(), cfg.NumOut)
 	progress("selected %d angel and %d devil flows", len(res.Angels), len(res.Devils))
 	return res, nil
@@ -280,23 +280,15 @@ func (fw *Framework) GeneratePool(exclude []flow.Flow) []flow.Flow {
 }
 
 // FlowSource is the nn.Source that one-hot encodes pool flows straight
-// into a prediction worker's chunk buffer (h×w elements per sample), in
-// either predictor tier's native representation — the shared piece of
-// every streamed pool scorer (core, the experiment harness, the serving
-// layer).
+// into a prediction worker's chunk buffer (h×w elements per sample) —
+// the shared piece of every streamed pool scorer (PredictPool, the
+// serving layer).
 func FlowSource(space flow.Space, pool []flow.Flow, h, w int) nn.Source {
 	hw := h * w
-	return nn.Source{
-		Fill64: func(dst []float64, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				pool[i].EncodeInto(space, dst[(i-lo)*hw:(i-lo+1)*hw])
-			}
-		},
-		Fill32: func(dst []float32, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				pool[i].EncodeInto32(space, dst[(i-lo)*hw:(i-lo+1)*hw])
-			}
-		},
+	return func(dst []float32, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			pool[i].EncodeInto32(space, dst[(i-lo)*hw:(i-lo+1)*hw])
+		}
 	}
 }
 
@@ -310,25 +302,25 @@ func ScoreFlows(pool []flow.Flow, probs [][]float64) []ScoredFlow {
 	return out
 }
 
-// PredictPool classifies every pool flow, sharding the pool across a
-// prediction worker pool (GOMAXPROCS workers). Encodings are streamed
-// into chunk-sized worker buffers instead of materializing one
-// pool-sized tensor (~115 MB at the paper's 100k-flow pool), so peak
-// memory is flat in the pool size. cfg.Precision selects the engine
-// through nn.NewPredictor (f32 packed snapshot by default, or the
-// full-precision f64 clone pool); either way results are deterministic
-// regardless of sharding.
-func (fw *Framework) PredictPool(net *nn.Network, pool []flow.Flow) []ScoredFlow {
-	cfg := fw.Cfg
+// PredictPool classifies every pool flow (h×w encodings), sharding the
+// pool across workers prediction workers (≤0 selects GOMAXPROCS) — the
+// one pool scorer behind Framework.Run and the experiment harness.
+// Encodings are streamed into chunk-sized worker buffers instead of
+// materializing one pool-sized tensor (~115 MB at the paper's 100k-flow
+// pool), so peak memory is flat in the pool size. prec selects the
+// engine through nn.NewPredictor (f32 packed snapshot by default, or
+// full-precision f64 inference clones); either way results are
+// deterministic regardless of sharding.
+func PredictPool(net *nn.Network, prec nn.Precision, space flow.Space, pool []flow.Flow, h, w, workers int) []ScoredFlow {
 	if len(pool) == 0 {
 		return nil
 	}
-	pred, err := nn.NewPredictor(net, cfg.Precision, cfg.EncodeH, cfg.EncodeW)
+	pred, err := nn.NewPredictor(net, prec, h, w)
 	if err != nil {
 		panic("core: pool prediction failed: " + err.Error())
 	}
-	probs, err := pred.PredictStream(context.Background(), len(pool), 0,
-		FlowSource(cfg.Space, pool, cfg.EncodeH, cfg.EncodeW))
+	probs, err := pred.PredictStream(context.Background(), len(pool), workers,
+		FlowSource(space, pool, h, w))
 	if err != nil {
 		panic("core: pool prediction failed: " + err.Error())
 	}

@@ -52,21 +52,15 @@ func TestPrecisionDifferentialAcrossDesigns(t *testing.T) {
 			seed := int64(100 + di)
 			cfgD := cfg
 			cfgD.Seed = seed
-			cfgD.Precision = nn.F32
-			fw32, err := New(cfgD, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfgD.Precision = nn.F64
-			fw64, err := New(cfgD, nil)
+			fw, err := New(cfgD, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			net := cfg.Arch.Build(seed)
-			pool := space.RandomUnique(fw32.rng, poolN)
+			pool := space.RandomUnique(fw.rng, poolN)
 
-			got32 := fw32.PredictPool(net, pool)
-			got64 := fw64.PredictPool(net, pool)
+			got32 := PredictPool(net, nn.F32, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
+			got64 := PredictPool(net, nn.F64, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
 
 			ties, mismatches := 0, 0
 			for i := range pool {
@@ -117,12 +111,8 @@ func TestPrecisionDifferentialPaperArch(t *testing.T) {
 	}
 	pool := space.RandomUnique(fw.rng, poolN)
 
-	cfg32, cfg64 := cfg, cfg
-	cfg32.Precision, cfg64.Precision = nn.F32, nn.F64
-	fw.Cfg = cfg32
-	got32 := fw.PredictPool(net, pool)
-	fw.Cfg = cfg64
-	got64 := fw.PredictPool(net, pool)
+	got32 := PredictPool(net, nn.F32, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
+	got64 := PredictPool(net, nn.F64, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
 	for i := range pool {
 		if got32[i].Class != got64[i].Class {
 			if best, second := top2(got64[i].Probs); best-second > tieEps {

@@ -36,29 +36,23 @@ func TestSIMDDispatchDifferentialAcrossDesigns(t *testing.T) {
 			seed := int64(300 + di)
 			cfgD := cfg
 			cfgD.Seed = seed
-
-			cfgD.Precision = nn.F32
-			fw32, err := New(cfgD, nil)
+			fw, err := New(cfgD, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			net := cfg.Arch.Build(seed)
-			pool := space.RandomUnique(fw32.rng, poolN)
+			pool := space.RandomUnique(fw.rng, poolN)
 
 			// Vector-tier predictions: snapshots compiled while the host
 			// level is active.
-			vec32 := fw32.PredictPool(net, pool)
+			vec32 := PredictPool(net, nn.F32, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
 
-			// Scalar predictions: force dispatch off, recompile (a fresh
-			// framework so the packed snapshot is rebuilt with the scalar
-			// layouts), restore.
+			// Scalar predictions: force dispatch off so the packed
+			// snapshot PredictPool compiles gets the scalar layouts,
+			// then restore.
 			prev := tensor.SetSIMD(tensor.SIMDNone)
 			defer tensor.SetSIMD(prev)
-			sfw32, err := New(cfgD, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sca32 := sfw32.PredictPool(net, pool)
+			sca32 := PredictPool(net, nn.F32, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
 			tensor.SetSIMD(prev)
 
 			for i := range pool {

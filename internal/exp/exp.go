@@ -179,7 +179,7 @@ func RunIncremental(b *Bundle, rc RunConfig) ([]CurvePoint, *nn.Network, *label.
 // pool, select NumOut angel and devil flows, and score them against the
 // pool's ground-truth classes under the current labeling model.
 func GeneratedAccuracy(b *Bundle, net *nn.Network, model *label.Model, rc RunConfig, h, w int) float64 {
-	preds := predictPool(b, net, h, w, rc.PredictWorkers, rc.Precision)
+	preds := core.PredictPool(net, rc.Precision, b.Space, b.Pool, h, w, rc.PredictWorkers)
 	angels, devils := core.SelectFlows(preds, model.NumClasses(), rc.NumOut)
 	// Ground-truth class per pool index.
 	truth := make(map[string]int, len(b.Pool))
@@ -206,19 +206,6 @@ func GeneratedAccuracy(b *Bundle, net *nn.Network, model *label.Model, rc RunCon
 	return float64(correct) / float64(total)
 }
 
-func predictPool(b *Bundle, net *nn.Network, h, w, workers int, prec nn.Precision) []core.ScoredFlow {
-	pred, err := nn.NewPredictor(net, prec, h, w)
-	if err != nil {
-		panic("exp: pool prediction failed: " + err.Error())
-	}
-	probs, err := pred.PredictStream(context.Background(), len(b.Pool), workers,
-		core.FlowSource(b.Space, b.Pool, h, w))
-	if err != nil {
-		panic("exp: pool prediction failed: " + err.Error())
-	}
-	return core.ScoreFlows(b.Pool, probs)
-}
-
 // Selection returns the final angel/devil flows with their ground-truth
 // QoRs (for the Figure 8 scatter).
 type Selection struct {
@@ -230,7 +217,7 @@ type Selection struct {
 // measured QoRs from the pool ground truth.
 func SelectWithTruth(b *Bundle, net *nn.Network, model *label.Model, rc RunConfig) Selection {
 	h, w := rc.Arch.InH, rc.Arch.InW
-	preds := predictPool(b, net, h, w, rc.PredictWorkers, rc.Precision)
+	preds := core.PredictPool(net, rc.Precision, b.Space, b.Pool, h, w, rc.PredictWorkers)
 	angels, devils := core.SelectFlows(preds, model.NumClasses(), rc.NumOut)
 	byKey := make(map[string]synth.QoR, len(b.Pool))
 	for i, f := range b.Pool {

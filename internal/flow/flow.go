@@ -249,7 +249,7 @@ func (s Space) EncodeLen() int { return s.Length() * s.N() }
 // EncodeOffset is the single source of truth for the one-hot layout:
 // flow position j with transformation t occupies flat element j·n + t of
 // the encoding (row j, column t of the L×n matrix of Section 3.2.1).
-// EncodeInto and EncodeInto32 both write through this offset, and the
+// Encode and EncodeInto32 both write through this offset, and the
 // engines' sparse first-convolution paths read the same flat
 // index — change the layout here and every producer/consumer moves
 // together instead of silently desyncing.
@@ -299,31 +299,19 @@ func (f Flow) Encode(s Space, rows, cols int) []float64 {
 		panic(fmt.Sprintf("flow: cannot reshape %dx%d to %dx%d", L, n, rows, cols))
 	}
 	out := make([]float64, L*n)
-	f.EncodeInto(s, out)
+	for j, t := range f.Indices {
+		out[s.EncodeOffset(j, t)] = 1
+	}
 	return out
 }
 
-// EncodeInto writes the flow's flattened one-hot encoding into dst,
-// which must hold exactly L*n elements. The flattened encoding is
+// EncodeInto32 writes the flow's flattened one-hot encoding into dst as
+// float32s (zeros and ones, so exact), which must hold exactly L*n
+// elements. It is the one streaming encoder: every prediction Source
+// over flows fills chunk buffers through it. The flattened encoding is
 // independent of the 2-D reshape (row-major order is preserved by any
-// rows×cols factorization), so callers streaming encodings into batched
-// chunk buffers need no shape argument. Every element of dst is written.
-func (f Flow) EncodeInto(s Space, dst []float64) {
-	L, n := s.Length(), s.N()
-	if len(dst) != L*n {
-		panic(fmt.Sprintf("flow: encoding needs %d elements, dst has %d", L*n, len(dst)))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for j, t := range f.Indices {
-		dst[s.EncodeOffset(j, t)] = 1
-	}
-}
-
-// EncodeInto32 is EncodeInto writing float32s — the encoding is exactly
-// representable either way (zeros and ones), so the f32 inference
-// engine's streamed fills use this to skip a float64 round trip.
+// rows×cols factorization), so it needs no shape argument. Every
+// element of dst is written.
 func (f Flow) EncodeInto32(s Space, dst []float32) {
 	L, n := s.Length(), s.N()
 	if len(dst) != L*n {

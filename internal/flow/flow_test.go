@@ -292,29 +292,30 @@ func BenchmarkRandomUnique1000(b *testing.B) {
 	}
 }
 
-// TestEncodeIntoMatchesEncode checks the buffer-reusing encoder against
-// Encode, including that stale buffer contents are fully overwritten.
+// TestEncodeIntoMatchesEncode checks the buffer-reusing encoder,
+// EncodeInto32, against Encode, including that stale buffer contents
+// are fully overwritten.
 func TestEncodeIntoMatchesEncode(t *testing.T) {
 	s := NewSpace([]string{"a", "b", "c"}, 2)
 	rng := rand.New(rand.NewSource(3))
-	dst := make([]float64, s.Length()*s.N())
+	dst := make([]float32, s.Length()*s.N())
 	for i := range dst {
 		dst[i] = -7 // stale garbage that must be cleared
 	}
 	for trial := 0; trial < 5; trial++ {
 		f := s.Random(rng)
 		want := f.Encode(s, s.Length(), s.N())
-		f.EncodeInto(s, dst)
+		f.EncodeInto32(s, dst)
 		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("trial %d element %d: EncodeInto %v != Encode %v", trial, i, dst[i], want[i])
+			if float64(dst[i]) != want[i] {
+				t.Fatalf("trial %d element %d: EncodeInto32 %v != Encode %v", trial, i, dst[i], want[i])
 			}
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("EncodeInto must panic on a wrong-size buffer")
+			t.Fatal("EncodeInto32 must panic on a wrong-size buffer")
 		}
 	}()
-	s.Random(rng).EncodeInto(s, dst[:3])
+	s.Random(rng).EncodeInto32(s, dst[:3])
 }

@@ -14,20 +14,21 @@ func diffNets(cfg ArchConfig, seed int64) (*Network, *Network) {
 	return cfg.Build(seed), cfg.Build(seed)
 }
 
-// randBatch fills an N×1×H×W batch with deterministic noise.
+// randBatch fills an N×1×H×W batch with deterministic noise, rounded
+// through float32 so a Source streams it to either engine exactly.
 func randBatch(seed int64, n, h, w int) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	x := tensor.New(n, 1, h, w)
 	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
+		x.Data[i] = float64(float32(rng.NormFloat64()))
 	}
 	return x
 }
 
 // runDifferential checks that one batched forward/backward pass over n
 // samples matches n single-sample passes: identical argmax, logits and
-// accumulated parameter/input gradients within tol, and PredictBatch
-// probabilities equal to per-sample Predict.
+// accumulated parameter/input gradients within tol, and f64
+// PredictStream probabilities equal to per-sample Predict.
 func runDifferential(t *testing.T, cfg ArchConfig, n int, seed int64) {
 	t.Helper()
 	const tol = 1e-9
@@ -78,19 +79,19 @@ func runDifferential(t *testing.T, cfg ArchConfig, n int, seed int64) {
 		}
 	}
 
-	// Parallel PredictBatch equals per-sample Predict exactly (per-sample
-	// numerics are independent of batching and sharding).
-	probsB := batched.PredictBatch(x, 3)
+	// Parallel prediction equals per-sample Predict (per-sample numerics
+	// are independent of batching and sharding).
+	probsB := predictAll(t, mustPredictor(t, batched, F64, cfg.InH, cfg.InW), x, 3)
 	for s := 0; s < n; s++ {
 		probsS := single.Predict(x.SampleView(s))
 		for j := range probsS {
 			if math.Abs(probsB[s][j]-probsS[j]) > tol {
-				t.Fatalf("sample %d prob %d: PredictBatch %v, Predict %v",
+				t.Fatalf("sample %d prob %d: PredictStream %v, Predict %v",
 					s, j, probsB[s][j], probsS[j])
 			}
 		}
 		if argmax(probsB[s]) != argmax(probsS) {
-			t.Fatalf("sample %d: PredictBatch argmax != Predict argmax", s)
+			t.Fatalf("sample %d: PredictStream argmax != Predict argmax", s)
 		}
 	}
 }
@@ -176,21 +177,60 @@ func TestBatchedMatchesSinglePerLayer(t *testing.T) {
 	}
 }
 
-// TestPredictBatchDeterministicAcrossWorkers verifies that sharding the
-// same pool across different worker counts yields identical floats.
-func TestPredictBatchDeterministicAcrossWorkers(t *testing.T) {
-	net := FastArch(5).Build(4)
-	x := randBatch(11, 150, 12, 12)
-	base := net.PredictBatch(x, 1)
-	for _, workers := range []int{2, 3, 8} {
-		got := net.PredictBatch(x, workers)
-		for s := range base {
-			for j := range base[s] {
-				if got[s][j] != base[s][j] {
-					t.Fatalf("workers=%d sample %d prob %d: %v != %v",
-						workers, s, j, got[s][j], base[s][j])
-				}
-			}
+// TestConvBackwardBlockedPartial exercises the blocked backward path
+// with a block size that does not divide the batch: the 8×8 feature
+// map makes backwardBlockSamples yield 2 (one block reaches the
+// 128-column target), so the 5-sample batch splits into blocks of
+// 2+2+1. The input gradient must be bit-identical to per-sample
+// backward passes and the weight gradient within fp-reordering noise.
+func TestConvBackwardBlockedPartial(t *testing.T) {
+	const inC, outC, kh, kw, h, w, n = 8, 4, 5, 5, 8, 8, 5
+	k := inC * kh * kw
+	hw := h * w
+	if bs := backwardBlockSamples(k, hw, n); bs != 2 {
+		t.Fatalf("test geometry: backwardBlockSamples = %d, want 2", bs)
+	}
+	rng := rand.New(rand.NewSource(5))
+	blocked := NewConv2D(rng, inC, outC, kh, kw)
+	single := &Conv2D{InC: inC, OutC: outC, KH: kh, KW: kw,
+		W: newParam(len(blocked.W.Data)), B: newParam(len(blocked.B.Data))}
+	copy(single.W.Data, blocked.W.Data)
+	copy(single.B.Data, blocked.B.Data)
+
+	x := tensor.New(n, inC, h, w)
+	grad := tensor.New(n, outC, h, w)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	for i := range grad.Data {
+		grad.Data[i] = rng.NormFloat64()
+	}
+
+	blocked.Forward(x, false)
+	dxB := blocked.Backward(grad)
+	dxS := tensor.New(n, inC, h, w)
+	for s := 0; s < n; s++ {
+		xs := x.BatchView(s, s+1)
+		single.Forward(xs, false)
+		dx := single.Backward(grad.BatchView(s, s+1))
+		copy(dxS.Data[s*inC*hw:(s+1)*inC*hw], dx.Data)
+	}
+
+	for i := range dxB.Data {
+		if dxB.Data[i] != dxS.Data[i] {
+			t.Fatalf("input gradient %d: blocked %v != per-sample %v", i, dxB.Data[i], dxS.Data[i])
+		}
+	}
+	for i := range blocked.B.Grad {
+		if blocked.B.Grad[i] != single.B.Grad[i] {
+			t.Fatalf("bias gradient %d: blocked %v != per-sample %v", i, blocked.B.Grad[i], single.B.Grad[i])
+		}
+	}
+	const tol = 1e-9
+	for i := range blocked.W.Grad {
+		gB, gS := blocked.W.Grad[i], single.W.Grad[i]
+		if math.Abs(gB-gS) > tol*(1+math.Abs(gS)) {
+			t.Fatalf("weight gradient %d: blocked %v, per-sample %v", i, gB, gS)
 		}
 	}
 }

@@ -1,11 +1,7 @@
 package nn
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"flowgen/internal/tensor"
 )
@@ -37,11 +33,10 @@ import (
 // differential tests and the serving layer's acceptance gate quantify
 // the tolerance (see DESIGN.md §3.5).
 type InferenceNet struct {
-	inH, inW int
-	inSize   int // per-sample input elements (1×InH×InW)
-	classes  int
-	layers   []infer32Layer
-	simd     tensor.SIMD
+	inSize  int // per-sample input elements (1×InH×InW)
+	classes int
+	layers  []infer32Layer
+	simd    tensor.SIMD
 }
 
 // infer32Layer is one compiled forward-only stage. forward consumes the
@@ -84,17 +79,11 @@ func (t *InferenceNet) NewScratch(n int) *Scratch32 {
 	return s
 }
 
-// NumClasses returns the logit width.
-func (t *InferenceNet) NumClasses() int { return t.classes }
-
 // SIMD names the kernel tier this snapshot was packed for ("none" or
 // "avx2"). The tier is fixed when the snapshot compiles: every packed
 // weight operand carries the layout of the level that was active then,
 // so later FLOWGEN_SIMD changes never affect an existing snapshot.
 func (t *InferenceNet) SIMD() string { return t.simd.String() }
-
-// InputShape returns the expected per-sample input image size.
-func (t *InferenceNet) InputShape() (h, w int) { return t.inH, t.inW }
 
 // Forward32 runs the compiled stack over n NHWC samples held in x
 // (n × InH·InW elements for the single-channel flow encodings) and
@@ -125,7 +114,7 @@ func NewInferenceNet(n *Network, inH, inW int) (*InferenceNet, error) {
 	if inH < 1 || inW < 1 {
 		return nil, fmt.Errorf("nn: inference input %dx%d", inH, inW)
 	}
-	t := &InferenceNet{inH: inH, inW: inW, inSize: inH * inW, simd: tensor.ActiveSIMD()}
+	t := &InferenceNet{inSize: inH * inW, simd: tensor.ActiveSIMD()}
 	// Walk the stack tracking the NHWC shape: spatial (h,w,c) until
 	// Flatten, flat feature count afterwards.
 	h, w, c := inH, inW, 1
@@ -534,104 +523,4 @@ func (l *actLayer32) outSize() int { return l.size }
 func (l *actLayer32) forward(x []float32, n int, s *Scratch32, li int) []float32 {
 	apply32(l.act, x[:n*l.size])
 	return x
-}
-
-// ----------------------------------------------------------- prediction
-
-// PredictBatch32 returns class probabilities for every sample of a
-// batched float64 N×1×H×W tensor, sharding chunks across workers (≤0
-// selects GOMAXPROCS) — the f32 counterpart of Network.PredictBatch.
-// Probabilities are float64 softmax over the f32 logits, so downstream
-// selection code is unchanged. Deterministic for any worker count.
-func (t *InferenceNet) PredictBatch32(x *tensor.Tensor, workers int) [][]float64 {
-	out, err := t.PredictBatchCtx(context.Background(), x, workers)
-	if err != nil {
-		panic("nn: background context cancelled: " + err.Error())
-	}
-	return out
-}
-
-// PredictBatchCtx is PredictBatch32 with cancellation, mirroring
-// Network.PredictBatchCtx. Compiled engines take single-channel input
-// (the one-hot flow encoding), so the f64 chunks are a straight
-// narrowing into each worker's f32 buffer; a multi-channel tensor is
-// rejected rather than silently reinterpreted.
-func (t *InferenceNet) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, workers int) ([][]float64, error) {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("nn: f32 prediction expects a batched N×C×H×W tensor, got %v", x.Shape))
-	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if c != 1 || h*w != t.inSize {
-		panic(fmt.Sprintf("nn: f32 prediction input %v does not match compiled shape 1×%d×%d", x.Shape, t.inH, t.inW))
-	}
-	return t.predictShards32(ctx, n, workers, func(dst []float32, lo, hi int) {
-		for i, v := range x.Data[lo*t.inSize : hi*t.inSize] {
-			dst[i] = float32(v)
-		}
-	})
-}
-
-// PredictStream32 classifies total samples without materializing the
-// input: fill(dst, lo, hi) encodes samples [lo, hi) straight into the
-// worker's float32 chunk buffer before each forward pass — the f32
-// counterpart of Network.PredictStream, with the same chunk boundaries
-// and peak-memory shape (workers × predictChunk samples). fill may run
-// concurrently from several workers on disjoint ranges and must write
-// every element of dst.
-func (t *InferenceNet) PredictStream32(ctx context.Context, total, workers int, fill func(dst []float32, lo, hi int)) ([][]float64, error) {
-	return t.predictShards32(ctx, total, workers, fill)
-}
-
-// predictShards32 is the shared worker loop: chunks claimed atomically,
-// one scratch and one input buffer per worker (sized to the largest
-// chunk, so a one-flow call allocates one sample's buffers), softmax in
-// float64 over the f32 logits.
-func (t *InferenceNet) predictShards32(ctx context.Context, total, workers int, fill func(dst []float32, lo, hi int)) ([][]float64, error) {
-	out := make([][]float64, total)
-	if total == 0 {
-		return out, ctx.Err()
-	}
-	chunks := (total + predictChunk - 1) / predictChunk
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := t.NewScratch(min(total, predictChunk))
-			logits64 := make([]float64, t.classes)
-			for ctx.Err() == nil {
-				ci := int(next.Add(1)) - 1
-				if ci >= chunks {
-					return
-				}
-				lo := ci * predictChunk
-				hi := lo + predictChunk
-				if hi > total {
-					hi = total
-				}
-				buf := scratch.in[:(hi-lo)*t.inSize]
-				fill(buf, lo, hi)
-				logits := t.Forward32(buf, hi-lo, scratch)
-				for i := lo; i < hi; i++ {
-					row := logits[(i-lo)*t.classes : (i-lo+1)*t.classes]
-					for j, v := range row {
-						logits64[j] = float64(v)
-					}
-					out[i] = Softmax(logits64)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,15 +94,15 @@ func TestInferenceNetMatchesF64(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if inet.NumClasses() != arch.NumClasses {
-				t.Fatalf("compiled %d classes, want %d", inet.NumClasses(), arch.NumClasses)
+			if inet.classes != arch.NumClasses {
+				t.Fatalf("compiled %d classes, want %d", inet.classes, arch.NumClasses)
 			}
 
 			const n = 96
 			x := oneHotBatch(rng, n, arch.InH, arch.InW)
 			want := logits64(net, x)
-			probs64 := net.PredictBatch(x, 1)
-			probs32 := inet.PredictBatch32(x, 1)
+			probs64 := predictAll(t, mustPredictor(t, net, F64, arch.InH, arch.InW), x, 1)
+			probs32 := predictAll(t, inet, x, 1)
 
 			scratch := inet.NewScratch(predictChunk)
 			for s0 := 0; s0 < n; s0 += predictChunk {
@@ -128,11 +127,11 @@ func TestInferenceNetMatchesF64(t *testing.T) {
 							t.Fatalf("sample %d logit %d: f32 %v vs f64 %v (|Δ|=%g)", s, j, v, want[s][j], d)
 						}
 					}
-					// The prediction entry points agree with the raw
-					// forward bit-for-bit.
+					// PredictStream agrees with the raw forward
+					// bit-for-bit.
 					for j := range row {
 						if probs32[s][j] != softmaxOf(row)[j] {
-							t.Fatalf("sample %d: PredictBatch32 probs diverge from Forward32 softmax", s)
+							t.Fatalf("sample %d: PredictStream probs diverge from Forward32 softmax", s)
 						}
 					}
 					if a, b := argmaxF64(probs32[s]), argmaxF64(probs64[s]); a != b && top2Gap(want[s]) > tieEps {
@@ -172,45 +171,6 @@ func argmaxF32(xs []float32) int {
 	return bi
 }
 
-// TestInferenceNetDeterministicAcrossWorkers: worker sharding must not
-// change a single bit of the f32 predictions, for both entry points.
-func TestInferenceNetDeterministicAcrossWorkers(t *testing.T) {
-	arch := FastArch(7)
-	arch.InH, arch.InW = 8, 9
-	net := arch.Build(5)
-	inet, err := NewInferenceNet(net, arch.InH, arch.InW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	const n = 200
-	x := oneHotBatch(rng, n, arch.InH, arch.InW)
-	base := inet.PredictBatch32(x, 1)
-	hw := arch.InH * arch.InW
-	fill := func(dst []float32, lo, hi int) {
-		for i, v := range x.Data[lo*hw : hi*hw] {
-			dst[i] = float32(v)
-		}
-	}
-	for _, workers := range []int{2, 3, 7, 16} {
-		got := inet.PredictBatch32(x, workers)
-		streamed, err := inet.PredictStream32(context.Background(), n, workers, fill)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range base {
-			for j := range base[s] {
-				if got[s][j] != base[s][j] {
-					t.Fatalf("workers=%d sample %d: batch prediction not bit-identical", workers, s)
-				}
-				if streamed[s][j] != base[s][j] {
-					t.Fatalf("workers=%d sample %d: streamed prediction not bit-identical", workers, s)
-				}
-			}
-		}
-	}
-}
-
 // TestInferenceNetSnapshotIsolation: training the source network after
 // compilation must not change the snapshot's predictions.
 func TestInferenceNetSnapshotIsolation(t *testing.T) {
@@ -222,13 +182,13 @@ func TestInferenceNetSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := oneHotBatch(rand.New(rand.NewSource(4)), 8, 12, 12)
-	before := inet.PredictBatch32(x, 1)
+	before := predictAll(t, inet, x, 1)
 	for _, p := range net.Params() {
 		for i := range p.Data {
 			p.Data[i] += 0.25
 		}
 	}
-	after := inet.PredictBatch32(x, 1)
+	after := predictAll(t, inet, x, 1)
 	for s := range before {
 		for j := range before[s] {
 			if before[s][j] != after[s][j] {
@@ -242,7 +202,7 @@ func TestInferenceNetSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	changed := false
-	for s, row := range inet2.PredictBatch32(x, 1) {
+	for s, row := range predictAll(t, inet2, x, 1) {
 		for j := range row {
 			if row[j] != before[s][j] {
 				changed = true
@@ -252,26 +212,6 @@ func TestInferenceNetSnapshotIsolation(t *testing.T) {
 	}
 	if !changed {
 		t.Fatal("recompiled snapshot ignored the weight update")
-	}
-}
-
-// TestInferenceNetCancellation mirrors the f64 engine's cancellation
-// contract.
-func TestInferenceNetCancellation(t *testing.T) {
-	arch := FastArch(3)
-	arch.InH, arch.InW = 12, 12
-	inet, err := NewInferenceNet(arch.Build(1), 12, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := inet.PredictStream32(done, 500, 2, func(dst []float32, lo, hi int) {
-		for i := range dst {
-			dst[i] = 0
-		}
-	}); err != context.Canceled {
-		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 

@@ -8,21 +8,19 @@
 // The stack is batch-first: every layer takes and returns tensors with
 // an explicit leading batch dimension (N×C×H×W for the convolutional
 // stages, N×D after Flatten), convolutions and dense layers execute as
-// im2col+GEMM (internal/tensor), and Network.PredictBatch shards large
-// batches across a worker pool. Per-sample numerics are independent of
-// batch composition — every kernel fixes the accumulation order per
-// output element — so batched and single-sample execution agree to
+// im2col+GEMM (internal/tensor). Scoring goes through one Predictor
+// (NewPredictor): float64 inference clones or the packed float32
+// InferenceNet, streamed chunk by chunk through one shard loop across a
+// worker pool. Per-sample numerics are independent of batch
+// composition — every kernel fixes the accumulation order per output
+// element — so batched and single-sample execution agree to
 // floating-point noise and parallel prediction is deterministic.
 package nn
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"flowgen/internal/tensor"
 )
@@ -763,117 +761,14 @@ func SparseSoftmaxCEBatch(logits *tensor.Tensor, labels []int) (float64, *tensor
 }
 
 // Predict returns class probabilities for one input (C×H×W, or batched
-// with a leading 1).
+// with a leading 1) — the single-sample reference the Predictor engines
+// are tested against.
 func (n *Network) Predict(x *tensor.Tensor) []float64 {
 	if len(x.Shape) == 3 {
 		x = x.Reshape(append([]int{1}, x.Shape...)...)
 	}
 	if x.Shape[0] != 1 {
-		panic(fmt.Sprintf("nn: Predict takes one sample, got batch %d (use PredictBatch)", x.Shape[0]))
+		panic(fmt.Sprintf("nn: Predict takes one sample, got batch %d (use NewPredictor)", x.Shape[0]))
 	}
 	return Softmax(n.Forward(x, false).Data)
-}
-
-// predictChunk bounds how many samples one forward pass processes during
-// pool prediction, keeping per-worker scratch memory flat regardless of
-// pool size.
-const predictChunk = 64
-
-// PredictBatch returns class probabilities for every sample of a batched
-// input, sharding chunks of the batch across workers (≤0 selects
-// GOMAXPROCS). Each worker runs an InferenceClone, and per-sample
-// numerics are independent of chunking, so the result is deterministic
-// and identical to per-sample Predict calls.
-func (n *Network) PredictBatch(x *tensor.Tensor, workers int) [][]float64 {
-	out, err := n.PredictBatchCtx(context.Background(), x, workers)
-	if err != nil {
-		panic("nn: background context cancelled: " + err.Error())
-	}
-	return out
-}
-
-// PredictBatchCtx is PredictBatch with cancellation: workers check the
-// context between chunks and stop sharding new forward passes once it is
-// done, so a cancelled or timed-out caller (e.g. an abandoned server
-// request) stops burning inference workers. On cancellation the partial
-// results are discarded and ctx.Err() is returned.
-func (n *Network) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, workers int) ([][]float64, error) {
-	return n.predictShards(ctx, x.Batch(), workers, nil,
-		func(_ *tensor.Tensor, lo, hi int) *tensor.Tensor { return x.BatchView(lo, hi) })
-}
-
-// PredictStream classifies total samples without materializing the whole
-// input tensor: each worker owns one chunk-sized buffer (predictChunk ×
-// sample shape) and fill(dst, lo, hi) encodes samples [lo, hi) into dst
-// before each forward pass. Peak input memory is workers×predictChunk
-// samples regardless of total, which is what lets pool prediction and
-// the serving layer handle 100k-flow pools without ~100 MB pool tensors.
-// fill may run concurrently from several workers (on disjoint ranges)
-// and must write every element of dst. Chunk boundaries and per-sample
-// numerics are identical to PredictBatch over the materialized input.
-func (n *Network) PredictStream(ctx context.Context, total int, sample []int, workers int, fill func(dst []float64, lo, hi int)) ([][]float64, error) {
-	newBuf := func() *tensor.Tensor {
-		return tensor.New(append([]int{predictChunk}, sample...)...)
-	}
-	return n.predictShards(ctx, total, workers, newBuf,
-		func(buf *tensor.Tensor, lo, hi int) *tensor.Tensor {
-			v := buf.BatchView(0, hi-lo)
-			fill(v.Data, lo, hi)
-			return v
-		})
-}
-
-// predictShards is the shared worker loop behind the prediction entry
-// points: chunks of [0, total) are claimed atomically and each worker
-// runs forward passes on an InferenceClone over the view produced by
-// makeView (given the worker's own buffer from newBuf, when streaming).
-func (n *Network) predictShards(ctx context.Context, total, workers int, newBuf func() *tensor.Tensor, makeView func(buf *tensor.Tensor, lo, hi int) *tensor.Tensor) ([][]float64, error) {
-	out := make([][]float64, total)
-	if total == 0 {
-		return out, ctx.Err()
-	}
-	chunks := (total + predictChunk - 1) / predictChunk
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		clone := n
-		if workers > 1 {
-			clone = n.InferenceClone()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf *tensor.Tensor
-			if newBuf != nil {
-				buf = newBuf()
-			}
-			for ctx.Err() == nil {
-				ci := int(next.Add(1)) - 1
-				if ci >= chunks {
-					return
-				}
-				lo := ci * predictChunk
-				hi := lo + predictChunk
-				if hi > total {
-					hi = total
-				}
-				logits := clone.Forward(makeView(buf, lo, hi), false)
-				c := logits.Shape[1]
-				for i := lo; i < hi; i++ {
-					out[i] = Softmax(logits.Data[(i-lo)*c : (i-lo+1)*c])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -294,9 +294,10 @@ func TestSaveLoadWeightsRoundTrip(t *testing.T) {
 	x := tensor.New(batch, 1, 12, 12)
 	rng := rand.New(rand.NewSource(5))
 	for i := range x.Data {
-		x.Data[i] = rng.Float64()
+		x.Data[i] = float64(float32(rng.Float64()))
 	}
-	before := net.PredictBatch(x, 2)
+	predict := func(n *Network) [][]float64 { return predictAll(t, mustPredictor(t, n, F64, 12, 12), x, 2) }
+	before := predict(net)
 
 	var buf bytes.Buffer
 	if err := net.SaveWeights(&buf); err != nil {
@@ -305,7 +306,7 @@ func TestSaveLoadWeightsRoundTrip(t *testing.T) {
 	// A differently seeded network predicts differently until loaded.
 	other := FastArch(7).Build(99)
 	differs := false
-	for i, p := range other.PredictBatch(x, 2)[0] {
+	for i, p := range predict(other)[0] {
 		if math.Abs(p-before[0][i]) > 1e-9 {
 			differs = true
 		}
@@ -316,7 +317,7 @@ func TestSaveLoadWeightsRoundTrip(t *testing.T) {
 	if err := other.LoadWeights(&buf); err != nil {
 		t.Fatal(err)
 	}
-	after := other.PredictBatch(x, 2)
+	after := predict(other)
 	for s := 0; s < batch; s++ {
 		for i := range before[s] {
 			if math.Abs(before[s][i]-after[s][i]) > 1e-12 {
@@ -328,7 +329,7 @@ func TestSaveLoadWeightsRoundTrip(t *testing.T) {
 	single := other.Predict(x.SampleView(0))
 	for i := range single {
 		if math.Abs(single[i]-after[0][i]) > 1e-12 {
-			t.Fatalf("Predict disagrees with PredictBatch: %v vs %v", single, after[0])
+			t.Fatalf("Predict disagrees with PredictStream: %v vs %v", single, after[0])
 		}
 	}
 }

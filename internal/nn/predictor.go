@@ -3,7 +3,9 @@ package nn
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flowgen/internal/obs"
@@ -11,117 +13,89 @@ import (
 )
 
 // Predictor is the one inference surface shared by the two precision
-// engines: the full-precision float64 clone pool and the packed float32
+// engines: the full-precision float64 network and the packed float32
 // InferenceNet both implement it.
 // Consumers (serving, pool prediction, accuracy evaluation, the
 // continuous-retraining gate) program against this interface and never
 // switch on Precision themselves — NewPredictor is the single place a
 // precision value selects an engine.
 //
-// Implementations are safe for concurrent use: every call owns its
-// scratch (the engines allocate per-worker scratches; the f64 path
-// checks a clone out of a pool), so one Predictor can serve many
-// goroutines.
+// Implementations are safe for concurrent use: every prediction worker
+// builds its own scratch (and, for f64, its own inference clone), so
+// one Predictor can serve many goroutines.
 type Predictor interface {
-	// PredictBatchCtx returns class probabilities for every sample of a
-	// batched N×1×H×W float64 tensor, sharding chunks across workers
-	// (≤0 selects GOMAXPROCS). Cancellation discards partial results.
-	PredictBatchCtx(ctx context.Context, x *tensor.Tensor, workers int) ([][]float64, error)
-	// PredictStream classifies total samples without materializing the
-	// input: the Source encodes samples [lo, hi) straight into each
-	// worker's chunk buffer in whichever representation the engine
-	// consumes. Peak input memory is workers×predictChunk samples.
+	// PredictStream returns class probabilities for total samples
+	// without materializing the input: src encodes samples [lo, hi)
+	// straight into each worker's chunk buffer. Chunks are sharded
+	// across workers (≤0 selects GOMAXPROCS); peak input memory is
+	// workers×predictChunk samples. Cancelling ctx stops the workers
+	// between chunks and discards partial results.
 	PredictStream(ctx context.Context, total, workers int, src Source) ([][]float64, error)
-	// Classes returns the logit width.
-	Classes() int
-	// Precision names the engine tier.
-	Precision() Precision
 	// SIMD names the kernel tier the engine was compiled for ("none"
 	// for the f64 path, the frozen pack-time tier for f32).
 	SIMD() string
 }
 
-// Source supplies streamed samples to Predictor.PredictStream in up to
-// two representations. Fill64 is the canonical form (one-hot float64,
-// perSample elements per sample); Fill32 is an optional fast path that
-// skips the float64 round trip. A missing fill is derived from the
-// other, so a Source with only one of them works against both engines.
-// Fills may run concurrently from several workers on disjoint ranges
-// and must write every element of dst.
-type Source struct {
-	Fill64 func(dst []float64, lo, hi int)
-	Fill32 func(dst []float32, lo, hi int)
-}
+// Source supplies streamed samples to Predictor.PredictStream: it
+// writes the encodings of samples [lo, hi) into dst, H×W elements per
+// sample. Flow encodings are one-hot, so float32 holds them exactly for
+// both engines. A Source may run concurrently from several workers on
+// disjoint ranges and must write every element of dst.
+type Source func(dst []float32, lo, hi int)
 
-// fill64 returns the float64 fill, deriving it by widening Fill32 when
-// only the float32 form was supplied.
-func (s Source) fill64(perSample int) func(dst []float64, lo, hi int) {
-	if s.Fill64 != nil {
-		return s.Fill64
-	}
-	if s.Fill32 == nil {
-		panic("nn: Source has neither Fill64 nor Fill32")
-	}
-	pool := newFillScratch[float32](perSample)
-	return func(dst []float64, lo, hi int) {
-		buf := pool.get(hi - lo)
-		s.Fill32(buf, lo, hi)
-		for i, v := range buf {
-			dst[i] = float64(v)
-		}
-		pool.put(buf)
-	}
-}
+// predictChunk bounds how many samples one forward pass processes during
+// streamed prediction, keeping per-worker scratch memory flat regardless
+// of the number of samples.
+const predictChunk = 64
 
-// fill32 returns the float32 fill, deriving it by narrowing Fill64.
-func (s Source) fill32(perSample int) func(dst []float32, lo, hi int) {
-	if s.Fill32 != nil {
-		return s.Fill32
+// predictShards is the one worker loop behind both engines: chunks of
+// [0, total) are claimed atomically, workers stop once ctx is done, and
+// each chunk's logits (classes per sample) become float64 softmax rows.
+// Every worker calls newWorker once with its chunk capacity
+// min(total, predictChunk) to build its private state, and gets back the
+// forward pass that turns chunk [lo, hi) into logits.
+func predictShards(ctx context.Context, total, workers, classes int, newWorker func(n int) func(lo, hi int) []float64) ([][]float64, error) {
+	out := make([][]float64, total)
+	if total == 0 {
+		return out, ctx.Err()
 	}
-	if s.Fill64 == nil {
-		panic("nn: Source has neither Fill32 nor Fill64")
+	chunks := (total + predictChunk - 1) / predictChunk
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	pool := newFillScratch[float64](perSample)
-	return func(dst []float32, lo, hi int) {
-		buf := pool.get(hi - lo)
-		s.Fill64(buf, lo, hi)
-		for i, v := range buf {
-			dst[i] = float32(v)
-		}
-		pool.put(buf)
+	workers = min(workers, chunks)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			forward := newWorker(min(total, predictChunk))
+			for ctx.Err() == nil {
+				ci := int(next.Add(1)) - 1
+				if ci >= chunks {
+					return
+				}
+				lo := ci * predictChunk
+				hi := min(lo+predictChunk, total)
+				logits := forward(lo, hi)
+				for i := lo; i < hi; i++ {
+					out[i] = Softmax(logits[(i-lo)*classes : (i-lo+1)*classes])
+				}
+			}
+		}()
 	}
-}
-
-// fillScratch pools per-call conversion buffers so derived fills stay
-// allocation-free in steady state even when several workers stream
-// concurrently.
-type fillScratch[T float32 | float64] struct {
-	pool      sync.Pool
-	perSample int
-}
-
-func newFillScratch[T float32 | float64](perSample int) *fillScratch[T] {
-	s := &fillScratch[T]{perSample: perSample}
-	s.pool.New = func() any {
-		b := make([]T, predictChunk*perSample)
-		return &b
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return s
-}
-
-func (s *fillScratch[T]) get(n int) []T {
-	return (*s.pool.Get().(*[]T))[:n*s.perSample]
-}
-
-func (s *fillScratch[T]) put(b []T) {
-	b = b[:cap(b)]
-	s.pool.Put(&b)
+	return out, nil
 }
 
 // NewPredictor compiles a trained network into the engine prec selects
 // — the single precision dispatch point. F32 packs the weights for the
-// cache-blocked float32 kernels, F64 wraps the network in a clone pool
-// that preserves training numerics exactly. The returned Predictor
+// cache-blocked float32 kernels; F64 runs inference clones of the
+// network, preserving training numerics exactly. The returned Predictor
 // snapshots the weights (f32) or shares them (f64 — later training
 // steps are visible); either way it is immutable API-wise and
 // concurrency-safe.
@@ -133,69 +107,75 @@ func NewPredictor(net *Network, prec Precision, inH, inW int) (Predictor, error)
 	case F32:
 		return NewInferenceNet(net, inH, inW)
 	case F64:
-		return newClonePool(net, inH, inW)
+		return newPredictor64(net, inH, inW)
 	}
 	return nil, fmt.Errorf("nn: no inference engine for precision %v", prec)
 }
 
-// clonePool is the float64 Predictor: a pool of InferenceClones of the
-// source network (shared parameters, private activation state), one
-// checked out per call so concurrent predictions never race on layer
-// state. Because parameters are shared, the pool tracks the live
-// network through training — recompilation is never needed.
-type clonePool struct {
+// predictor64 is the float64 Predictor. Each prediction worker runs its
+// own InferenceClone of the source network (shared parameters, private
+// activation state), so concurrent predictions never race on layer
+// state. Because parameters are shared, it tracks the live network
+// through training — recompilation is never needed.
+type predictor64 struct {
 	net      *Network
 	inH, inW int
 	classes  int
-	clones   sync.Pool
 }
 
-func newClonePool(net *Network, inH, inW int) (*clonePool, error) {
+func newPredictor64(net *Network, inH, inW int) (*predictor64, error) {
 	if inH < 1 || inW < 1 {
 		return nil, fmt.Errorf("nn: f64 predictor input %dx%d", inH, inW)
 	}
-	p := &clonePool{net: net, inH: inH, inW: inW}
-	p.clones.New = func() any { return net.InferenceClone() }
 	// Discover the logit width with one dry forward on a clone — the f64
 	// network is shape-agnostic until it sees input.
 	probe := net.InferenceClone().Forward(tensor.New(1, 1, inH, inW), false)
-	p.classes = probe.Shape[1]
-	return p, nil
+	return &predictor64{net: net, inH: inH, inW: inW, classes: probe.Shape[1]}, nil
 }
 
-func (p *clonePool) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, workers int) ([][]float64, error) {
-	c := p.clones.Get().(*Network)
-	defer p.clones.Put(c)
-	return c.PredictBatchCtx(ctx, x, workers)
+// PredictStream widens each chunk from a float32 staging buffer into a
+// float64 chunk tensor and runs the worker's clone over it (Predictor).
+func (p *predictor64) PredictStream(ctx context.Context, total, workers int, src Source) ([][]float64, error) {
+	hw := p.inH * p.inW
+	return predictShards(ctx, total, workers, p.classes, func(n int) func(lo, hi int) []float64 {
+		clone := p.net.InferenceClone()
+		in := make([]float32, n*hw)
+		x := tensor.New(n, 1, p.inH, p.inW)
+		return func(lo, hi int) []float64 {
+			buf := in[:(hi-lo)*hw]
+			src(buf, lo, hi)
+			v := x.BatchView(0, hi-lo)
+			for i, f := range buf {
+				v.Data[i] = float64(f)
+			}
+			return clone.Forward(v, false).Data
+		}
+	})
 }
 
-func (p *clonePool) PredictStream(ctx context.Context, total, workers int, src Source) ([][]float64, error) {
-	c := p.clones.Get().(*Network)
-	defer p.clones.Put(c)
-	return c.PredictStream(ctx, total, []int{1, p.inH, p.inW}, workers,
-		src.fill64(p.inH*p.inW))
-}
+func (p *predictor64) SIMD() string { return tensor.SIMDNone.String() }
 
-func (p *clonePool) Classes() int         { return p.classes }
-func (p *clonePool) Precision() Precision { return F64 }
-func (p *clonePool) SIMD() string         { return tensor.SIMDNone.String() }
-
-// --- Predictor conformance for the f32 engine ---------------------------
-
-// Classes returns the logit width (Predictor).
-func (t *InferenceNet) Classes() int { return t.classes }
-
-// Precision reports F32 (Predictor).
-func (t *InferenceNet) Precision() Precision { return F32 }
-
-// PredictStream adapts the float32 streamed path to the Predictor
-// Source contract: samples arrive through the source's float32 fill
-// (derived from Fill64 when absent).
+// PredictStream fills each chunk straight into the worker's Scratch32
+// input buffer and widens the f32 logits for the float64 softmax
+// (Predictor). Scratches are sized to the largest chunk, so a one-flow
+// call allocates one sample's buffers.
 func (t *InferenceNet) PredictStream(ctx context.Context, total, workers int, src Source) ([][]float64, error) {
-	return t.predictShards32(ctx, total, workers, src.fill32(t.inSize))
+	return predictShards(ctx, total, workers, t.classes, func(n int) func(lo, hi int) []float64 {
+		s := t.NewScratch(n)
+		logits := make([]float64, n*t.classes)
+		return func(lo, hi int) []float64 {
+			in := s.in[:(hi-lo)*t.inSize]
+			src(in, lo, hi)
+			out := logits[:(hi-lo)*t.classes]
+			for i, v := range t.Forward32(in, hi-lo, s) {
+				out[i] = float64(v)
+			}
+			return out
+		}
+	})
 }
 
 var (
-	_ Predictor = (*clonePool)(nil)
+	_ Predictor = (*predictor64)(nil)
 	_ Predictor = (*InferenceNet)(nil)
 )

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"flowgen/internal/fault"
+	"flowgen/internal/nn"
 	"flowgen/internal/obs"
-	"flowgen/internal/tensor"
 )
 
 // Batcher errors. ErrQueueFull is returned without blocking when the
@@ -25,7 +25,7 @@ var (
 // BatcherConfig tunes the micro-batching scheduler. The zero value is
 // not usable; start from DefaultBatcherConfig.
 type BatcherConfig struct {
-	// MaxBatch caps how many requests one PredictBatchCtx call serves.
+	// MaxBatch caps how many requests one flush scores.
 	MaxBatch int
 	// QueueCap bounds the request queue; submits beyond it fail fast
 	// with ErrQueueFull instead of building unbounded backlog.
@@ -70,13 +70,17 @@ type result struct {
 	err   error
 }
 
-// BatcherStats is a point-in-time counter snapshot.
+// BatcherStats is a point-in-time counter snapshot. Rejected, Batches,
+// BatchedFlows and MaxBatch read the batcher's obs series
+// (flowgen_batcher_shed_total and flowgen_batcher_batch_size), so two
+// batchers sharing one registry and model label report the shared
+// series.
 type BatcherStats struct {
 	Requests     int64 // accepted submissions
 	Rejected     int64 // queue-full fast failures
 	Cancelled    int64 // requests whose context ended before scoring
-	Batches      int64 // PredictBatchCtx calls issued
-	BatchedFlows int64 // flows scored through those calls
+	Batches      int64 // batches scored
+	BatchedFlows int64 // flows scored in those batches
 	MaxBatch     int64 // largest batch observed
 	Errors       int64 // scoring errors (cancelled flushes, model faults)
 }
@@ -99,7 +103,7 @@ func (s BatcherStats) MeanBatch() float64 {
 // with load rather than with a timer, and a lone request is scored as
 // soon as the predictor is free. Per-sample numerics are independent
 // of batch composition, so responses are bit-identical to direct
-// PredictBatch calls regardless of how requests coalesce.
+// Model.PredictFlows scoring regardless of how requests coalesce.
 type Batcher struct {
 	cfg      BatcherConfig
 	resolve  func() (*Model, error)
@@ -108,20 +112,18 @@ type Batcher struct {
 	quitCtx  context.Context // cancelled by Close; aborts in-flight forwards
 	quitStop context.CancelFunc
 	closed   atomic.Bool
-	xbuf     []float64 // flush input buffer, owned by the scheduler goroutine
 
 	// Observability series (always non-nil: a nil cfg.Obs hands out
 	// functional unregistered metrics, so the hot paths need no guards).
-	obsBatchSize *obs.Histogram // flows per flushed batch
+	obsBatchSize *obs.Histogram // flows per scored batch
 	obsFlushDur  *obs.Histogram // flush wall time, ns
 	obsWait      *obs.Histogram // submit-to-response latency, ns
 	obsShed      *obs.Counter   // queue-full rejections
 	obsPanics    *obs.Counter   // forward-pass panics recovered
 
+	// Counters without an obs series.
 	stats struct {
-		requests, rejected, cancelled atomic.Int64
-		batches, flows, errors        atomic.Int64
-		maxBatch                      atomic.Int64
+		requests, cancelled, errors atomic.Int64
 	}
 }
 
@@ -174,11 +176,11 @@ func (b *Batcher) Close() {
 func (b *Batcher) Stats() BatcherStats {
 	return BatcherStats{
 		Requests:     b.stats.requests.Load(),
-		Rejected:     b.stats.rejected.Load(),
+		Rejected:     b.obsShed.Value(),
 		Cancelled:    b.stats.cancelled.Load(),
-		Batches:      b.stats.batches.Load(),
-		BatchedFlows: b.stats.flows.Load(),
-		MaxBatch:     b.stats.maxBatch.Load(),
+		Batches:      int64(b.obsBatchSize.Count()),
+		BatchedFlows: b.obsBatchSize.Sum(),
+		MaxBatch:     b.obsBatchSize.Max(),
 		Errors:       b.stats.errors.Load(),
 	}
 }
@@ -203,7 +205,6 @@ func (b *Batcher) Submit(ctx context.Context, enc []float64) (Prediction, error)
 	case b.queue <- r:
 		b.stats.requests.Add(1)
 	default:
-		b.stats.rejected.Add(1)
 		b.obsShed.Inc()
 		return Prediction{}, ErrQueueFull
 	}
@@ -256,11 +257,11 @@ func (b *Batcher) gather(first *request) []*request {
 }
 
 // flush scores one gathered batch: resolve the model snapshot, drop
-// requests whose context already ended, run one batched forward over
-// the rest, and distribute the per-flow probability rows. The forward
-// runs under a context that cancels when every member request has been
-// abandoned, so a batch of dead requests stops burning inference
-// workers mid-shard.
+// requests whose context already ended, stream the rest through the
+// model's predictor, and distribute the per-flow probability rows. The
+// forward runs under a context that cancels when every member request
+// has been abandoned, so a batch of dead requests stops burning
+// inference workers mid-shard.
 func (b *Batcher) flush(batch []*request) {
 	defer b.obsFlushDur.ObserveSince(time.Now())
 	m, err := b.resolve()
@@ -289,15 +290,15 @@ func (b *Batcher) flush(batch []*request) {
 		return
 	}
 
-	// The input buffer is owned by the scheduler goroutine and reused
-	// across flushes; the forward pass only reads it and returns before
-	// the next flush starts.
-	if cap(b.xbuf) < len(live)*hw {
-		b.xbuf = make([]float64, b.cfg.MaxBatch*hw)
-	}
-	x := tensor.FromSlice(b.xbuf[:len(live)*hw], len(live), 1, m.Arch.InH, m.Arch.InW)
-	for i, r := range live {
-		copy(x.Data[i*hw:(i+1)*hw], r.enc)
+	// The live requests' encodings are narrowed (exactly: they are
+	// one-hot) straight into each prediction worker's chunk buffer.
+	src := func(dst []float32, lo, hi int) {
+		for i, r := range live[lo:hi] {
+			row := dst[i*hw : (i+1)*hw]
+			for j, v := range r.enc {
+				row[j] = float32(v)
+			}
+		}
 	}
 
 	// The forward runs under the batcher's shutdown context; when every
@@ -329,7 +330,7 @@ func (b *Batcher) flush(batch []*request) {
 		}
 	}
 
-	probs, err := b.predict(flushCtx, m, x)
+	probs, err := b.predict(flushCtx, m, len(live), src)
 	if err != nil {
 		b.stats.errors.Add(1)
 		for _, r := range live {
@@ -337,24 +338,19 @@ func (b *Batcher) flush(batch []*request) {
 		}
 		return
 	}
-	b.stats.batches.Add(1)
-	b.stats.flows.Add(int64(len(live)))
 	b.obsBatchSize.Observe(int64(len(live)))
-	if n := int64(len(live)); n > b.stats.maxBatch.Load() {
-		b.stats.maxBatch.Store(n)
-	}
 	for i, r := range live {
 		r.done <- result{probs: probs[i], model: m}
 	}
 }
 
-// predict runs the batched forward pass with panic isolation: a panic
-// inside the model (or injected at the serve.batcher.flush site) fails
-// this batch's requests with an error and leaves the scheduler
-// goroutine alive, so one poisoned batch never takes the model's
-// batcher down with it. The sleep kind at the same site models a slow
+// predict streams n samples from src through the model's predictor
+// with panic isolation: a panic inside the model (or injected at the
+// serve.batcher.flush site) fails this batch's requests with an error
+// and leaves the scheduler goroutine alive, so one poisoned batch never
+// takes the model's batcher down with it. The sleep kind at the same site models a slow
 // predictor (latency injection for the chaos suite).
-func (b *Batcher) predict(ctx context.Context, m *Model, x *tensor.Tensor) (probs [][]float64, err error) {
+func (b *Batcher) predict(ctx context.Context, m *Model, n int, src nn.Source) (probs [][]float64, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			b.obsPanics.Inc() // the caller counts the batch error itself
@@ -369,7 +365,11 @@ func (b *Batcher) predict(ctx context.Context, m *Model, x *tensor.Tensor) (prob
 			return nil, err
 		}
 	}
-	return m.PredictBatchCtx(ctx, x, b.cfg.Workers)
+	p, err := m.Predictor()
+	if err != nil {
+		return nil, err
+	}
+	return p.PredictStream(ctx, n, b.cfg.Workers, src)
 }
 
 // drain fails whatever is still queued at shutdown.

@@ -14,7 +14,6 @@ import (
 
 	"flowgen/internal/flow"
 	"flowgen/internal/nn"
-	"flowgen/internal/tensor"
 )
 
 // testModel builds a small deterministic model over a 4-letter m=2
@@ -27,16 +26,11 @@ func testModel(name string, seed int64) *Model {
 	return &Model{Name: name, Space: space, Arch: arch, Net: arch.Build(seed)}
 }
 
-// directProbs scores flows through the model's own direct batched path
-// (the serving layer's ground truth — precision-routed, so batcher and
-// streaming responses must be bit-identical to it under either engine).
+// directProbs scores flows through the model's own direct streamed path
+// (the serving layer's ground truth — precision-routed, so batcher
+// responses must be bit-identical to it under either engine).
 func directProbs(m *Model, flows []flow.Flow) [][]float64 {
-	hw := m.EncodeLen()
-	x := tensor.New(len(flows), 1, m.Arch.InH, m.Arch.InW)
-	for i, f := range flows {
-		f.EncodeInto(m.Space, x.Data[i*hw:(i+1)*hw])
-	}
-	probs, err := m.PredictBatchCtx(context.Background(), x, 1)
+	probs, err := m.PredictFlows(context.Background(), flows, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -61,7 +55,7 @@ func sameProbs(a, b []float64) bool {
 // into multi-request batches. Coalescing is made certain, not left to
 // scheduling: the first flush holds the predictor until every client's
 // first request is queued behind it. It runs against both serving
-// engines: the packed f32 snapshot (the default) and the f64 clone pool.
+// engines: the packed f32 snapshot (the default) and f64 inference clones.
 func TestBatcherMatchesDirect(t *testing.T) {
 	for _, prec := range []nn.Precision{nn.F32, nn.F64} {
 		t.Run(prec.String(), func(t *testing.T) {

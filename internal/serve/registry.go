@@ -7,7 +7,7 @@
 //     a model with zero downtime — in-flight requests keep the snapshot
 //     they resolved, new requests see the new version;
 //   - Batcher coalesces concurrent single-flow prediction requests into
-//     micro-batches executed through nn.Network.PredictBatchCtx, so
+//     micro-batches streamed through the model's nn.Predictor, so
 //     serving throughput tracks the batched GEMM path instead of
 //     per-request single-sample forwards;
 //   - Cache memoizes scored flows per (model, version, flow-key), since
@@ -54,7 +54,7 @@ type Model struct {
 
 	// Precision selects the serving engine compiled by Predictor: the
 	// zero value (nn.F32) scores through a packed float32 snapshot
-	// (nn.InferenceNet), nn.F64 through pooled full-precision inference
+	// (nn.InferenceNet), nn.F64 through full-precision inference
 	// clones. Set before the model is registered (a Model is immutable
 	// afterwards).
 	Precision nn.Precision
@@ -96,23 +96,14 @@ func (m *Model) EncodeFlow(f flow.Flow) []float64 {
 	return f.Encode(m.Space, m.Arch.InH, m.Arch.InW)
 }
 
-// PredictBatchCtx scores a prepared batch through the model's serving
-// engine. Predictors are concurrency-safe (workers own their scratch;
-// the f64 path checks clones out of a pool), and responses are
-// deterministic and independent of how requests were batched.
-func (m *Model) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, workers int) ([][]float64, error) {
-	p, err := m.Predictor()
-	if err != nil {
-		return nil, err
-	}
-	return p.PredictBatchCtx(ctx, x, workers)
-}
-
 // PredictFlows streams the given flows through the model's serving
-// engine without materializing a pool-sized tensor: encodings fill
-// chunk-sized worker buffers in the engine's native representation
-// (core.FlowSource supplies both). This is the scoring path behind
-// multi-flow predicts and recommendation pools.
+// engine without materializing a pool-sized tensor: core.FlowSource
+// encodes them into chunk-sized worker buffers. This is the scoring
+// path behind multi-flow predicts and recommendation pools, and the
+// direct scoring the batcher's responses are bit-identical to.
+// Predictors are concurrency-safe (every worker owns its scratch), and
+// responses are deterministic and independent of how requests were
+// batched.
 func (m *Model) PredictFlows(ctx context.Context, flows []flow.Flow, workers int) ([][]float64, error) {
 	p, err := m.Predictor()
 	if err != nil {

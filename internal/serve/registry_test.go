@@ -10,7 +10,6 @@ import (
 
 	"flowgen/internal/core"
 	"flowgen/internal/flow"
-	"flowgen/internal/tensor"
 )
 
 // TestModelRoundTrip proves a model survives serialization: the loaded
@@ -162,35 +161,22 @@ func TestF32PredictAllocationSizedToBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := m.Space.Random(rand.New(rand.NewSource(1)))
-	x := tensor.New(1, 1, m.Arch.InH, m.Arch.InW)
-	f.EncodeInto(m.Space, x.Data)
 	src := core.FlowSource(m.Space, []flow.Flow{f}, m.Arch.InH, m.Arch.InW)
-	ctx := context.Background()
-
-	perCall := func(name string, predict func() error) {
-		if err := predict(); err != nil { // warm up lazily built state
+	predict := func() {
+		if _, err := pred.PredictStream(context.Background(), 1, 0, src); err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < calls; i++ {
-			if err := predict(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		got := (after.TotalAlloc - before.TotalAlloc) / calls
-		t.Logf("%s: %d B allocated per one-flow call", name, got)
-		if got > budget {
-			t.Errorf("%s allocates %d B per one-flow call, budget %d B", name, got, budget)
-		}
 	}
-	perCall("PredictStream", func() error {
-		_, err := pred.PredictStream(ctx, 1, 0, src)
-		return err
-	})
-	perCall("PredictBatchCtx", func() error {
-		_, err := pred.PredictBatchCtx(ctx, x, 0)
-		return err
-	})
+	predict() // warm up lazily built state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		predict()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("PredictStream: %d B allocated per one-flow call", got)
+	if got > budget {
+		t.Errorf("PredictStream allocates %d B per one-flow call, budget %d B", got, budget)
+	}
 }

@@ -384,7 +384,7 @@ func TestServerReloadAllFailure(t *testing.T) {
 // model at once — batched single-flow predicts, streamed multi-flow
 // predicts and recommendation pools — and checks each response against
 // direct scoring. nn networks retain forward state, so this fails under
-// -race unless every concurrent forward runs on its own pooled clone.
+// -race unless every concurrent forward runs on its own clone.
 func TestServerConcurrentMixedTraffic(t *testing.T) {
 	m := testModel("alu", 5)
 	_, ts := newTestServer(t, m)

@@ -2,8 +2,8 @@
 // with batch size 5), dataset shuffling and accuracy evaluation for the
 // flow-classification CNN. Each Trainer.Step assembles its minibatch
 // into one batched N×1×H×W tensor and runs a single batched
-// forward/backward through the network; accuracy evaluation goes through
-// the parallel nn.Network.PredictBatch path.
+// forward/backward through the network; accuracy evaluation streams the
+// dataset through an nn.Predictor.
 package train
 
 import (
@@ -66,30 +66,19 @@ func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
 	return x, y
 }
 
-// Tensor packs the entire dataset into one batched N×1×H×W tensor (for
-// whole-set prediction).
-func (d *Dataset) Tensor() *tensor.Tensor {
-	hw := d.H * d.W
-	x := tensor.New(d.Len(), 1, d.H, d.W)
-	for i, xi := range d.X {
-		copy(x.Data[i*hw:(i+1)*hw], xi)
-	}
-	return x
-}
-
 // Source returns an nn.Source streaming the dataset's samples, so any
 // nn.Predictor can evaluate the set without materializing one
-// dataset-sized tensor. Only the canonical float64 fill is supplied;
-// the typed engines derive their representations (exact for the 0/1
-// one-hot flow encodings datasets hold).
+// dataset-sized tensor. Rows are narrowed to float32, which is exact
+// for the 0/1 one-hot flow encodings datasets hold.
 func (d *Dataset) Source() nn.Source {
 	hw := d.H * d.W
-	return nn.Source{
-		Fill64: func(dst []float64, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				copy(dst[(i-lo)*hw:(i-lo+1)*hw], d.X[i])
+	return func(dst []float32, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := dst[(i-lo)*hw : (i-lo+1)*hw]
+			for j, v := range d.X[i] {
+				row[j] = float32(v)
 			}
-		},
+		}
 	}
 }
 
@@ -206,8 +195,7 @@ func AccuracyPrec(net *nn.Network, d *Dataset, workers int, prec nn.Precision) f
 // compiled nn.Predictor — the engine-agnostic core of every accuracy
 // gate (per-round framework evaluation, the continuous-retraining
 // loop's candidate-vs-serving comparison). Samples stream into
-// chunk-sized worker buffers; the predictor's native representation is
-// derived from the dataset's float64 encodings.
+// chunk-sized worker buffers through Dataset.Source.
 func AccuracyPredictor(pred nn.Predictor, d *Dataset, workers int) float64 {
 	if d.Len() == 0 {
 		return 0

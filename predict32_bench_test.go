@@ -3,7 +3,8 @@
 // engines — the f64 batched GEMM path and the packed f32 fast path —
 // cross-checks their argmaxes in-bench (exact identity, modulo samples
 // whose top-2 f64 logits are numerically tied), and reports the f32
-// speedup (acceptance bar: ≥1.8×). BenchmarkServePredict32 is the
+// speedup as a measurement — only the argmax cross-check fails a run.
+// BenchmarkServePredict32 is the
 // serve-path variant: concurrent single-flow clients coalescing through
 // serve.Batcher against an f32-precision model, each response
 // argmax-checked against the f64 engine's scoring of the same flow.
@@ -68,11 +69,17 @@ func BenchmarkPredictPool32(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	flows := space.RandomUnique(newRand(3), poolN)
-	hw := h * w
-	x := tensor.New(poolN, 1, h, w)
-	for i, f := range flows {
-		f.EncodeInto(space, x.Data[i*hw:(i+1)*hw])
+	pred64, err := nn.NewPredictor(net, nn.F64, h, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := core.FlowSource(space, space.RandomUnique(newRand(3), poolN), h, w)
+	predict := func(p nn.Predictor) [][]float64 {
+		probs, err := p.PredictStream(context.Background(), poolN, 0, src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return probs
 	}
 
 	// A pool pass is a short parallel region, so a single wall reading
@@ -94,12 +101,12 @@ func BenchmarkPredictPool32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var probs64, probs32 [][]float64
-		d64 := minDur(func() { probs64 = net.PredictBatch(x, 0) })
-		d32 := minDur(func() { probs32 = inet.PredictBatch32(x, 0) })
+		d64 := minDur(func() { probs64 = predict(pred64) })
+		d32 := minDur(func() { probs32 = predict(inet) })
 		// The scalar pass also forces dispatch off at run time so the
 		// elementwise kernels (SELU) drop to scalar with the GEMMs.
 		prevSIMD := tensor.SetSIMD(tensor.SIMDNone)
-		dsc := minDur(func() { snet.PredictBatch32(x, 0) })
+		dsc := minDur(func() { predict(snet) })
 		tensor.SetSIMD(prevSIMD)
 
 		ties, mismatches := 0, 0
@@ -153,14 +160,11 @@ func BenchmarkServePredict32(b *testing.B) {
 	m64 := &serve.Model{Name: "bench64", Space: space, Arch: arch, Net: net, Precision: nn.F64}
 
 	flows := space.RandomUnique(newRand(3), total)
-	hw := h * w
 	encs := make([][]float64, total)
-	x := tensor.New(total, 1, h, w)
 	for i, f := range flows {
-		f.EncodeInto(space, x.Data[i*hw:(i+1)*hw])
-		encs[i] = x.Data[i*hw : (i+1)*hw]
+		encs[i] = f.Encode(space, h, w)
 	}
-	want64, err := m64.PredictBatchCtx(context.Background(), x, 1)
+	want64, err := m64.PredictFlows(context.Background(), flows, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,8 +5,8 @@
 // single-sample baseline — each request answered by the pre-refactor
 // naive forward replica, exactly the "single-sample" baseline
 // BenchmarkPredictPool measures against. Every batched response is
-// cross-checked bit-identical to direct nn.Network.PredictBatch scoring
-// of the same flow, and the speedup is reported as
+// cross-checked bit-identical to direct serve.Model.PredictFlows
+// scoring of the same flow, and the speedup is reported as
 // "x-vs-single-sample" (measured values in EXPERIMENTS.md). The additional
 // "x-vs-per-request-gemm" metric is the honest modern comparison: a
 // server answering each request with a batch-1 forward through the SAME
@@ -43,7 +43,7 @@ func BenchmarkServePredict(b *testing.B) {
 	arch := nn.FastArch(7)
 	arch.InH, arch.InW = h, w
 	// Pinned to the f64 engine: this benchmark's claim is bit-identity
-	// against direct f64 PredictBatch scoring plus the speedup over the
+	// against direct f64 PredictFlows scoring plus the speedup over the
 	// pre-refactor naive replica. The f32 serving fast path has its own
 	// benchmark (BenchmarkServePredict32 in predict32_bench_test.go).
 	model := &serve.Model{Name: "bench", Space: space, Arch: arch, Net: arch.Build(1), Precision: nn.F64}
@@ -53,10 +53,13 @@ func BenchmarkServePredict(b *testing.B) {
 	encs := make([][]float64, total)
 	x := tensor.New(total, 1, h, w)
 	for i, f := range flows {
-		f.EncodeInto(space, x.Data[i*hw:(i+1)*hw])
+		copy(x.Data[i*hw:(i+1)*hw], f.Encode(space, h, w))
 		encs[i] = x.Data[i*hw : (i+1)*hw]
 	}
-	want := model.Net.PredictBatch(x, 1)
+	want, err := model.PredictFlows(context.Background(), flows, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	runClients := func(fn func(idx int)) {
 		var wg sync.WaitGroup
@@ -98,7 +101,7 @@ func BenchmarkServePredict(b *testing.B) {
 		batcher.Close()
 		close(mismatches)
 		if n := len(mismatches); n > 0 {
-			b.Fatalf("%d/%d micro-batched responses differ from direct PredictBatch scoring", n, total)
+			b.Fatalf("%d/%d micro-batched responses differ from direct PredictFlows scoring", n, total)
 		}
 		if b.N == 1 && st.MaxBatch < 2 {
 			b.Logf("warning: traffic never coalesced (max batch %d)", st.MaxBatch)
