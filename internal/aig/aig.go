@@ -12,7 +12,9 @@ package aig
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -68,9 +70,8 @@ type node struct {
 	kind   Kind
 	level  int32
 	ref    int32
+	next   int32 // next AND node in this node's structural-hash chain; 0 ends it
 }
-
-type strashKey struct{ f0, f1 Lit }
 
 // AIG is a mutable and-inverter graph. The zero value is not usable;
 // construct with New.
@@ -80,8 +81,12 @@ type AIG struct {
 	pos     []Lit // primary output literals
 	piNames []string
 	poNames []string
-	strash  map[strashKey]int
-	repl    []Lit // repl[i] != invalidLit means node i was replaced
+	// bins heads the structural-hash chains: every AND node is linked,
+	// through node.next, into the chain of its fanin pair's bin, newest
+	// node first. The constant node 0 is never linked, so 0 marks an
+	// empty bin and a chain's end. len(bins) is a power of two.
+	bins []int32
+	repl []Lit // repl[i] != invalidLit means node i was replaced
 
 	// Speculation support (see BeginSpeculate).
 	// Speculation maintains the invariant that a pre-speculation AND node
@@ -89,30 +94,54 @@ type AIG struct {
 	// Resurrection (re-referencing a dead node's cone when it gains an
 	// edge) and the symmetric release on abort both follow from it.
 	speculating bool
-	undoStrash  []strashUndo
 	specMark    int
 	resurrected int
 	touchNode   int // node holding the virtual candidate-output ref, or -1
 }
 
-type strashUndo struct {
-	key    strashKey
-	oldID  int
-	hadOld bool
-}
-
 const invalidLit = Lit(^uint32(0))
 
 // New returns an empty AIG containing only the constant node.
-func New() *AIG {
+func New() *AIG { return NewSized(1024) }
+
+// NewSized returns an empty AIG with room for n nodes (the constant
+// included) and structural-hash bins for as many, for callers that know
+// the size of their result.
+func NewSized(n int) *AIG {
+	n = max(n, 1)
 	g := &AIG{
-		nodes:  make([]node, 1, 1024),
-		strash: make(map[strashKey]int, 1024),
-		repl:   make([]Lit, 1, 1024),
+		nodes: make([]node, 1, n),
+		bins:  make([]int32, binsFor(n)),
+		repl:  make([]Lit, 1, n),
 	}
 	g.nodes[0] = node{kind: KindConst}
 	g.repl[0] = invalidLit
 	return g
+}
+
+// binsFor returns the bin count for n nodes: the smallest power of two
+// that is at least n, and at least 16.
+func binsFor(n int) int { return 1 << max(bits.Len(uint(n-1)), 4) }
+
+// bin returns the structural-hash bin of the fanin pair (a, b): the top
+// bits of a multiplicative hash of the pair.
+func (g *AIG) bin(a, b Lit) int {
+	h := (uint64(a)<<32 | uint64(b)) * 0x9e3779b97f4a7c15
+	return int(h >> (bits.LeadingZeros64(uint64(len(g.bins))) + 1))
+}
+
+// rehash doubles the bins and relinks every AND node in ascending id
+// order, so each chain stays newest first.
+func (g *AIG) rehash() {
+	g.bins = make([]int32, 2*len(g.bins))
+	for id := range g.nodes {
+		n := &g.nodes[id]
+		if n.kind != KindAnd {
+			continue
+		}
+		b := g.bin(n.f0, n.f1)
+		n.next, g.bins[b] = g.bins[b], int32(id)
+	}
 }
 
 // AddInput appends a primary input with the given name and returns its
@@ -218,13 +247,18 @@ func (g *AIG) And(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
-	key := strashKey{a, b}
-	if id, ok := g.strash[key]; ok {
-		if g.nodes[id].ref > 0 || !g.speculating {
-			return MakeLit(id, false)
+	// The first node of the chain with these fanins is the newest one, the
+	// only one a lookup may return.
+	bin := g.bin(a, b)
+	for id := g.bins[bin]; id != 0; id = g.nodes[id].next {
+		if n := &g.nodes[id]; n.f0 == a && n.f1 == b {
+			if n.ref > 0 || !g.speculating {
+				return MakeLit(int(id), false)
+			}
+			// During speculation dead nodes are not reused (their cones
+			// have been dereferenced); the new node shadows this one.
+			break
 		}
-		// During speculation dead nodes are not reused (their cones have
-		// been dereferenced); fall through and overwrite the entry.
 	}
 	id := len(g.nodes)
 	lvl := g.nodes[a.Node()].level
@@ -240,13 +274,12 @@ func (g *AIG) And(a, b Lit) Lit {
 	// would be attached twice.
 	g.useFanin(a.Node())
 	g.useFanin(b.Node())
-	g.nodes = append(g.nodes, node{f0: a, f1: b, kind: KindAnd, level: lvl + 1})
+	g.nodes = append(g.nodes, node{f0: a, f1: b, kind: KindAnd, level: lvl + 1, next: g.bins[bin]})
 	g.repl = append(g.repl, invalidLit)
-	if g.speculating {
-		old, had := g.strash[key]
-		g.undoStrash = append(g.undoStrash, strashUndo{key: key, oldID: old, hadOld: had})
+	g.bins[bin] = int32(id)
+	if len(g.nodes) > 2*len(g.bins) {
+		g.rehash()
 	}
-	g.strash[key] = id
 	return MakeLit(id, false)
 }
 
@@ -282,7 +315,30 @@ func (g *AIG) NumAnds() int {
 // ForEachLiveAnd calls fn for every AND node reachable from the primary
 // outputs, in topological order (fanins before fanouts).
 func (g *AIG) ForEachLiveAnd(fn func(id int)) {
-	seen := make([]bool, len(g.nodes))
+	g.walkLive(make([]bool, len(g.nodes)), fn)
+}
+
+// Walker lists the live AND nodes of graphs in ForEachLiveAnd's order on
+// memory it keeps: once grown to a graph's size, it does not allocate.
+// The zero value is ready to use.
+type Walker struct {
+	seen []bool
+	ids  []int32
+}
+
+// LiveAnds returns the ids of g's live AND nodes in topological order.
+// The slice is overwritten by the Walker's next call.
+func (w *Walker) LiveAnds(g *AIG) []int32 {
+	w.seen = slices.Grow(w.seen[:0], len(g.nodes))[:len(g.nodes)]
+	clear(w.seen)
+	w.ids = w.ids[:0]
+	g.walkLive(w.seen, func(id int) { w.ids = append(w.ids, int32(id)) })
+	return w.ids
+}
+
+// walkLive is ForEachLiveAnd marking visited nodes in seen, which holds
+// one false entry per node.
+func (g *AIG) walkLive(seen []bool, fn func(id int)) {
 	var visit func(id int)
 	visit = func(id int) {
 		if seen[id] {
@@ -444,15 +500,13 @@ func (g *AIG) releaseTouch() {
 }
 
 // BeginSpeculate enters speculation mode: the MFFC of root is
-// dereferenced, and subsequent And calls will not reuse dead nodes and
-// will log structural-hash overwrites so they can be undone. It returns
-// the number of nodes freed by removing root's cone.
+// dereferenced, and subsequent And calls will not reuse dead nodes. It
+// returns the number of nodes freed by removing root's cone.
 func (g *AIG) BeginSpeculate(root int) int {
 	if g.speculating {
 		panic("aig: nested speculation")
 	}
 	g.speculating = true
-	g.undoStrash = g.undoStrash[:0]
 	g.specMark = len(g.nodes)
 	g.resurrected = 0
 	g.touchNode = -1
@@ -484,32 +538,25 @@ func (g *AIG) CommitSpeculate(root int, newLit Lit) {
 	g.repl[root] = newLit
 	g.releaseTouch()
 	g.speculating = false
-	g.undoStrash = g.undoStrash[:0]
 	g.resurrected = 0
 }
 
 // AbortSpeculate rejects the candidate built since BeginSpeculate:
-// speculative nodes are truncated, structural-hash overwrites undone, and
-// root's cone is re-referenced.
+// speculative nodes are unhashed and truncated, and root's cone is
+// re-referenced.
 func (g *AIG) AbortSpeculate(root int) {
 	if !g.speculating {
 		panic("aig: AbortSpeculate outside speculation")
 	}
-	// Undo strash overwrites in reverse order.
-	for i := len(g.undoStrash) - 1; i >= 0; i-- {
-		u := g.undoStrash[i]
-		if u.hadOld {
-			g.strash[u.key] = u.oldID
-		} else {
-			delete(g.strash, u.key)
-		}
-	}
 	g.releaseTouch()
-	// Drop speculative nodes, removing the references they added. When a
+	// Drop speculative nodes newest first, removing the references they
+	// added. Each one heads its hash chain when it is dropped, so
+	// unlinking it uncovers the node it shadowed, if any. When a
 	// resurrected pre-speculation fanin loses its last reference, its
 	// cone dies with it (ref>0 iff cone attached).
 	for id := len(g.nodes) - 1; id >= g.specMark; id-- {
 		n := g.nodes[id]
+		g.bins[g.bin(n.f0, n.f1)] = n.next
 		for _, f := range [2]Lit{n.f0, n.f1} {
 			fn := f.Node()
 			g.nodes[fn].ref--
@@ -521,7 +568,6 @@ func (g *AIG) AbortSpeculate(root int) {
 	g.nodes = g.nodes[:g.specMark]
 	g.repl = g.repl[:g.specMark]
 	g.speculating = false
-	g.undoStrash = g.undoStrash[:0]
 	g.resurrected = 0
 	g.RecursiveRef(root)
 }
@@ -532,9 +578,10 @@ func (g *AIG) SpeculativeCreated() int { return len(g.nodes) - g.specMark }
 
 // Cleanup returns a compacted copy of the graph containing only live
 // logic, with fresh structural hashing. Primary input/output order and
-// names are preserved.
+// names are preserved. The copy reserves as many nodes as g holds, an
+// upper bound on what it keeps.
 func (g *AIG) Cleanup() *AIG {
-	ng := New()
+	ng := NewSized(len(g.nodes))
 	m := make([]Lit, len(g.nodes))
 	for i := range m {
 		m[i] = invalidLit

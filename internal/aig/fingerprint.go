@@ -6,7 +6,7 @@
 package aig
 
 // Clone returns a bit-exact replica of the graph: node array, PI/PO
-// lists, names, replacement table and structural-hash table are all
+// lists, names, replacement table and structural-hash bins are all
 // copied verbatim, so every deterministic transformation behaves
 // identically on the clone and the original. This is stronger than
 // Cleanup (which renumbers nodes into DFS order): a clone of any graph,
@@ -26,12 +26,9 @@ func (g *AIG) Clone() *AIG {
 		pos:       append([]Lit(nil), g.pos...),
 		piNames:   append([]string(nil), g.piNames...),
 		poNames:   append([]string(nil), g.poNames...),
-		strash:    make(map[strashKey]int, len(g.strash)),
+		bins:      append([]int32(nil), g.bins...),
 		repl:      append([]Lit(nil), g.repl...),
 		touchNode: g.touchNode,
-	}
-	for k, v := range g.strash {
-		ng.strash[k] = v
 	}
 	return ng
 }

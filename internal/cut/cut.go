@@ -13,201 +13,211 @@ import (
 	"flowgen/internal/bitvec"
 )
 
+// MaxK is the widest cut Enumerate computes; its tables fit in four words.
+const MaxK = 8
+
 // Cut is a k-feasible cut of a node: a set of leaf nodes such that every
-// path from a primary input to the node passes through a leaf, together
-// with the node function expressed over the leaves (leaf i is variable i).
+// path from a primary input to the node passes through a leaf. Its Set
+// holds the node function over the leaves (leaf i is variable i). A Cut
+// holds no pointers, so a Set of them is never scanned by the garbage
+// collector.
 type Cut struct {
-	Leaves []int     // node ids, sorted ascending
-	TT     bitvec.TT // function of the (positive) root literal over Leaves
-	sig    uint64    // leaf membership signature for fast dominance checks
+	leaves [MaxK]int32 // node ids, sorted ascending, the first n in use
+	sig    uint64      // leaf membership signature for fast dominance checks
+	n      uint8       // leaf count
 }
 
-func signature(leaves []int) uint64 {
-	var s uint64
-	for _, l := range leaves {
-		s |= 1 << (uint(l) & 63)
-	}
-	return s
-}
+// Leaves returns the cut's leaf node ids, sorted ascending. The slice
+// aliases the cut.
+func (c *Cut) Leaves() []int32 { return c.leaves[:c.n] }
 
 // dominates reports whether a's leaves are a subset of b's.
 func dominates(a, b *Cut) bool {
-	if len(a.Leaves) > len(b.Leaves) || a.sig&^b.sig != 0 {
+	if a.n > b.n || a.sig&^b.sig != 0 {
 		return false
 	}
-	i, j := 0, 0
-	for i < len(a.Leaves) && j < len(b.Leaves) {
+	i, j := uint8(0), uint8(0)
+	for i < a.n && j < b.n {
 		switch {
-		case a.Leaves[i] == b.Leaves[j]:
+		case a.leaves[i] == b.leaves[j]:
 			i++
 			j++
-		case a.Leaves[i] > b.Leaves[j]:
+		case a.leaves[i] > b.leaves[j]:
 			j++
 		default:
 			return false
 		}
 	}
-	return i == len(a.Leaves)
+	return i == a.n
 }
 
-// mergeLeaves unions two sorted leaf lists into buf, reporting false if
-// the result exceeds k leaves.
-func mergeLeaves(buf []int, a, b []int, k int) ([]int, bool) {
-	out := buf[:0]
+// merge sets the leaves and signature of c to the union of the sorted
+// leaf lists of a and b, reporting false if the union exceeds k leaves.
+func merge(c, a, b *Cut, k int) bool {
+	x, y := a.Leaves(), b.Leaves()
+	n := 0
 	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v int
+	for i < len(x) || j < len(y) {
+		var v int32
 		switch {
-		case i >= len(a):
-			v = b[j]
+		case i >= len(x):
+			v = y[j]
 			j++
-		case j >= len(b):
-			v = a[i]
+		case j >= len(y):
+			v = x[i]
 			i++
-		case a[i] < b[j]:
-			v = a[i]
+		case x[i] < y[j]:
+			v = x[i]
 			i++
-		case a[i] > b[j]:
-			v = b[j]
+		case x[i] > y[j]:
+			v = y[j]
 			j++
 		default:
-			v = a[i]
+			v = x[i]
 			i++
 			j++
 		}
-		if len(out) == k {
-			return nil, false
+		if n == k {
+			return false
 		}
-		out = append(out, v)
+		c.leaves[n] = v
+		n++
 	}
-	return out, true
+	c.n, c.sig = uint8(n), a.sig|b.sig
+	return true
 }
 
-// MaxK is the widest cut Enumerate computes; its tables fit in four words.
-const MaxK = 8
-
-// Set holds the enumerated cuts of every live node of a graph. Leaves and
-// tables of all cuts are carved out of a few shared chunks, so a Set
-// costs a handful of allocations however many cuts it holds.
+// Set holds the enumerated cuts of every live node of a graph, all in
+// one slice, node by node, and their truth tables in a second slice at
+// the stride of K variables. Enumerate refills a Set in place, so a Set
+// reused across graphs stops allocating once it has grown to the
+// largest of them. The zero value is an empty Set.
 type Set struct {
 	K       int
 	MaxCuts int
-	Cuts    [][]Cut // node id -> cuts (first cut is the trivial cut); nil if not live
 
-	x0    bitvec.TT // the function of every trivial cut, shared
-	cuts  chunks[Cut]
-	ints  chunks[int]
-	words chunks[uint64]
+	cuts  []Cut
+	tts   []uint64 // cut j's table: words j*nw to (j+1)*nw
+	nw    int      // bitvec.WordsFor(K)
+	first []int32  // per node: index in cuts of its first (trivial) cut
+	count []int32  // per node: its number of cuts; 0 if it has none
+	x0    [4]uint64
+	walk  aig.Walker
 }
 
-// chunks hands out slices of large backing arrays, starting a new array
-// when the current one is full. Earlier slices stay valid.
-type chunks[T any] struct {
-	buf  []T
-	size int
+// Of returns the cuts of node id, the first being the trivial cut {id}; a
+// node that is not live has none. The slice aliases the Set and is
+// valid until its next Enumerate.
+func (s *Set) Of(id int) []Cut {
+	f := s.first[id]
+	return s.cuts[f : f+s.count[id]]
 }
 
-func (c *chunks[T]) take(n int) []T {
-	if len(c.buf)+n > cap(c.buf) {
-		c.buf = make([]T, 0, max(c.size, n))
+// TT returns the function of the root of cut i of node id (Of(id)[i])
+// over its leaves, as a table over K variables that depends only on the
+// first len(Leaves) of them. The table aliases the Set and is valid
+// until its next Enumerate.
+func (s *Set) TT(id, i int) bitvec.TT {
+	if i >= int(s.count[id]) {
+		panic(fmt.Sprintf("cut: node %d has no cut %d", id, i))
 	}
-	l := len(c.buf)
-	c.buf = c.buf[:l+n]
-	return c.buf[l : l+n : l+n]
+	return bitvec.FromWords(s.K, s.words(int(s.first[id])+i))
 }
 
-// cutsOf returns the cuts of node id; PIs (and constants) get their
-// trivial cut on first use.
-func (s *Set) cutsOf(id int) []Cut {
-	if cs := s.Cuts[id]; cs != nil {
-		return cs
+// words returns the table words of cut j.
+func (s *Set) words(j int) []uint64 { return s.tts[j*s.nw : (j+1)*s.nw : (j+1)*s.nw] }
+
+// ensure gives a node without cuts (a PI or the constant) its trivial
+// cut, on first use.
+func (s *Set) ensure(id int) {
+	if s.count[id] == 0 {
+		s.first[id], s.count[id] = int32(len(s.cuts)), 1
+		s.addTrivial(id)
 	}
-	cs := s.cuts.take(1)
-	cs[0] = s.trivial(id)
-	s.Cuts[id] = cs
-	return cs
 }
 
-// trivial returns the cut {id}, whose function is x0.
-func (s *Set) trivial(id int) Cut {
-	leaves := s.ints.take(1)
-	leaves[0] = id
-	return Cut{Leaves: leaves, TT: s.x0, sig: signature(leaves)}
+// addTrivial appends the cut {id}, whose function is variable 0.
+func (s *Set) addTrivial(id int) {
+	c := Cut{n: 1, sig: 1 << (uint(id) & 63)}
+	c.leaves[0] = int32(id)
+	s.cuts = append(s.cuts, c)
+	s.tts = append(s.tts, s.x0[:s.nw]...)
 }
 
-// Enumerate computes up to maxCuts k-feasible cuts (with truth tables) for
-// every live AND node of g, for k <= MaxK. Each node also receives its
-// trivial cut {node}. Dominated cuts are pruned.
-func Enumerate(g *aig.AIG, k, maxCuts int) *Set {
+// Enumerate computes up to maxCuts k-feasible cuts (with truth tables)
+// for every live AND node of g into s, for k <= MaxK, replacing what s
+// held. Each node also receives its trivial cut {node}. Dominated cuts
+// are pruned.
+func (s *Set) Enumerate(g *aig.AIG, k, maxCuts int) {
 	if k < 1 || k > MaxK {
 		panic(fmt.Sprintf("cut: k=%d out of range [1,%d]", k, MaxK))
 	}
 	n := g.NumNodesRaw()
 	nw := bitvec.WordsFor(k)
-	s := &Set{K: k, MaxCuts: maxCuts, Cuts: make([][]Cut, n), x0: bitvec.Var(k, 0)}
-	// A live node keeps about six cuts of three leaves; chunks of these
-	// sizes leave at most one partly used chunk of each kind.
-	s.cuts.size = n
-	s.ints.size = 4 * n
-	s.words.size = 2 * n * nw
+	s.K, s.MaxCuts, s.nw = k, maxCuts, nw
+	live := s.walk.LiveAnds(g)
+	// At most maxCuts cuts per live AND node and one per input or
+	// constant: reserving that once spares a fresh Set growing cut by
+	// cut.
+	most := maxCuts*len(live) + g.NumPIs() + 1
+	s.cuts = slices.Grow(s.cuts[:0], most)
+	s.tts = slices.Grow(s.tts[:0], most*nw)
+	s.first = slices.Grow(s.first[:0], n)[:n]
+	s.count = slices.Grow(s.count[:0], n)[:n]
+	clear(s.count)
+	bitvec.FillVar(s.x0[:nw], k, 0)
 	mask := bitvec.WordMask(k)
 	var (
-		buf  [MaxK]int
-		pos  [MaxK]int
-		t1   [4]uint64 // WordsFor(MaxK)
-		kept []Cut
+		pos    [MaxK]int
+		t0, t1 [4]uint64 // WordsFor(MaxK)
 	)
-	g.ForEachLiveAnd(func(id int) {
+	for _, id32 := range live {
+		id := int(id32)
 		f0, f1 := g.Fanin0(id), g.Fanin1(id)
-		c0s, c1s := s.cutsOf(f0.Node()), s.cutsOf(f1.Node())
-		kept = append(kept[:0], s.trivial(id))
-		for i := range c0s {
-			for j := range c1s {
-				c0, c1 := &c0s[i], &c1s[j]
-				leaves, ok := mergeLeaves(buf[:0], c0.Leaves, c1.Leaves, k)
-				if !ok {
+		s.ensure(f0.Node())
+		s.ensure(f1.Node())
+		// The node's cuts are built in place at the end of s.cuts.
+		start := len(s.cuts)
+		s.addTrivial(id)
+		i0, n0 := int(s.first[f0.Node()]), int(s.count[f0.Node()])
+		i1, n1 := int(s.first[f1.Node()]), int(s.count[f1.Node()])
+		for i := i0; i < i0+n0; i++ {
+			for j := i1; j < i1+n1; j++ {
+				c0, c1 := &s.cuts[i], &s.cuts[j]
+				var nc Cut
+				if !merge(&nc, c0, c1, k) || dominated(s.cuts[start:], &nc) {
 					continue
 				}
-				nc := Cut{Leaves: leaves, sig: c0.sig | c1.sig}
-				if dominated(kept, &nc) {
-					continue
+				lift(t0[:nw], s.words(i), c0, &nc, pos[:], k, f0.IsNeg())
+				lift(t1[:nw], s.words(j), c1, &nc, pos[:], k, f1.IsNeg())
+				for w := range nw {
+					t0[w] &= t1[w] & mask
 				}
-				nc.Leaves = s.ints.take(len(leaves))
-				copy(nc.Leaves, leaves)
-				tt := s.words.take(nw)
-				lift(tt, c0, nc.Leaves, pos[:], k, f0.IsNeg())
-				lift(t1[:nw], c1, nc.Leaves, pos[:], k, f1.IsNeg())
-				for w := range tt {
-					tt[w] &= t1[w] & mask
-				}
-				nc.TT = bitvec.FromWords(k, tt)
-				kept = addCut(kept, nc)
-				if len(kept) >= maxCuts {
+				s.add(start, &nc, t0[:nw])
+				if len(s.cuts)-start >= maxCuts {
 					break
 				}
 			}
-			if len(kept) >= maxCuts {
+			if len(s.cuts)-start >= maxCuts {
 				break
 			}
 		}
-		cs := s.cuts.take(len(kept))
-		copy(cs, kept)
-		s.Cuts[id] = cs
-	})
-	return s
+		s.first[id], s.count[id] = int32(start), int32(len(s.cuts)-start)
+	}
 }
 
-// lift writes the function of child over the merged leaf set into dst,
-// complemented when neg is set. Cut functions are stored over k variables
-// but depend only on the first len(Leaves) of them, so lifting moves
-// variable i to the position of child.Leaves[i] among merged (both are
-// sorted, so the positions increase). pos is scratch.
-func lift(dst []uint64, child *Cut, merged []int, pos []int, k int, neg bool) {
-	copy(dst, child.TT.Words())
-	p := pos[:len(child.Leaves)]
+// lift writes the function of child, whose table is tt, over the leaves
+// of merged into dst, complemented when neg is set. Cut functions are
+// stored over k variables but depend only on the first len(Leaves) of
+// them, so lifting moves variable i to the position of child's leaf i
+// among merged's (both are sorted, so the positions increase). pos is
+// scratch.
+func lift(dst, tt []uint64, child, merged *Cut, pos []int, k int, neg bool) {
+	copy(dst, tt)
+	p := pos[:child.n]
 	j := 0
-	for i, l := range child.Leaves {
-		for merged[j] != l {
+	for i, l := range child.Leaves() {
+		for merged.leaves[j] != l {
 			j++
 		}
 		p[i] = j
@@ -230,15 +240,22 @@ func dominated(set []Cut, nc *Cut) bool {
 	return false
 }
 
-// addCut appends nc to set after removing the cuts nc dominates.
-func addCut(set []Cut, nc Cut) []Cut {
-	kept := set[:0]
-	for i := range set {
-		if !dominates(&nc, &set[i]) {
-			kept = append(kept, set[i])
+// add appends nc, whose table is tt, to the cuts of the node being
+// enumerated, s.cuts[start:], after removing the cuts nc dominates; the
+// others keep their order.
+func (s *Set) add(start int, nc *Cut, tt []uint64) {
+	kept := start
+	for i := start; i < len(s.cuts); i++ {
+		if !dominates(nc, &s.cuts[i]) {
+			if kept < i {
+				s.cuts[kept] = s.cuts[i]
+				copy(s.words(kept), s.words(i))
+			}
+			kept++
 		}
 	}
-	return append(kept, nc)
+	s.cuts = append(s.cuts[:kept], *nc)
+	s.tts = append(s.tts[:kept*s.nw], tt...)
 }
 
 // Cones computes reconvergence-driven cuts and cone truth tables of one
@@ -265,6 +282,10 @@ const (
 
 // NewCones returns a cone workspace for g.
 func NewCones(g *aig.AIG) *Cones { return &Cones{g: g} }
+
+// Reset points the workspace at g, keeping its buffers: nothing marked
+// on the previous graph reads as set.
+func (c *Cones) Reset(g *aig.AIG) { c.g = g }
 
 // begin starts a call: every node's flags read as clear.
 func (c *Cones) begin() {

@@ -3,7 +3,6 @@ package cut
 import (
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"flowgen/internal/aig"
@@ -29,19 +28,42 @@ func buildRandom(rng *rand.Rand, nin, nand int) *aig.AIG {
 	return g
 }
 
-// verifyCutTT checks a cut's truth table against exhaustive simulation of
-// the whole graph restricted to the cut leaves.
-func verifyCutTT(t *testing.T, g *aig.AIG, root int, c Cut, k int) {
+// enumerate returns a fresh Set of g's cuts.
+func enumerate(g *aig.AIG, k, maxCuts int) *Set {
+	s := new(Set)
+	s.Enumerate(g, k, maxCuts)
+	return s
+}
+
+// ints converts cut leaves to the []int that Cones takes.
+func ints(leaves []int32) []int {
+	out := make([]int, len(leaves))
+	for i, l := range leaves {
+		out[i] = int(l)
+	}
+	return out
+}
+
+// isTrivial reports whether c is the trivial cut {id}.
+func isTrivial(c *Cut, id int) bool {
+	return len(c.Leaves()) == 1 && int(c.Leaves()[0]) == id
+}
+
+// verifyCutTT checks the truth table of cut i of root against the cone
+// table of root over the cut's leaves.
+func verifyCutTT(t *testing.T, g *aig.AIG, s *Set, root, i int) {
 	t.Helper()
-	tt, ok := NewCones(g).TT(root, c.Leaves)
+	c, k := &s.Of(root)[i], s.K
+	leaves := ints(c.Leaves())
+	tt, ok := NewCones(g).TT(root, leaves)
 	if !ok {
-		t.Fatalf("cut %v of node %d is not a valid cone boundary", c.Leaves, root)
+		t.Fatalf("cut %v of node %d is not a valid cone boundary", leaves, root)
 	}
 	// The enumerated TT lives over k vars but depends only on the first
 	// len(Leaves); the cone TT lives over len(Leaves).
-	for i := 0; i < 1<<k; i++ {
-		if c.TT.Bit(i) != tt.Bit(i&(1<<len(c.Leaves)-1)) {
-			t.Fatalf("node %d cut %v: tt=%v, cone tt %v", root, c.Leaves, c.TT, tt)
+	for m := 0; m < 1<<k; m++ {
+		if s.TT(root, i).Bit(m) != tt.Bit(m&(1<<len(leaves)-1)) {
+			t.Fatalf("node %d cut %v: tt=%v, cone tt %v", root, leaves, s.TT(root, i), tt)
 		}
 	}
 }
@@ -57,34 +79,35 @@ func TestEnumerateSmallAdder(t *testing.T) {
 	g.AddOutput(cout, "co")
 	g.RecomputeRefs()
 
-	s := Enumerate(g, 4, 16)
+	s := enumerate(g, 4, 16)
 	// Every live AND node must have at least the trivial cut plus the
 	// fanin-pair cut.
 	g.ForEachLiveAnd(func(id int) {
-		cs := s.Cuts[id]
+		cs := s.Of(id)
 		if len(cs) < 2 {
 			t.Fatalf("node %d has %d cuts", id, len(cs))
 		}
-		for _, c := range cs {
-			if len(c.Leaves) > 4 {
-				t.Fatalf("cut too wide: %v", c.Leaves)
+		for i := range cs {
+			c := &cs[i]
+			if len(c.Leaves()) > 4 {
+				t.Fatalf("cut too wide: %v", c.Leaves())
 			}
-			if !sort.IntsAreSorted(c.Leaves) {
-				t.Fatalf("cut not sorted: %v", c.Leaves)
+			if !slices.IsSorted(c.Leaves()) {
+				t.Fatalf("cut not sorted: %v", c.Leaves())
 			}
-			if len(c.Leaves) == 1 && c.Leaves[0] == id {
+			if isTrivial(c, id) {
 				continue // trivial cut: TT is Var(0) by construction
 			}
-			verifyCutTT(t, g, id, c, 4)
+			verifyCutTT(t, g, s, id, i)
 		}
 	})
 	// The sum node must have a cut {a,b,cin} whose function is XOR3.
 	sumNode := sum.Node()
 	foundXor3 := false
-	for _, c := range s.Cuts[sumNode] {
-		if len(c.Leaves) == 3 {
+	for i, c := range s.Of(sumNode) {
+		if len(c.Leaves()) == 3 {
 			want := bitvec.Xor(bitvec.Xor(bitvec.Var(4, 0), bitvec.Var(4, 1)), bitvec.Var(4, 2))
-			got := c.TT
+			got := s.TT(sumNode, i)
 			if sum.IsNeg() {
 				got = bitvec.Not(got)
 			}
@@ -102,13 +125,13 @@ func TestEnumerateTTsOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		g := buildRandom(rng, 6, 40)
-		s := Enumerate(g, 4, 12)
+		s := enumerate(g, 4, 12)
 		g.ForEachLiveAnd(func(id int) {
-			for _, c := range s.Cuts[id] {
-				if len(c.Leaves) == 1 && c.Leaves[0] == id {
-					continue
+			cs := s.Of(id)
+			for i := range cs {
+				if !isTrivial(&cs[i], id) {
+					verifyCutTT(t, g, s, id, i)
 				}
-				verifyCutTT(t, g, id, c, 4)
 			}
 		})
 	}
@@ -117,13 +140,13 @@ func TestEnumerateTTsOnRandomGraphs(t *testing.T) {
 func TestDominancePruning(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := buildRandom(rng, 6, 40)
-	s := Enumerate(g, 4, 16)
+	s := enumerate(g, 4, 16)
 	g.ForEachLiveAnd(func(id int) {
-		cs := s.Cuts[id]
+		cs := s.Of(id)
 		for i := range cs {
 			for j := range cs {
 				if i != j && dominates(&cs[i], &cs[j]) {
-					t.Fatalf("node %d: cut %v dominates kept cut %v", id, cs[i].Leaves, cs[j].Leaves)
+					t.Fatalf("node %d: cut %v dominates kept cut %v", id, cs[i].Leaves(), cs[j].Leaves())
 				}
 			}
 		}
@@ -268,23 +291,59 @@ func TestConesAllocationFree(t *testing.T) {
 	}
 }
 
-// TestEnumerateAllocationsBounded pins the arena: leaves, tables and cut
-// lists come from a few shared chunks, not one allocation per cut.
+// TestEnumerateAllocationsBounded pins the reuse: a Set that has held the
+// cuts of a graph refills with those of a graph no larger, at any k,
+// without allocating.
 func TestEnumerateAllocationsBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := buildRandom(rng, 16, 2000)
-	if n := testing.AllocsPerRun(3, func() { Enumerate(g, 4, 8) }); n > 64 {
-		t.Fatalf("Enumerate allocates %v times on a %d-node graph, want <= 64", n, g.NumNodesRaw())
+	small := buildRandom(rng, 16, 500)
+	var s Set
+	s.Enumerate(g, 4, 8)
+	for _, run := range []struct {
+		g       *aig.AIG
+		k, cuts int
+	}{{g, 4, 8}, {small, 4, 8}, {small, 6, 8}, {g, 4, 8}} {
+		if n := testing.AllocsPerRun(3, func() { s.Enumerate(run.g, run.k, run.cuts) }); n != 0 {
+			t.Fatalf("refilling a warm Set (k=%d) allocates %v times on a %d-node graph, want 0", run.k, n, run.g.NumNodesRaw())
+		}
+	}
+}
+
+// TestSetReuseMatchesFresh refills one Set with the cuts of graphs of
+// different sizes and widths, and compares every node's cuts with a
+// fresh Set's: nothing may leak from one fill into the next.
+func TestSetReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var s Set
+	for trial := 0; trial < 12; trial++ {
+		g := buildRandom(rng, 4+rng.Intn(12), 50+rng.Intn(600))
+		k, maxCuts := 2+rng.Intn(MaxK-1), 4+rng.Intn(10)
+		s.Enumerate(g, k, maxCuts)
+		fresh := enumerate(g, k, maxCuts)
+		for id := 0; id < g.NumNodesRaw(); id++ {
+			got, want := s.Of(id), fresh.Of(id)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d node %d: reused Set has %d cuts, fresh %d", trial, id, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] || !bitvec.Equal(s.TT(id, i), fresh.TT(id, i)) {
+					t.Fatalf("trial %d node %d cut %d: reused %v/%v, fresh %v/%v", trial, id, i,
+						got[i].Leaves(), s.TT(id, i), want[i].Leaves(), fresh.TT(id, i))
+				}
+			}
+		}
 	}
 }
 
 func BenchmarkEnumerateK4(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := buildRandom(rng, 16, 2000)
+	var s Set
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Enumerate(g, 4, 8)
+		s.Enumerate(g, 4, 8)
 	}
 }
 

@@ -52,17 +52,18 @@ func Map(g *aig.AIG, k int, mode Mode) (QoR, *Netlist, error) {
 		return QoR{}, nil, fmt.Errorf("lutmap: k=%d out of range [2,8]", k)
 	}
 	g.RecomputeRefs()
-	cuts := cut.Enumerate(g, k, 12)
+	var cuts cut.Set
+	cuts.Enumerate(g, k, 12)
 
 	type state struct {
 		depth int
 		flow  float64
-		cut   *cut.Cut
+		cut   int // index of the chosen cut in cuts.Of, or -1
 	}
 	n := g.NumNodesRaw()
 	st := make([]state, n)
 	for i := range st {
-		st[i] = state{depth: math.MaxInt32, flow: math.Inf(1)}
+		st[i] = state{depth: math.MaxInt32, flow: math.Inf(1), cut: -1}
 	}
 	st[0] = state{} // constant
 	for i := 0; i < g.NumPIs(); i++ {
@@ -76,17 +77,17 @@ func Map(g *aig.AIG, k int, mode Mode) (QoR, *Netlist, error) {
 		return float64(r)
 	}
 	g.ForEachLiveAnd(func(id int) {
-		best := state{depth: math.MaxInt32, flow: math.Inf(1)}
-		nodeCuts := cuts.Cuts[id]
+		best := state{depth: math.MaxInt32, flow: math.Inf(1), cut: -1}
+		nodeCuts := cuts.Of(id)
 		for ci := range nodeCuts {
 			c := &nodeCuts[ci]
-			if len(c.Leaves) == 1 && c.Leaves[0] == id {
+			if len(c.Leaves()) == 1 && int(c.Leaves()[0]) == id {
 				continue // trivial cut
 			}
 			d := 0
 			flow := 1.0
 			ok := true
-			for _, l := range c.Leaves {
+			for _, l := range c.Leaves() {
 				ls := st[l]
 				if ls.depth == math.MaxInt32 {
 					ok = false
@@ -95,7 +96,7 @@ func Map(g *aig.AIG, k int, mode Mode) (QoR, *Netlist, error) {
 				if ls.depth > d {
 					d = ls.depth
 				}
-				flow += ls.flow / refW(l)
+				flow += ls.flow / refW(int(l))
 			}
 			if !ok {
 				continue
@@ -108,10 +109,10 @@ func Map(g *aig.AIG, k int, mode Mode) (QoR, *Netlist, error) {
 				better = flow < best.flow || (flow == best.flow && d < best.depth)
 			}
 			if better {
-				best = state{depth: d, flow: flow, cut: c}
+				best = state{depth: d, flow: flow, cut: ci}
 			}
 		}
-		if best.cut == nil {
+		if best.cut < 0 {
 			// Fanin-pair cut always exists for k >= 2; defensive.
 			panic("lutmap: no cut selected")
 		}
@@ -131,16 +132,20 @@ func Map(g *aig.AIG, k int, mode Mode) (QoR, *Netlist, error) {
 			return depthOf[id]
 		}
 		visited[id] = true
-		c := st[id].cut
+		c := &cuts.Of(id)[st[id].cut]
+		inputs := make([]int, len(c.Leaves()))
 		d := 0
-		for _, l := range c.Leaves {
-			if dl := emit(l); dl > d {
+		for i, l := range c.Leaves() {
+			inputs[i] = int(l)
+			if dl := emit(inputs[i]); dl > d {
 				d = dl
 			}
 		}
 		d++
 		depthOf[id] = d
-		nl.LUTs = append(nl.LUTs, LUT{Inputs: append([]int(nil), c.Leaves...), Root: id, TT: c.TT})
+		// The LUT keeps a copy of the table rather than pinning the
+		// whole cut set.
+		nl.LUTs = append(nl.LUTs, LUT{Inputs: inputs, Root: id, TT: cuts.TT(id, st[id].cut).Clone()})
 		return d
 	}
 	q := QoR{}

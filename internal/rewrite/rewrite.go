@@ -44,31 +44,37 @@ type Transform func(*aig.AIG) *aig.AIG
 var Names = []string{"balance", "restructure", "rewrite", "refactor", "rewrite -z", "refactor -z"}
 
 // ByName returns the transformation with the given ABC command name. Each
-// application factors through a fresh library.
-func ByName(name string) (Transform, error) { return byName(name, NewLibrary) }
+// application factors through a fresh library and runs on a fresh
+// workspace.
+func ByName(name string) (Transform, error) { return bind(name, nil, nil) }
 
 // ByName returns the transformation with the given ABC command name,
-// bound to l: its applications factor through l.
-func (l *Library) ByName(name string) (Transform, error) {
-	return byName(name, func() *Library { return l })
-}
+// bound to l: its applications factor through l, each on a fresh
+// workspace.
+func (l *Library) ByName(name string) (Transform, error) { return bind(name, l, nil) }
 
-// byName resolves name to a transformation whose factoring passes take
-// their library from lib.
-func byName(name string, lib func() *Library) (Transform, error) {
+// Bind returns the transformation with the given ABC command name, bound
+// to l and ws: its applications factor through l and run on ws, so they
+// must all come from the goroutine that owns ws.
+func (l *Library) Bind(name string, ws *Workspace) (Transform, error) { return bind(name, l, ws) }
+
+// bind resolves name to a transformation whose passes factor through l
+// and run on ws; a nil l or ws stands for a fresh one per application.
+func bind(name string, l *Library, ws *Workspace) (Transform, error) {
+	var run func(p *pass, g *aig.AIG) *aig.AIG
 	switch name {
 	case "balance", "b":
-		return Balance, nil
+		run = (*pass).balance
 	case "rewrite", "rw":
-		return func(g *aig.AIG) *aig.AIG { return lib().rewrite(g, false) }, nil
+		run = func(p *pass, g *aig.AIG) *aig.AIG { return p.rewrite(g, false) }
 	case "rewrite -z", "rwz":
-		return func(g *aig.AIG) *aig.AIG { return lib().rewrite(g, true) }, nil
+		run = func(p *pass, g *aig.AIG) *aig.AIG { return p.rewrite(g, true) }
 	case "refactor", "rf":
-		return func(g *aig.AIG) *aig.AIG { return lib().refactor(g, false) }, nil
+		run = func(p *pass, g *aig.AIG) *aig.AIG { return p.refactorK(g, false, refactorLeaves, false) }
 	case "refactor -z", "rfz":
-		return func(g *aig.AIG) *aig.AIG { return lib().refactor(g, true) }, nil
+		run = func(p *pass, g *aig.AIG) *aig.AIG { return p.refactorK(g, true, refactorLeaves, false) }
 	case "restructure", "rs":
-		return func(g *aig.AIG) *aig.AIG { return lib().restructure(g) }, nil
+		run = func(p *pass, g *aig.AIG) *aig.AIG { return p.refactorK(g, false, 8, true) }
 	case "fraig":
 		// Extension beyond the paper's alphabet S: simulation-guided,
 		// SAT-proven functional reduction (ABC's fraig).
@@ -76,20 +82,69 @@ func byName(name string, lib func() *Library) (Transform, error) {
 			out, _ := fraig.Reduce(g, fraig.Options{})
 			return out
 		}, nil
+	default:
+		return nil, fmt.Errorf("rewrite: unknown transformation %q", name)
 	}
-	return nil, fmt.Errorf("rewrite: unknown transformation %q", name)
+	return func(g *aig.AIG) *aig.AIG { return runPass(l, ws, g, run) }, nil
+}
+
+// runPass runs one pass on g, factoring through l and working on ws; a
+// nil l or ws is replaced by a fresh one.
+func runPass(l *Library, ws *Workspace, g *aig.AIG, run func(p *pass, g *aig.AIG) *aig.AIG) *aig.AIG {
+	if l == nil {
+		l = NewLibrary()
+	}
+	if ws == nil {
+		ws = NewWorkspace(nil)
+	}
+	p := pass{lib: l, ws: ws}
+	defer p.end()
+	return run(&p, g)
+}
+
+// Workspace is the scratch memory of the transformations: the cut set
+// rewrite enumerates into, the cone marks of refactor and restructure,
+// the factoring workspace, and the node, literal and operand buffers. A
+// reused workspace stops allocating once it has grown to the largest
+// graph it has seen. It serves one pass at a time and must never be used
+// from two goroutines: the memoized engine gives each worker its own.
+type Workspace struct {
+	cuts  *cut.Set
+	cones cut.Cones
+	sop   sop.Workspace
+	walk  aig.Walker
+	lits  []aig.Lit // leaf literals of a build
+	memo  []aig.Lit // balance: new literal of each old node
+	done  []bool    // balance: which memo entries are set
+	stack []aig.Lit // balance: operand stack
+}
+
+// NewWorkspace returns a workspace whose rewrite passes enumerate into
+// cuts, which other users on the same goroutine (a mapper) may share; a
+// nil cuts gives the workspace a set of its own.
+func NewWorkspace(cuts *cut.Set) *Workspace {
+	if cuts == nil {
+		cuts = new(cut.Set)
+	}
+	return &Workspace{cuts: cuts}
 }
 
 // Balance rebuilds the graph with depth-balanced AND trees: maximal
 // single-fanout conjunction trees are collected and recombined pairing the
 // two shallowest operands first, as in ABC's balance command.
-func Balance(g *aig.AIG) *aig.AIG {
+func Balance(g *aig.AIG) *aig.AIG { return runPass(nil, nil, g, (*pass).balance) }
+
+// balance is Balance on the pass's workspace.
+func (p *pass) balance(g *aig.AIG) *aig.AIG {
+	ws := p.ws
 	g.RecomputeRefs()
-	ng := aig.New()
+	n := g.NumNodesRaw()
+	ng := aig.NewSized(n)
 	// memo maps an old node id to its new positive literal; done marks
 	// the ids memo holds.
-	memo := make([]aig.Lit, g.NumNodesRaw())
-	done := make([]bool, len(memo))
+	memo := slices.Grow(ws.memo[:0], n)[:n]
+	done := slices.Grow(ws.done[:0], n)[:n]
+	clear(done)
 	memo[0], done[0] = aig.ConstFalse, true
 	for i := 0; i < g.NumPIs(); i++ {
 		id := g.PI(i).Node()
@@ -99,7 +154,7 @@ func Balance(g *aig.AIG) *aig.AIG {
 	// Operands of the trees being balanced live on one stack: each tree
 	// pushes its operands above those of the trees it is nested in,
 	// combines them in place and pops them.
-	var stack []aig.Lit
+	stack := ws.stack[:0]
 	var balNode func(id int) aig.Lit
 	// collect pushes the operand literals of the maximal AND tree rooted
 	// at l: a fanin is expanded when it is a non-complemented AND edge
@@ -143,6 +198,7 @@ func Balance(g *aig.AIG) *aig.AIG {
 		nl := balNode(l.Node())
 		ng.AddOutput(nl.NotIf(l.IsNeg()), g.POName(i))
 	}
+	ws.memo, ws.done, ws.stack = memo, done, stack
 	return ng.Cleanup()
 }
 
@@ -185,14 +241,13 @@ func (l *Library) Counts() (hits, misses int) {
 	return int(l.hits.Load()), int(l.misses.Load())
 }
 
-// pass is one synthesis pass's view of a library: the pass's own
-// factoring workspace and its lookup counts, which reach the library
+// pass is one synthesis pass: the library it factors through, the
+// workspace it runs on, and its lookup counts, which reach the library
 // once, when the pass ends.
 type pass struct {
 	lib          *Library
-	ws           sop.Workspace
+	ws           *Workspace
 	hits, misses int64
-	lits         []aig.Lit // leaf-literal buffer reused across builds
 }
 
 // end adds the pass's lookup counts to its library.
@@ -215,7 +270,7 @@ func lookup[K comparable](p *pass, m map[K]factored, k K, tt bitvec.TT) factored
 		return e
 	}
 	p.misses++
-	e.form, e.inv = p.ws.FactorTTFast(tt)
+	e.form, e.inv = p.ws.sop.FactorTTFast(tt)
 	p.lib.mu.Lock()
 	if len(m) < libraryCap {
 		m[k] = factored{form: slices.Clone(e.form), inv: e.inv}
@@ -226,12 +281,13 @@ func lookup[K comparable](p *pass, m map[K]factored, k K, tt bitvec.TT) factored
 
 // build constructs the factored form over the leaf nodes in g and
 // returns its output literal.
-func (p *pass) build(g *aig.AIG, e factored, leaves []int) aig.Lit {
-	p.lits = p.lits[:0]
+func build[T int | int32](p *pass, g *aig.AIG, e factored, leaves []T) aig.Lit {
+	ws := p.ws
+	ws.lits = ws.lits[:0]
 	for _, l := range leaves {
-		p.lits = append(p.lits, aig.MakeLit(l, false))
+		ws.lits = append(ws.lits, aig.MakeLit(int(l), false))
 	}
-	return p.ws.BuildAIG(g, e.form, p.lits).NotIf(e.inv)
+	return ws.sop.BuildAIG(g, e.form, ws.lits).NotIf(e.inv)
 }
 
 // Rewrite performs DAG-aware cut rewriting with 4-input cuts: for every
@@ -239,24 +295,27 @@ func (p *pass) build(g *aig.AIG, e factored, leaves []int) aig.Lit {
 // built and the replacement with the best positive gain (node count
 // decrease) is committed. With zero true, zero-gain replacements that
 // change structure are also accepted.
-func Rewrite(g *aig.AIG, zero bool) *aig.AIG { return NewLibrary().rewrite(g, zero) }
+func Rewrite(g *aig.AIG, zero bool) *aig.AIG {
+	return runPass(nil, nil, g, func(p *pass, g *aig.AIG) *aig.AIG { return p.rewrite(g, zero) })
+}
 
-// rewrite is Rewrite, factoring cut functions through l.
-func (l *Library) rewrite(g *aig.AIG, zero bool) *aig.AIG {
+// rewrite is Rewrite on the pass's library and workspace.
+func (p *pass) rewrite(g *aig.AIG, zero bool) *aig.AIG {
 	g.RecomputeRefs()
 	g.RecomputeLevels()
-	cuts := cut.Enumerate(g, 4, 8)
-	p := &pass{lib: l}
-	defer p.end()
-	ids := g.LiveAnds()
-	// build speculatively constructs cut c's factored form in g. Cut
-	// tables are over 4 variables, so their low 16 bits identify them.
-	build := func(c *cut.Cut) aig.Lit {
-		e := lookup(p, l.cuts, uint16(c.TT.Words()[0]&0xFFFF), c.TT)
-		return p.build(g, e, c.Leaves)
+	cuts := p.ws.cuts
+	cuts.Enumerate(g, 4, 8)
+	// buildCut speculatively constructs the factored form of id's cut ci
+	// in g. Cut tables are over 4 variables, so their low 16 bits
+	// identify them.
+	buildCut := func(id, ci int) aig.Lit {
+		tt := cuts.TT(id, ci)
+		e := lookup(p, p.lib.cuts, uint16(tt.Words()[0]&0xFFFF), tt)
+		return build(p, g, e, cuts.Of(id)[ci].Leaves())
 	}
 
-	for _, id := range ids {
+	for _, id32 := range p.ws.walk.LiveAnds(g) {
+		id := int(id32)
 		if !g.IsAnd(id) || g.Ref(id) == 0 {
 			continue
 		}
@@ -269,14 +328,14 @@ func (l *Library) rewrite(g *aig.AIG, zero bool) *aig.AIG {
 			changed bool
 		}
 		best := cand{gain: -1 << 30}
-		nodeCuts := cuts.Cuts[id]
+		nodeCuts := cuts.Of(id)
 		for ci := range nodeCuts {
 			c := &nodeCuts[ci]
-			if len(c.Leaves) < 2 || !leavesUsable(g, id, c.Leaves) {
+			if len(c.Leaves()) < 2 || !leavesUsable(g, id, c.Leaves()) {
 				continue
 			}
 			freed := g.BeginSpeculate(id)
-			newLit := build(c)
+			newLit := buildCut(id, ci)
 			if newLit.Node() == id {
 				g.AbortSpeculate(id)
 				continue
@@ -294,7 +353,7 @@ func (l *Library) rewrite(g *aig.AIG, zero bool) *aig.AIG {
 			continue
 		}
 		freed := g.BeginSpeculate(id)
-		newLit := build(&nodeCuts[best.cutIdx])
+		newLit := buildCut(id, best.cutIdx)
 		if newLit.Node() == id {
 			g.AbortSpeculate(id)
 			continue
@@ -312,8 +371,9 @@ func (l *Library) rewrite(g *aig.AIG, zero bool) *aig.AIG {
 // leavesUsable reports whether every cut leaf is still a usable basis for
 // resynthesis of root: alive (or PI/const), not itself replaced, and not
 // the root.
-func leavesUsable(g *aig.AIG, root int, leaves []int) bool {
-	for _, l := range leaves {
+func leavesUsable(g *aig.AIG, root int, leaves []int32) bool {
+	for _, l32 := range leaves {
+		l := int(l32)
 		if l == root {
 			return false
 		}
@@ -333,11 +393,10 @@ func leavesUsable(g *aig.AIG, root int, leaves []int) bool {
 // cut of up to K=10 leaves is computed, the cone function is collapsed to
 // a truth table, refactored algebraically, and rebuilt if it reduces the
 // node count (or keeps it equal, with zero true).
-func Refactor(g *aig.AIG, zero bool) *aig.AIG { return NewLibrary().refactor(g, zero) }
-
-// refactor is Refactor, factoring cone functions through l.
-func (l *Library) refactor(g *aig.AIG, zero bool) *aig.AIG {
-	return l.refactorK(g, zero, refactorLeaves, false)
+func Refactor(g *aig.AIG, zero bool) *aig.AIG {
+	return runPass(nil, nil, g, func(p *pass, g *aig.AIG) *aig.AIG {
+		return p.refactorK(g, zero, refactorLeaves, false)
+	})
 }
 
 // refactorLeaves is the cut width of Refactor, the widest cone refactorK
@@ -347,11 +406,8 @@ const refactorLeaves = 10
 // Restructure is cut-based resynthesis with K=8 cuts that targets depth:
 // a rebuilt cone is accepted when it reduces node count, or keeps the
 // count while reducing the cone's local depth.
-func Restructure(g *aig.AIG) *aig.AIG { return NewLibrary().restructure(g) }
-
-// restructure is Restructure, factoring cone functions through l.
-func (l *Library) restructure(g *aig.AIG) *aig.AIG {
-	return l.refactorK(g, false, 8, true)
+func Restructure(g *aig.AIG) *aig.AIG {
+	return runPass(nil, nil, g, func(p *pass, g *aig.AIG) *aig.AIG { return p.refactorK(g, false, 8, true) })
 }
 
 // coneKey identifies a cone function: its variable count and table.
@@ -367,14 +423,13 @@ const maxConeWords = 1 << (refactorLeaves - 6)
 // and rebuilds its factored form. Structured circuits (adder grids, S-box
 // arrays) repeat cone functions heavily, across passes as well as within
 // one, which is what the library's cone map catches.
-func (l *Library) refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
+func (p *pass) refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
 	g.RecomputeRefs()
 	g.RecomputeLevels()
-	p := &pass{lib: l}
-	defer p.end()
-	cones := cut.NewCones(g)
-	ids := g.LiveAnds()
-	for _, id := range ids {
+	cones := &p.ws.cones
+	cones.Reset(g)
+	for _, id32 := range p.ws.walk.LiveAnds(g) {
+		id := int(id32)
 		if !g.IsAnd(id) || g.Ref(id) == 0 {
 			continue
 		}
@@ -397,10 +452,10 @@ func (l *Library) refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.
 		}
 		key := coneKey{nvars: len(leaves)}
 		copy(key.words[:], tt.Words())
-		e := lookup(p, l.cones, key, tt)
+		e := lookup(p, p.lib.cones, key, tt)
 		oldLevel := g.Level(id)
 		freed := g.BeginSpeculate(id)
-		newLit := p.build(g, e, leaves)
+		newLit := build(p, g, e, leaves)
 		if newLit.Node() == id {
 			g.AbortSpeculate(id)
 			continue

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"flowgen/internal/aig"
+	"flowgen/internal/cut"
 	"flowgen/internal/flow"
 	"flowgen/internal/rewrite"
 	"flowgen/internal/techmap"
@@ -164,10 +165,9 @@ type qorFuture struct {
 
 // memoEval is the per-call evaluator state.
 type memoEval struct {
-	e          *Engine
-	tbl        *memoTable
-	transforms []rewrite.Transform
-	out        []QoR
+	e   *Engine
+	tbl *memoTable
+	out []QoR
 
 	states map[aig.Fingerprint]*memoState // guarded by tbl.mu
 	peak   int                            // guarded by tbl.mu
@@ -176,6 +176,34 @@ type memoEval struct {
 	wg       sync.WaitGroup
 	done     atomic.Int64
 	progress func(int)
+}
+
+// worker is what one worker goroutine of an EvaluateAll call runs on: the
+// alphabet's transformations, bound to the engine's library and to one
+// rewrite workspace, and a mapping workspace that shares the rewrite
+// workspace's cut set. Every pass and mapping of the goroutine reuses
+// that memory, and no other goroutine touches it.
+type worker struct {
+	transforms []rewrite.Transform
+	mapper     *techmap.Workspace
+}
+
+// newWorker returns a worker for e's alphabet.
+func (e *Engine) newWorker() (*worker, error) {
+	cuts := new(cut.Set)
+	ws := rewrite.NewWorkspace(cuts)
+	w := &worker{
+		transforms: make([]rewrite.Transform, len(e.Space.Alphabet)),
+		mapper:     techmap.NewWorkspace(cuts),
+	}
+	for i, name := range e.Space.Alphabet {
+		t, err := e.lib.Bind(name, ws)
+		if err != nil {
+			return nil, err
+		}
+		w.transforms[i] = t
+	}
+	return w, nil
 }
 
 // memoTask evaluates one trie node: apply node.Transform to the parent
@@ -241,7 +269,7 @@ func (m *memoEval) installLocked(fp aig.Fingerprint, g *aig.AIG, consumers int) 
 	return s
 }
 
-func (m *memoEval) run(t memoTask) {
+func (m *memoEval) run(t memoTask, w *worker) {
 	defer m.wg.Done()
 	n := t.node
 	consumers := consumersOf(n)
@@ -274,7 +302,7 @@ func (m *memoEval) run(t memoTask) {
 	if entry == nil {
 		g := m.acquireLocked(t.parent)
 		m.tbl.mu.Unlock()
-		g = rewrite.Step(m.transforms[n.Transform], g)
+		g = rewrite.Step(w.transforms[n.Transform], g)
 		fp = g.StructuralFingerprint()
 		m.tbl.mu.Lock()
 		m.tbl.stats.TransformsRun++
@@ -284,7 +312,7 @@ func (m *memoEval) run(t memoTask) {
 	m.tbl.mu.Unlock()
 
 	if n.Terminal() {
-		m.finishFlows(n, entry, fp)
+		m.finishFlows(n, entry, fp, w.mapper)
 	}
 	for _, c := range n.Children {
 		m.wg.Add(1)
@@ -293,9 +321,9 @@ func (m *memoEval) run(t memoTask) {
 }
 
 // finishFlows maps the node's final graph (once per distinct final
-// fingerprint, engine-wide) and records the QoR for every flow ending
-// here.
-func (m *memoEval) finishFlows(n *flow.TrieNode, entry *memoState, fp aig.Fingerprint) {
+// fingerprint, engine-wide) in ws and records the QoR for every flow
+// ending here.
+func (m *memoEval) finishFlows(n *flow.TrieNode, entry *memoState, fp aig.Fingerprint, ws *techmap.Workspace) {
 	var q QoR
 	m.tbl.mu.Lock()
 	if f, ok := m.tbl.qors[fp]; ok {
@@ -310,7 +338,7 @@ func (m *memoEval) finishFlows(n *flow.TrieNode, entry *memoState, fp aig.Finger
 		m.tbl.stats.MapCalls++
 		g := m.acquireLocked(entry)
 		m.tbl.mu.Unlock()
-		mq := techmap.Map(g, m.e.matcher, m.e.MapMode)
+		mq := techmap.MapWith(g, m.e.matcher, m.e.MapMode, ws)
 		f.q = QoR{
 			Area:   mq.Area,
 			Delay:  mq.Delay,
@@ -341,23 +369,22 @@ func (m *memoEval) finishFlows(n *flow.TrieNode, entry *memoState, fp aig.Finger
 // evaluateAllMemo is the memoized EvaluateAll path. Flows must already
 // be validated against the engine's space.
 func (e *Engine) evaluateAllMemo(flows []flow.Flow, progress func(done int)) ([]QoR, error) {
-	transforms := make([]rewrite.Transform, len(e.Space.Alphabet))
-	for i, name := range e.Space.Alphabet {
-		t, err := e.lib.ByName(name)
+	workers := make([]*worker, max(e.Workers, 1))
+	for i := range workers {
+		w, err := e.newWorker()
 		if err != nil {
 			return nil, err
 		}
-		transforms[i] = t
+		workers[i] = w
 	}
 	trie := flow.BuildTrie(flows)
 	m := &memoEval{
-		e:          e,
-		tbl:        e.memo,
-		transforms: transforms,
-		out:        make([]QoR, len(flows)),
-		states:     make(map[aig.Fingerprint]*memoState, trie.Nodes/4+1),
-		tasks:      make(chan memoTask, trie.Nodes+1),
-		progress:   progress,
+		e:        e,
+		tbl:      e.memo,
+		out:      make([]QoR, len(flows)),
+		states:   make(map[aig.Fingerprint]*memoState, trie.Nodes/4+1),
+		tasks:    make(chan memoTask, trie.Nodes+1),
+		progress: progress,
 	}
 
 	g0 := e.master.Cleanup()
@@ -372,7 +399,7 @@ func (e *Engine) evaluateAllMemo(flows []flow.Flow, progress func(done int)) ([]
 	// Zero-length flows cannot pass Space.Validate, but the trie supports
 	// them, so handle a terminal root for completeness.
 	if trie.Root.Terminal() {
-		m.finishFlows(trie.Root, root, fp0)
+		m.finishFlows(trie.Root, root, fp0, techmap.NewWorkspace(nil))
 	}
 	for _, c := range trie.Root.Children {
 		m.wg.Add(1)
@@ -383,17 +410,13 @@ func (e *Engine) evaluateAllMemo(flows []flow.Flow, progress func(done int)) ([]
 		close(m.tasks)
 	}()
 
-	workers := e.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	var ww sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, w := range workers {
 		ww.Add(1)
 		go func() {
 			defer ww.Done()
 			for t := range m.tasks {
-				m.run(t)
+				m.run(t, w)
 			}
 		}()
 	}

@@ -8,7 +8,6 @@ package techmap
 
 import (
 	"math"
-	"sync"
 
 	"flowgen/internal/aig"
 	"flowgen/internal/cells"
@@ -130,12 +129,13 @@ func injections(k int) [][]int8 {
 	return out
 }
 
-// choice is the selected implementation of one node phase.
+// choice is the selected implementation of one node phase: an inverter
+// on the other phase, or match m on the node's cut number cut.
 type choice struct {
 	viaInv bool
-	leaves []int // cut leaf node ids
-	m      match
 	valid  bool
+	cut    int32
+	m      match
 }
 
 // Net identifies a signal in the mapped netlist: a graph node in a given
@@ -186,12 +186,15 @@ func (nl *Netlist) Simulate(piVals map[int]bool) []bool {
 	return out
 }
 
-// dpState holds the per-node/per-phase arrays of the mapping DP and of
-// cover extraction. Batch QoR collection calls Map once per flow, and
-// these slices dominated its allocation churn, so they are pooled and
-// reused across Map calls (from any goroutine — each Get hands a private
-// state).
-type dpState struct {
+// Workspace is the memory a mapping works in: the cut set it enumerates
+// into, which the rewrite passes of the same goroutine may share, the
+// per-node, per-phase arrays of the mapping DP, cover extraction and
+// timing, and the netlist's gate and net lists. A reused workspace stops
+// allocating once it has grown to the largest graph it has mapped. It
+// serves one mapping at a time and must never be used from two
+// goroutines.
+type Workspace struct {
+	cuts *cut.Set
 	cost [][2]float64
 	arr  [][2]float64
 	sel  [][2]choice
@@ -199,61 +202,80 @@ type dpState struct {
 	// their arrival times.
 	emitted [][2]bool
 	at      [][2]float64
+	fanout  [][2]int32 // timing: sinks of each net
+	walk    aig.Walker
+
+	// The last netlist's lists, which the next mapping overwrites.
+	gates []Gate
+	nets  []Net // gate inputs
+	pos   []Net
 }
 
-var dpPool = sync.Pool{New: func() any { return new(dpState) }}
+// NewWorkspace returns a mapping workspace that enumerates into cuts; a
+// nil cuts gives it a set of its own.
+func NewWorkspace(cuts *cut.Set) *Workspace {
+	if cuts == nil {
+		cuts = new(cut.Set)
+	}
+	return &Workspace{cuts: cuts}
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
 
 // reset sizes the arrays for n nodes and restores the DP identity
-// (infinite cost, no selection), clearing stale selections from the
-// previous use so no old cut-leaf slices are mistaken for valid choices.
-func (s *dpState) reset(n int) {
-	if cap(s.cost) < n {
-		s.cost = make([][2]float64, n)
-		s.arr = make([][2]float64, n)
-		s.sel = make([][2]choice, n)
-		s.emitted = make([][2]bool, n)
-		s.at = make([][2]float64, n)
-	}
-	s.cost = s.cost[:n]
-	s.arr = s.arr[:n]
-	s.sel = s.sel[:n]
-	s.emitted = s.emitted[:n]
-	s.at = s.at[:n]
+// (infinite cost, no selection).
+func (w *Workspace) reset(n int) {
+	w.cost = zeroed(w.cost, n)
+	w.arr = zeroed(w.arr, n)
+	w.sel = zeroed(w.sel, n)
+	w.emitted = zeroed(w.emitted, n)
+	w.at = zeroed(w.at, n)
 	inf := math.Inf(1)
-	for i := range s.cost {
-		s.cost[i] = [2]float64{inf, inf}
-		s.arr[i] = [2]float64{inf, inf}
-		s.sel[i] = [2]choice{}
+	for i := range w.cost {
+		w.cost[i] = [2]float64{inf, inf}
+		w.arr[i] = [2]float64{inf, inf}
 	}
-	clear(s.emitted)
-	// Also drop selections beyond n so one large mapping doesn't pin its
-	// cut-leaf slices for the pool's lifetime while smaller graphs reuse
-	// this state.
-	clear(s.sel[n:cap(s.sel)])
 }
 
 // Map covers the graph with library cells and returns the QoR. The graph
 // is not modified (beyond ref/level recomputation).
 func Map(g *aig.AIG, matcher *Matcher, mode Mode) QoR {
-	q, _ := MapNetlist(g, matcher, mode)
+	return MapWith(g, matcher, mode, NewWorkspace(nil))
+}
+
+// MapWith is Map working in ws.
+func MapWith(g *aig.AIG, matcher *Matcher, mode Mode, ws *Workspace) QoR {
+	q, _ := mapNetlist(g, matcher, mode, ws)
 	return q
 }
 
 // MapNetlist maps the graph and also returns the cell netlist for
 // inspection or simulation.
 func MapNetlist(g *aig.AIG, matcher *Matcher, mode Mode) (QoR, *Netlist) {
+	return mapNetlist(g, matcher, mode, NewWorkspace(nil))
+}
+
+// mapNetlist is MapNetlist working in ws.
+func mapNetlist(g *aig.AIG, matcher *Matcher, mode Mode, ws *Workspace) (QoR, *Netlist) {
 	g.RecomputeRefs()
 	lib := matcher.Lib
 	inv := lib.Inv()
 
-	cs := cut.Enumerate(g, 4, 8)
+	cs := ws.cuts
+	cs.Enumerate(g, 4, 8)
 
 	// DP state per node and phase (0 = positive, 1 = negative).
-	n := g.NumNodesRaw()
-	st := dpPool.Get().(*dpState)
-	st.reset(n)
-	defer dpPool.Put(st)
-	cost, arr, sel := st.cost, st.arr, st.sel
+	ws.reset(g.NumNodesRaw())
+	cost, arr, sel := ws.cost, ws.arr, ws.sel
 	// Constant node: free in both phases.
 	cost[0] = [2]float64{0, 0}
 	arr[0] = [2]float64{0, 0}
@@ -273,12 +295,15 @@ func MapNetlist(g *aig.AIG, matcher *Matcher, mode Mode) (QoR, *Netlist) {
 		return float64(r)
 	}
 
-	g.ForEachLiveAnd(func(id int) {
-		for _, c := range cs.Cuts[id] {
-			if len(c.Leaves) == 1 && c.Leaves[0] == id {
+	for _, id32 := range ws.walk.LiveAnds(g) {
+		id := int(id32)
+		nodeCuts := cs.Of(id)
+		for ci := range nodeCuts {
+			leaves := nodeCuts[ci].Leaves()
+			if len(leaves) == 1 && int(leaves[0]) == id {
 				continue // trivial cut
 			}
-			key := uint16(c.TT.Words()[0] & 0xFFFF)
+			key := uint16(cs.TT(id, ci).Words()[0] & 0xFFFF)
 			for phase := 0; phase < 2; phase++ {
 				k := key
 				if phase == 1 {
@@ -289,11 +314,11 @@ func MapNetlist(g *aig.AIG, matcher *Matcher, mode Mode) (QoR, *Netlist) {
 					aCost, dCost := cell.Area, 0.0
 					feasible := true
 					for i := 0; i < m.k; i++ {
-						if int(m.pins[i]) >= len(c.Leaves) {
+						if int(m.pins[i]) >= len(leaves) {
 							feasible = false
 							break
 						}
-						leaf := c.Leaves[m.pins[i]]
+						leaf := int(leaves[m.pins[i]])
 						ph := 0
 						if m.negs&(1<<uint(i)) != 0 {
 							ph = 1
@@ -324,7 +349,7 @@ func MapNetlist(g *aig.AIG, matcher *Matcher, mode Mode) (QoR, *Netlist) {
 					if better {
 						cost[id][phase] = aCost
 						arr[id][phase] = dCost
-						sel[id][phase] = choice{leaves: c.Leaves, m: m, valid: true}
+						sel[id][phase] = choice{cut: int32(ci), m: m, valid: true}
 					}
 				}
 			}
@@ -346,27 +371,28 @@ func MapNetlist(g *aig.AIG, matcher *Matcher, mode Mode) (QoR, *Netlist) {
 				sel[id][p] = choice{viaInv: true, valid: true}
 			}
 		}
-	})
+	}
 
 	// Cover extraction from the primary outputs. Gate input lists are
-	// carved from shared chunks.
-	emitted, at := st.emitted, st.at
+	// carved from shared chunks; a full chunk is replaced by one twice its
+	// size, and the workspace keeps the last for the next mapping.
+	emitted, at := ws.emitted, ws.at
 	materialize := func(key Net, a float64) float64 {
 		emitted[key.Node][key.Phase] = true
 		at[key.Node][key.Phase] = a
 		return a
 	}
-	var inBuf []Net
+	inBuf := ws.nets[:0]
 	netsOf := func(k int) []Net {
 		if len(inBuf)+k > cap(inBuf) {
-			inBuf = make([]Net, 0, max(1024, k))
+			inBuf = make([]Net, 0, max(1024, 2*cap(inBuf), k))
 		}
 		l := len(inBuf)
 		inBuf = inBuf[:l+k]
 		return inBuf[l : l+k : l+k]
 	}
 	q := QoR{GateCounts: make(map[string]int)}
-	nl := &Netlist{Lib: lib}
+	nl := &Netlist{Lib: lib, Gates: ws.gates[:0], POs: ws.pos[:0]}
 	addGate := func(cellIdx int, inputs []Net, out Net) {
 		cell := lib.Cells[cellIdx]
 		q.Area += cell.Area
@@ -412,8 +438,9 @@ func MapNetlist(g *aig.AIG, matcher *Matcher, mode Mode) (QoR, *Netlist) {
 		// a DAG, but keeps the cost model safe if the cut is stale).
 		materialize(key, math.Inf(1))
 		inputs := netsOf(ch.m.k)
+		leaves := cs.Of(id)[ch.cut].Leaves()
 		for i := 0; i < ch.m.k; i++ {
-			leaf := ch.leaves[ch.m.pins[i]]
+			leaf := int(leaves[ch.m.pins[i]])
 			ph := 0
 			if ch.m.negs&(1<<uint(i)) != 0 {
 				ph = 1
@@ -435,14 +462,19 @@ func MapNetlist(g *aig.AIG, matcher *Matcher, mode Mode) (QoR, *Netlist) {
 		nl.POs = append(nl.POs, Net{l.Node(), ph})
 		emit(l.Node(), ph)
 	}
-	q.Delay = nl.CriticalPath()
+	ws.gates, ws.nets, ws.pos = nl.Gates, inBuf, nl.POs
+	q.Delay = nl.criticalPath(ws)
 	return q, nl
 }
 
 // CriticalPath runs load-aware static timing over the netlist: a gate's
 // delay is its library delay plus LoadSlopePs per fanout beyond the
 // first. Gates are in topological order by construction.
-func (nl *Netlist) CriticalPath() float64 {
+func (nl *Netlist) CriticalPath() float64 { return nl.criticalPath(new(Workspace)) }
+
+// criticalPath is CriticalPath with its per-net arrays in ws. It reuses
+// the DP's arrival times, which a mapping no longer reads by then.
+func (nl *Netlist) criticalPath(ws *Workspace) float64 {
 	// Nets are indexed by [node][phase]; a net no gate drives (a PI or a
 	// constant) arrives at 0.
 	n := 0
@@ -455,7 +487,8 @@ func (nl *Netlist) CriticalPath() float64 {
 			n = max(n, in.Node+1)
 		}
 	}
-	fanout := make([][2]int32, n)
+	fanout := zeroed(ws.fanout, n)
+	ws.fanout = fanout
 	for _, gt := range nl.Gates {
 		for _, in := range gt.Inputs {
 			fanout[in.Node][in.Phase]++
@@ -464,7 +497,8 @@ func (nl *Netlist) CriticalPath() float64 {
 	for _, po := range nl.POs {
 		fanout[po.Node][po.Phase]++
 	}
-	arr := make([][2]float64, n)
+	arr := zeroed(ws.arr, n)
+	ws.arr = arr
 	for _, gt := range nl.Gates {
 		worst := 0.0
 		for _, in := range gt.Inputs {

@@ -1,11 +1,15 @@
 package techmap
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
 	"flowgen/internal/aig"
 	"flowgen/internal/cells"
+	"flowgen/internal/circuits"
+	"flowgen/internal/cut"
+	"flowgen/internal/rewrite"
 )
 
 func buildRandom(rng *rand.Rand, nin, nand int) *aig.AIG {
@@ -148,6 +152,41 @@ func TestMapDeterministic(t *testing.T) {
 	q2 := Map(mk(), testMatcher, AreaMode)
 	if q1.Area != q2.Area || q1.Delay != q2.Delay || q1.Gates != q2.Gates {
 		t.Fatalf("nondeterministic mapping: %+v vs %+v", q1, q2)
+	}
+}
+
+// TestMapWithWorkspaceMatchesMap maps graphs of different sizes in turn
+// on one workspace whose cut set rewrite passes also enumerate into
+// between mappings, as a synthesis worker does, in both modes: each QoR
+// must be the one a fresh Map gives.
+func TestMapWithWorkspaceMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	var graphs []*aig.AIG
+	for _, design := range []string{"miniaes2", "alu8"} {
+		d, err := circuits.ByName(design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, d.Build().Cleanup())
+	}
+	graphs = append(graphs, buildRandom(rng, 12, 900), buildRandom(rng, 4, 30))
+	cuts := new(cut.Set)
+	ws := NewWorkspace(cuts)
+	rw, err := rewrite.NewLibrary().Bind("rewrite", rewrite.NewWorkspace(cuts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for i, g := range graphs {
+			for _, mode := range []Mode{AreaMode, DelayMode} {
+				want := Map(g.Clone(), testMatcher, mode)
+				got := MapWith(g.Clone(), testMatcher, mode, ws)
+				if got.Area != want.Area || got.Delay != want.Delay || got.Gates != want.Gates || !maps.Equal(got.GateCounts, want.GateCounts) {
+					t.Fatalf("round %d graph %d mode %d: reused workspace %+v, fresh %+v", round, i, mode, got, want)
+				}
+				rw(g.Clone())
+			}
+		}
 	}
 }
 
