@@ -27,7 +27,7 @@ type benchEntry struct {
 	GitSHA          string  `json:"git_sha"`
 	GOOS            string  `json:"goos"`
 	GOARCH          string  `json:"goarch"`
-	SIMD            string  `json:"simd"`                   // kernel tier active for the run
+	SIMD            string  `json:"simd"`                   // the process's kernel tier
 	CPUFeatures     string  `json:"cpu_features,omitempty"` // detected vector features
 	Arch            string  `json:"arch"`
 	PoolFlows       int     `json:"pool_flows,omitempty"`
@@ -38,11 +38,6 @@ type benchEntry struct {
 	MaxProbDrift    float64 `json:"max_abs_prob_drift_vs_f64,omitempty"`
 	ServeF32PerS    float64 `json:"serve_f32_flows_per_sec,omitempty"`
 	ServeSpeedup    float64 `json:"serve_speedup_f32_vs_f64,omitempty"`
-
-	// SIMD-tier fields: the same engine re-run with dispatch forced to
-	// the scalar kernels, and the resulting vector speedup.
-	ScalarF32FlowsPerS  float64 `json:"scalar_f32_flows_per_sec,omitempty"`
-	SpeedupSIMDVsScalar float64 `json:"speedup_simd_vs_scalar,omitempty"`
 }
 
 // gitSHA returns the short commit hash of the working tree, or

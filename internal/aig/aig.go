@@ -292,9 +292,6 @@ func (g *AIG) Xor(a, b Lit) Lit {
 	return g.Or(g.And(a, b.Not()), g.And(a.Not(), b))
 }
 
-// Xnor returns a literal for the exclusive-nor of a and b.
-func (g *AIG) Xnor(a, b Lit) Lit { return g.Xor(a, b).Not() }
-
 // Mux returns s ? a : b.
 func (g *AIG) Mux(s, a, b Lit) Lit {
 	return g.Or(g.And(s, a), g.And(s.Not(), b))

@@ -316,9 +316,6 @@ func (t TT) Support() []int {
 	return s
 }
 
-// SupportSize returns the number of variables in the support.
-func (t TT) SupportSize() int { return len(t.Support()) }
-
 // Word kernels. The functions below work in place on the backing words
 // of a table over nvars variables (WordsFor(nvars) words, unused high
 // bits clear when nvars < 6) and never allocate, so cut enumeration, cone

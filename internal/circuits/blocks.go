@@ -194,21 +194,6 @@ func ShiftRightVar(g *aig.AIG, a Word, sh Word, arith bool) Word {
 	return cur
 }
 
-// EqWord returns a single literal that is 1 iff a == b.
-func EqWord(g *aig.AIG, a, b Word) aig.Lit {
-	acc := aig.ConstTrue
-	for i := range a {
-		acc = g.And(acc, g.Xnor(a[i], b[i]))
-	}
-	return acc
-}
-
-// LtWordUnsigned returns 1 iff a < b (unsigned).
-func LtWordUnsigned(g *aig.AIG, a, b Word) aig.Lit {
-	_, geq := Sub(g, a, b)
-	return geq.Not()
-}
-
 // U64ToBits converts the low n bits of v to a bool slice (LSB first).
 func U64ToBits(v uint64, n int) []bool {
 	out := make([]bool, n)

@@ -368,10 +368,9 @@ func SelectFlows(preds []ScoredFlow, numClasses, numOut int) (angels, devils []S
 	return pick(0), pick(numClasses - 1)
 }
 
-// Accuracy implements the paper's Section 4.1 metric: the fraction of
-// generated angel-flows whose true class is 0 plus generated devil-flows
-// whose true class is n, over the total generated. True classes come
-// from synthesizing the generated flows and applying the labeling model.
+// Accuracy scores a run's selection with SelectionAccuracy. True
+// classes come from synthesizing the generated flows and applying the
+// labeling model.
 func (fw *Framework) Accuracy(res *Result) (float64, error) {
 	all := append(append([]ScoredFlow{}, res.Angels...), res.Devils...)
 	flows := make([]flow.Flow, len(all))
@@ -382,19 +381,29 @@ func (fw *Framework) Accuracy(res *Result) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	top := res.Model.NumClasses() - 1
+	return SelectionAccuracy(res.Model, qors[:len(res.Angels)], qors[len(res.Angels):]), nil
+}
+
+// SelectionAccuracy is the paper's Section 4.1 metric: the fraction of
+// angel flows whose true class is 0 plus devil flows whose true class is
+// n, over all selected flows. angels and devils hold the selected flows'
+// measured QoRs; model assigns their true classes.
+func SelectionAccuracy(model *label.Model, angels, devils []synth.QoR) float64 {
+	total := len(angels) + len(devils)
+	if total == 0 {
+		return 0
+	}
 	correct := 0
-	for i := range all {
-		trueClass := res.Model.Class(qors[i])
-		if i < len(res.Angels) && trueClass == 0 {
-			correct++
-		}
-		if i >= len(res.Angels) && trueClass == top {
+	for _, q := range angels {
+		if model.Class(q) == 0 {
 			correct++
 		}
 	}
-	if len(all) == 0 {
-		return 0, nil
+	top := model.NumClasses() - 1
+	for _, q := range devils {
+		if model.Class(q) == top {
+			correct++
+		}
 	}
-	return float64(correct) / float64(len(all)), nil
+	return float64(correct) / float64(total)
 }

@@ -138,6 +138,36 @@ func TestFrameworkEndToEndTiny(t *testing.T) {
 	}
 }
 
+// TestSelectionAccuracy pins the §4.1 metric: an angel scores when its
+// true class is 0, a devil when its true class is the top class n, over
+// all selected flows.
+func TestSelectionAccuracy(t *testing.T) {
+	// Area ≤ 10 is class 0, ≤ 20 class 1, above 20 the top class 2.
+	model := &label.Model{Metrics: []synth.Metric{synth.MetricArea},
+		Percentiles: []float64{5, 95}, Determinators: [][]float64{{10, 20}}}
+	q := func(areas ...float64) []synth.QoR {
+		out := make([]synth.QoR, len(areas))
+		for i, a := range areas {
+			out[i].Area = a
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		angels, devils []synth.QoR
+		want           float64
+	}{
+		{nil, nil, 0},
+		{q(10), q(21), 1},
+		{q(5, 15), q(25, 10), 0.5},
+		{q(30, 1, 2), nil, 2.0 / 3},
+		{nil, q(20, 20.5), 0.5},
+	} {
+		if got := SelectionAccuracy(model, tc.angels, tc.devils); got != tc.want {
+			t.Fatalf("angels %v devils %v: accuracy %v, want %v", tc.angels, tc.devils, got, tc.want)
+		}
+	}
+}
+
 func TestGeneratePoolDisjoint(t *testing.T) {
 	cfg := tinyConfig()
 	engine := synth.NewEngine(circuits.ALU(8), cfg.Space)

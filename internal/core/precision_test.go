@@ -38,6 +38,8 @@ func top2(xs []float64) (best, second float64) {
 // f64 argmax on 100% of non-tied pool flows and (b) keep every class
 // probability within probTol. Each design gets its own network seed so
 // the gate sweeps distinct weight draws, not one lucky initialization.
+// The f32 engine runs the process's kernel tier, so this pins the AVX2
+// tier on an AVX2 host and the scalar tier on a non-amd64 build.
 func TestPrecisionDifferentialAcrossDesigns(t *testing.T) {
 	poolN := 400
 	if testing.Short() {

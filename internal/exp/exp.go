@@ -168,7 +168,7 @@ func RunIncremental(b *Bundle, rc RunConfig) ([]CurvePoint, *nn.Network, *label.
 			Steps:    (len(curve) + 1) * rc.StepsPerRound,
 			Loss:     rr.Loss,
 			TrainAcc: rr.Acc,
-			GenAcc:   GeneratedAccuracy(b, net, model, rc, h, w),
+			GenAcc:   GeneratedAccuracy(b, net, model, rc),
 			SimTime:  b.PerFlowAvg*time.Duration(labeled) + trained,
 		})
 	}
@@ -177,33 +177,10 @@ func RunIncremental(b *Bundle, rc RunConfig) ([]CurvePoint, *nn.Network, *label.
 
 // GeneratedAccuracy computes the paper's accuracy metric: predict the
 // pool, select NumOut angel and devil flows, and score them against the
-// pool's ground-truth classes under the current labeling model.
-func GeneratedAccuracy(b *Bundle, net *nn.Network, model *label.Model, rc RunConfig, h, w int) float64 {
-	preds := core.PredictPool(net, rc.Precision, b.Space, b.Pool, h, w, rc.PredictWorkers)
-	angels, devils := core.SelectFlows(preds, model.NumClasses(), rc.NumOut)
-	// Ground-truth class per pool index.
-	truth := make(map[string]int, len(b.Pool))
-	for i, f := range b.Pool {
-		truth[f.Key()] = model.Class(b.PoolQoRs[i])
-	}
-	top := model.NumClasses() - 1
-	correct, total := 0, 0
-	for _, a := range angels {
-		if truth[a.Flow.Key()] == 0 {
-			correct++
-		}
-		total++
-	}
-	for _, d := range devils {
-		if truth[d.Flow.Key()] == top {
-			correct++
-		}
-		total++
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
+// pool's ground truth under the current labeling model.
+func GeneratedAccuracy(b *Bundle, net *nn.Network, model *label.Model, rc RunConfig) float64 {
+	sel := SelectWithTruth(b, net, model, rc)
+	return core.SelectionAccuracy(model, sel.AngelQoRs, sel.DevilQoRs)
 }
 
 // Selection returns the final angel/devil flows with their ground-truth

@@ -240,12 +240,6 @@ func (s Space) Validate(f Flow) error {
 	return nil
 }
 
-// EncodeLen returns the flattened one-hot encoding length L·n — the
-// element count every encoder below produces and every inference engine
-// consumes (after an arbitrary rows×cols reshape, which preserves
-// row-major order).
-func (s Space) EncodeLen() int { return s.Length() * s.N() }
-
 // EncodeOffset is the single source of truth for the one-hot layout:
 // flow position j with transformation t occupies flat element j·n + t of
 // the encoding (row j, column t of the L×n matrix of Section 3.2.1).

@@ -92,15 +92,6 @@ func (m *Model) Class(q synth.QoR) int {
 	return worst
 }
 
-// ClassAll labels a batch.
-func (m *Model) ClassAll(qors []synth.QoR) []int {
-	out := make([]int, len(qors))
-	for i, q := range qors {
-		out[i] = m.Class(q)
-	}
-	return out
-}
-
 // Histogram returns the class population counts of the batch.
 func (m *Model) Histogram(qors []synth.QoR) []int {
 	h := make([]int, m.NumClasses())

@@ -381,9 +381,6 @@ func (l *Loop) registerMetrics(o *obs.Registry) {
 		"Held-out accuracy of the serving model at the most recent gate.")
 }
 
-// Store exposes the labeled corpus (for tests and stats).
-func (l *Loop) Store() *Store { return l.store }
-
 // Close releases the journal. Call after Run has returned.
 func (l *Loop) Close() error { return l.store.Close() }
 

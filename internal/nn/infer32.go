@@ -36,7 +36,6 @@ type InferenceNet struct {
 	inSize  int // per-sample input elements (1×InH×InW)
 	classes int
 	layers  []infer32Layer
-	simd    tensor.SIMD
 }
 
 // infer32Layer is one compiled forward-only stage. forward consumes the
@@ -79,12 +78,6 @@ func (t *InferenceNet) NewScratch(n int) *Scratch32 {
 	return s
 }
 
-// SIMD names the kernel tier this snapshot was packed for ("none" or
-// "avx2"). The tier is fixed when the snapshot compiles: every packed
-// weight operand carries the layout of the level that was active then,
-// so later FLOWGEN_SIMD changes never affect an existing snapshot.
-func (t *InferenceNet) SIMD() string { return t.simd.String() }
-
 // Forward32 runs the compiled stack over n NHWC samples held in x
 // (n × InH·InW elements for the single-channel flow encodings) and
 // returns the n×classes logits, valid until the scratch's next use.
@@ -114,7 +107,7 @@ func NewInferenceNet(n *Network, inH, inW int) (*InferenceNet, error) {
 	if inH < 1 || inW < 1 {
 		return nil, fmt.Errorf("nn: inference input %dx%d", inH, inW)
 	}
-	t := &InferenceNet{inSize: inH * inW, simd: tensor.ActiveSIMD()}
+	t := &InferenceNet{inSize: inH * inW}
 	// Walk the stack tracking the NHWC shape: spatial (h,w,c) until
 	// Flatten, flat feature count afterwards.
 	h, w, c := inH, inW, 1

@@ -31,9 +31,6 @@ type Predictor interface {
 	// workers×predictChunk samples. Cancelling ctx stops the workers
 	// between chunks and discards partial results.
 	PredictStream(ctx context.Context, total, workers int, src Source) ([][]float64, error)
-	// SIMD names the kernel tier the engine was compiled for ("none"
-	// for the f64 path, the frozen pack-time tier for f32).
-	SIMD() string
 }
 
 // Source supplies streamed samples to Predictor.PredictStream: it
@@ -152,8 +149,6 @@ func (p *predictor64) PredictStream(ctx context.Context, total, workers int, src
 		}
 	})
 }
-
-func (p *predictor64) SIMD() string { return tensor.SIMDNone.String() }
 
 // PredictStream fills each chunk straight into the worker's Scratch32
 // input buffer and widens the f32 logits for the float64 softmax

@@ -403,13 +403,6 @@ func Refactor(g *aig.AIG, zero bool) *aig.AIG {
 // collapses.
 const refactorLeaves = 10
 
-// Restructure is cut-based resynthesis with K=8 cuts that targets depth:
-// a rebuilt cone is accepted when it reduces node count, or keeps the
-// count while reducing the cone's local depth.
-func Restructure(g *aig.AIG) *aig.AIG {
-	return runPass(nil, nil, g, func(p *pass, g *aig.AIG) *aig.AIG { return p.refactorK(g, false, 8, true) })
-}
-
 // coneKey identifies a cone function: its variable count and table.
 type coneKey struct {
 	nvars int

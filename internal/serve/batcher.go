@@ -12,6 +12,7 @@ import (
 	"flowgen/internal/fault"
 	"flowgen/internal/nn"
 	"flowgen/internal/obs"
+	"flowgen/internal/train"
 )
 
 // Batcher errors. ErrQueueFull is returned without blocking when the
@@ -213,7 +214,7 @@ func (b *Batcher) Submit(ctx context.Context, enc []float64) (Prediction, error)
 		if res.err != nil {
 			return Prediction{}, res.err
 		}
-		cls := argmax(res.probs)
+		cls := train.Argmax(res.probs)
 		slog.DebugContext(ctx, "batcher: scored flow",
 			"model", res.model.Name, "version", res.model.Version, "class", cls)
 		return Prediction{Probs: res.probs, Class: cls, Confidence: res.probs[cls], Model: res.model}, nil
@@ -382,15 +383,4 @@ func (b *Batcher) drain() {
 			return
 		}
 	}
-}
-
-// argmax returns the index of the largest element.
-func argmax(xs []float64) int {
-	best, bi := xs[0], 0
-	for i, v := range xs[1:] {
-		if v > best {
-			best, bi = v, i+1
-		}
-	}
-	return bi
 }

@@ -14,6 +14,7 @@ import (
 
 	"flowgen/internal/flow"
 	"flowgen/internal/nn"
+	"flowgen/internal/train"
 )
 
 // testModel builds a small deterministic model over a 4-letter m=2
@@ -94,7 +95,7 @@ func TestBatcherMatchesDirect(t *testing.T) {
 							errs <- fmt.Errorf("client %d flow %d: batched response differs from direct scoring", c, i)
 							return
 						}
-						if pred.Class != argmax(want[idx]) || pred.Model != m {
+						if pred.Class != train.Argmax(want[idx]) || pred.Model != m {
 							errs <- fmt.Errorf("client %d flow %d: wrong class or model", c, i)
 							return
 						}

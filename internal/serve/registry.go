@@ -35,7 +35,6 @@ import (
 	"flowgen/internal/flow"
 	"flowgen/internal/nn"
 	"flowgen/internal/obs"
-	"flowgen/internal/tensor"
 )
 
 // Model is one immutable, servable classifier snapshot: the flow space
@@ -76,16 +75,6 @@ func (m *Model) Predictor() (nn.Predictor, error) {
 		m.pred, m.predErr = nn.NewPredictor(m.Net, m.Precision, m.Arch.InH, m.Arch.InW)
 	})
 	return m.pred, m.predErr
-}
-
-// SIMD names the kernel tier of the model's compiled serving engine
-// ("none"/"avx2"), surfaced by /v1/stats. F64 models have no packed
-// snapshot and report "none".
-func (m *Model) SIMD() string {
-	if p, err := m.Predictor(); err == nil {
-		return p.SIMD()
-	}
-	return tensor.SIMDNone.String()
 }
 
 // EncodeLen returns the flattened one-hot encoding length of one flow.

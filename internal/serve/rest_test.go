@@ -94,7 +94,7 @@ func TestServerRESTModelRoutes(t *testing.T) {
 		t.Fatalf("model get: %d", code)
 	}
 	if info.Name != "alu" || info.Version != 1 || !info.Default || info.Params == 0 ||
-		info.Precision != "f32" || info.SIMD == "" {
+		info.Precision != "f32" {
 		t.Fatalf("model info: %+v", info)
 	}
 

@@ -21,6 +21,7 @@ import (
 	"flowgen/internal/obs"
 	"flowgen/internal/synth"
 	"flowgen/internal/tensor"
+	"flowgen/internal/train"
 )
 
 // LoopController is the hook the continuous flow-development loop
@@ -187,10 +188,6 @@ func NewServer(reg *Registry, cfg ServerConfig) *Server {
 	reg.SetObs(s.obs)
 	return s
 }
-
-// Obs returns the server's metric registry (the one GET /metrics
-// exposes), so embedders can add their own series to the exposition.
-func (s *Server) Obs() *obs.Registry { return s.obs }
 
 // StartDraining flips /readyz to 503 without closing anything — the
 // first step of an ordered shutdown (and of POST /v1/loop/drain), so
@@ -466,7 +463,6 @@ type ModelInfo struct {
 	M         int       `json:"m"`
 	Params    int       `json:"params"`
 	Precision string    `json:"precision"`
-	SIMD      string    `json:"simd"`
 	Path      string    `json:"path,omitempty"`
 	LoadedAt  time.Time `json:"loaded_at"`
 }
@@ -475,7 +471,7 @@ func modelInfo(m *Model, def string) ModelInfo {
 	return ModelInfo{
 		Name: m.Name, Version: m.Version, Default: m.Name == def,
 		Classes: m.Arch.NumClasses, Alphabet: m.Space.Alphabet, M: m.Space.M,
-		Params: m.Net.NumParams(), Precision: m.Precision.String(), SIMD: m.SIMD(),
+		Params: m.Net.NumParams(), Precision: m.Precision.String(),
 		Path: m.Path, LoadedAt: m.LoadedAt,
 	}
 }
@@ -714,7 +710,7 @@ func (s *Server) scoreAll(r *http.Request, texts []string, flows []flow.Flow, m 
 }
 
 func scoreOf(text string, probs []float64) FlowScore {
-	cls := argmax(probs)
+	cls := train.Argmax(probs)
 	return FlowScore{Flow: text, Class: cls, Confidence: probs[cls], Probs: probs}
 }
 
@@ -910,18 +906,17 @@ type statsResponse struct {
 	Batchers      map[string]BatcherStats  `json:"batchers"`
 	Cache         CacheStats               `json:"cache"`
 	Reloads       int64                    `json:"reloads"`
-	SIMD          string                   `json:"simd"` // active tier for new snapshots
+	SIMD          string                   `json:"simd"` // the process's kernel tier
 	CPUFeatures   string                   `json:"cpu_features,omitempty"`
 	Models        map[string]ModelStats    `json:"models"`
 	Loop          any                      `json:"loop,omitempty"` // loop.Status when a loop is attached
 }
 
 // ModelStats describes one registered model's serving engine: its
-// version, precision and kernel tier.
+// version and precision.
 type ModelStats struct {
 	Version   int    `json:"version"`
 	Precision string `json:"precision"`
-	SIMD      string `json:"simd"` // kernel tier the snapshot was packed for
 }
 
 func (s *Server) handleStats(*http.Request) (any, error) {
@@ -942,7 +937,6 @@ func (s *Server) handleStats(*http.Request) (any, error) {
 		out.Models[m.Name] = ModelStats{
 			Version:   m.Version,
 			Precision: m.Precision.String(),
-			SIMD:      m.SIMD(),
 		}
 	}
 	s.metrics.Range(func(k, v any) bool {

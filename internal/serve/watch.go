@@ -21,36 +21,39 @@ type WatchEvent struct {
 // scheduled; Run then polls and reloads through Registry.Reload.
 type Watcher struct {
 	reg  *Registry
-	seen map[string]fileState
+	seen map[string]watchState
 }
 
-type fileState struct {
-	mtime time.Time
-	size  int64
-	ino   uint64
+// watchState is what the watcher last saw of one model: its registered
+// version and its file's fingerprint.
+type watchState struct {
+	version int
+	mtime   time.Time
+	size    int64
+	ino     uint64
 }
 
-// stateOf fingerprints a model file. SaveModel replaces the file by
+// stateOf fingerprints a model's file. SaveModel replaces the file by
 // atomic rename, so every write lands a fresh inode — which catches
 // even writes inside the same filesystem-timestamp tick, where mtime
 // and size alone cannot tell two versions apart. On platforms without
 // inode numbers (watch_fingerprint_other.go) the inode stays zero and
 // mtime+size carry the comparison.
-func stateOf(fi os.FileInfo) fileState {
-	return fileState{mtime: fi.ModTime(), size: fi.Size(), ino: inodeOf(fi)}
+func stateOf(version int, fi os.FileInfo) watchState {
+	return watchState{version: version, mtime: fi.ModTime(), size: fi.Size(), ino: inodeOf(fi)}
 }
 
 // NewWatcher baselines the registry's file-backed models. The files
 // backing currently registered models are already loaded — only
 // subsequent changes should trigger reloads.
 func NewWatcher(reg *Registry) *Watcher {
-	w := &Watcher{reg: reg, seen: map[string]fileState{}}
+	w := &Watcher{reg: reg, seen: map[string]watchState{}}
 	for _, m := range reg.List() {
 		if m.Path == "" {
 			continue
 		}
 		if fi, err := os.Stat(m.Path); err == nil {
-			w.seen[m.Name] = stateOf(fi)
+			w.seen[m.Name] = stateOf(m.Version, fi)
 		}
 	}
 	return w
@@ -64,7 +67,11 @@ func NewWatcher(reg *Registry) *Watcher {
 // event per attempted reload — including failures, which do not
 // disturb the currently served snapshot and are retried on the next
 // change. Models registered after Run starts are picked up on the next
-// poll; their state at first sight is the baseline.
+// poll; their state at first sight is the baseline. A model whose
+// registered version changed since the last poll is re-baselined, not
+// reloaded: whoever registered it (the loop publishing the candidate it
+// just saved to the model's file, an explicit reload) already serves
+// the file's bytes.
 func (w *Watcher) Run(ctx context.Context, interval time.Duration, onEvent func(WatchEvent)) {
 	if interval <= 0 {
 		interval = time.Second
@@ -93,10 +100,10 @@ func (w *Watcher) poll(onEvent func(WatchEvent)) {
 			// the loaded snapshot and keep watching.
 			continue
 		}
-		cur := stateOf(fi)
+		cur := stateOf(m.Version, fi)
 		prev, ok := w.seen[m.Name]
-		if !ok {
-			w.seen[m.Name] = cur // first sight of a late-registered model
+		if !ok || cur.version != prev.version {
+			w.seen[m.Name] = cur // first sight, or registered since the last poll
 			continue
 		}
 		if cur == prev {
@@ -109,6 +116,7 @@ func (w *Watcher) poll(onEvent func(WatchEvent)) {
 			// the next poll, not swallowed until the file changes again.
 			// A persistently corrupt file therefore re-reports each
 			// poll — loud beats silently serving stale weights.
+			cur.version = fresh.Version
 			w.seen[m.Name] = cur
 		}
 		if onEvent != nil {

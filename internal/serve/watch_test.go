@@ -135,3 +135,59 @@ func TestWatchReloadsOnFileChange(t *testing.T) {
 		t.Fatal("watcher did not stop on context cancellation")
 	}
 }
+
+// TestWatchRebaselinesAfterRegister: a snapshot registered since the
+// watcher's last poll already serves its file's bytes, so the poll must
+// re-baseline instead of loading them again as one more version — both
+// when the loop publishes (save the candidate to the model's own file,
+// then register it) and after an explicit reload. A file change nobody
+// registered is still reloaded.
+func TestWatchRebaselinesAfterRegister(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.flowmodel")
+	if err := SaveModel(path, testModel("m", 1)); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModelFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	reg.Register(loaded)
+	w := NewWatcher(reg)
+	wantVersion := func(step string, want int) {
+		t.Helper()
+		cur, err := reg.Get("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.Version != want {
+			t.Fatalf("%s: version %d, want %d", step, cur.Version, want)
+		}
+	}
+
+	next := testModel("m", 2)
+	next.Path = path
+	if err := SaveModel(path, next); err != nil {
+		t.Fatal(err)
+	}
+	reg.Register(next)
+	w.poll(nil)
+	wantVersion("loop publish", 2)
+
+	if err := SaveModel(path, testModel("m", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Reload("m"); err != nil {
+		t.Fatal(err)
+	}
+	w.poll(nil)
+	wantVersion("explicit reload", 3)
+
+	if err := SaveModel(path, testModel("m", 4)); err != nil {
+		t.Fatal(err)
+	}
+	w.poll(nil)
+	wantVersion("file change", 4)
+	w.poll(nil)
+	wantVersion("unchanged file", 4)
+}

@@ -32,9 +32,6 @@ func (c Cube) NumLits() int {
 	return n
 }
 
-// HasVar reports whether variable v appears in the cube (either phase).
-func (c Cube) HasVar(v int) bool { return (c.Pos|c.Neg)&(1<<uint(v)) != 0 }
-
 // SOP is a sum (disjunction) of cubes over a fixed variable count.
 type SOP struct {
 	NVars int

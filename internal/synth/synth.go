@@ -115,9 +115,6 @@ func NewEngine(design *aig.AIG, space flow.Space) *Engine {
 // Matcher exposes the engine's shared match table.
 func (e *Engine) Matcher() *techmap.Matcher { return e.matcher }
 
-// Master returns the engine's master graph (read-only).
-func (e *Engine) Master() *aig.AIG { return e.master }
-
 // Evaluations returns the number of flow evaluations performed.
 func (e *Engine) Evaluations() int64 { return e.evals.Load() }
 

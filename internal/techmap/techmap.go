@@ -26,10 +26,9 @@ const (
 
 // QoR is the quality of result of a mapped netlist.
 type QoR struct {
-	Area       float64        // total cell area, µm²
-	Delay      float64        // critical path, ps (load-aware STA)
-	Gates      int            // number of cell instances
-	GateCounts map[string]int // instances per cell name
+	Area  float64 // total cell area, µm²
+	Delay float64 // critical path, ps (load-aware STA)
+	Gates int     // number of cell instances
 }
 
 // LoadSlopePs is the per-extra-fanout delay penalty used by the final
@@ -391,13 +390,11 @@ func mapNetlist(g *aig.AIG, matcher *Matcher, mode Mode, ws *Workspace) (QoR, *N
 		inBuf = inBuf[:l+k]
 		return inBuf[l : l+k : l+k]
 	}
-	q := QoR{GateCounts: make(map[string]int)}
+	var q QoR
 	nl := &Netlist{Lib: lib, Gates: ws.gates[:0], POs: ws.pos[:0]}
 	addGate := func(cellIdx int, inputs []Net, out Net) {
-		cell := lib.Cells[cellIdx]
-		q.Area += cell.Area
+		q.Area += lib.Cells[cellIdx].Area
 		q.Gates++
-		q.GateCounts[cell.Name]++
 		nl.Gates = append(nl.Gates, Gate{Cell: cellIdx, Inputs: inputs, Output: out})
 	}
 	addInv := func(in, out Net) {
@@ -516,9 +513,4 @@ func (nl *Netlist) criticalPath(ws *Workspace) float64 {
 		}
 	}
 	return crit
-}
-
-// MapBoth maps in both modes and returns (areaQoR, delayQoR).
-func MapBoth(g *aig.AIG, matcher *Matcher) (QoR, QoR) {
-	return Map(g, matcher, AreaMode), Map(g, matcher, DelayMode)
 }

@@ -9,9 +9,7 @@ import "math"
 // kernel deliberately uses separate multiply and add instructions (no
 // FMA): every lane then performs exactly the float32 operation sequence
 // of the scalar code below, making the vector and scalar paths
-// BIT-IDENTICAL — dispatch here follows the runtime level (ActiveSIMD)
-// rather than any snapshot's pack-time tier because switching can never
-// change an output bit.
+// BIT-IDENTICAL.
 
 // exp32 range-reduction constants (ln2 split hi/lo) and the SELU
 // coefficients λ and α·λ from Klambauer et al.
@@ -42,11 +40,11 @@ var selu32Consts = [16]float32{
 }
 
 // SELU32 applies selu(x) = λ·x for x ≥ 0, λα·(eˣ−1) otherwise, in
-// place, using the AVX2 kernel for full 8-lane groups when the active
-// dispatch level allows and the scalar core for the tail (and for
-// non-vector hosts). Both produce identical bits for every input.
+// place, using the AVX2 kernel for full 8-lane groups on the AVX2 tier
+// and the scalar core for the tail (and on the scalar tier). Both
+// produce identical bits for every input.
 func SELU32(xs []float32, lambda, alphaLambda float32) {
-	if ActiveSIMD() >= SIMDAVX2 && len(xs) >= 8 {
+	if activeSIMD == SIMDAVX2 && len(xs) >= 8 {
 		tab := selu32Consts
 		tab[11], tab[12], tab[13] = lambda, alphaLambda, -alphaLambda
 		vecs := len(xs) / 8

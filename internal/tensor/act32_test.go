@@ -6,15 +6,12 @@ import (
 	"testing"
 )
 
-// TestSELU32VectorMatchesScalar pins the AVX2 SELU kernel to the scalar
-// core bit-for-bit: the kernel promises the identical float32 operation
-// sequence per lane (no FMA), so every output — including the underflow
-// clamp, values straddling the range-reduction boundaries, zeros, and
-// denormals — must be byte-equal. Skipped where no vector tier exists.
+// TestSELU32VectorMatchesScalar pins SELU32 on the process's tier to
+// the scalar core bit-for-bit: the AVX2 kernel promises the identical
+// float32 operation sequence per lane (no FMA), so every output —
+// including the underflow clamp, values straddling the range-reduction
+// boundaries, zeros, and denormals — must be byte-equal.
 func TestSELU32VectorMatchesScalar(t *testing.T) {
-	if SupportedSIMD() < SIMDAVX2 {
-		t.Skip("no AVX2 on this host")
-	}
 	const lambda = float32(1.0507009873554805)
 	const alphaLambda = float32(1.6732632423543772 * 1.0507009873554805)
 
@@ -45,27 +42,22 @@ func TestSELU32VectorMatchesScalar(t *testing.T) {
 
 		got := make([]float32, size)
 		copy(got, xs)
-		prev := SetSIMD(SIMDAVX2)
 		SELU32(got, lambda, alphaLambda)
-		SetSIMD(prev)
 
 		for i := range got {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("size %d [%d]: selu(%v) = %v (vector) != %v (scalar) — tiers must be bit-identical",
-					size, i, xs[i], got[i], want[i])
+				t.Fatalf("size %d [%d]: selu(%v) = %v (%s) != %v (scalar) — tiers must be bit-identical",
+					size, i, xs[i], got[i], ActiveSIMD(), want[i])
 			}
 		}
 	}
 }
 
-// TestAxpy32VectorMatchesScalar pins the AVX2 axpy kernel to the scalar
-// loop bit-for-bit, including α = 1 (the one-hot plain-add case, exact
-// by IEEE multiplication), α = 0 against negative values
+// TestAxpy32VectorMatchesScalar pins Axpy32 on the process's tier to
+// the scalar loop bit-for-bit, including α = 1 (the one-hot plain-add
+// case, exact by IEEE multiplication), α = 0 against negative values
 // (−0 handling), and unaligned tails.
 func TestAxpy32VectorMatchesScalar(t *testing.T) {
-	if SupportedSIMD() < SIMDAVX2 {
-		t.Skip("no AVX2 on this host")
-	}
 	rng := rand.New(rand.NewSource(43))
 	for _, size := range []int{1, 7, 8, 9, 31, 32, 33, 257} {
 		for _, alpha := range []float32{0, 1, -1, 0.37, -2.5e-3, 1e20} {
@@ -77,18 +69,14 @@ func TestAxpy32VectorMatchesScalar(t *testing.T) {
 			}
 			want := make([]float32, size)
 			copy(want, dst)
-			for i := range want {
-				want[i] += alpha * src[i]
-			}
+			axpy32Scalar(want, src, alpha)
 			got := make([]float32, size)
 			copy(got, dst)
-			prev := SetSIMD(SIMDAVX2)
 			Axpy32(got, src, alpha)
-			SetSIMD(prev)
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("size %d alpha %v [%d]: %v (vector) != %v (scalar)",
-						size, alpha, i, got[i], want[i])
+					t.Fatalf("size %d alpha %v [%d]: %v (%s) != %v (scalar)",
+						size, alpha, i, got[i], ActiveSIMD(), want[i])
 				}
 			}
 		}

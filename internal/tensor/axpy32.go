@@ -6,18 +6,20 @@ package tensor
 // once the GEMMs and SELU run on the vector tier. Each output lane is
 // independent — no cross-lane reduction — and the AVX2 kernel uses
 // separate multiply and add instructions (no FMA), so every lane
-// performs the identical float32 operation sequence to the scalar loop
-// below: the tiers are BIT-IDENTICAL and dispatch safely follows the
-// runtime level (ActiveSIMD) rather than any snapshot's pack-time tier.
+// performs the identical float32 operation sequence to axpy32Scalar:
+// the tiers are BIT-IDENTICAL.
 func Axpy32(dst, src []float32, alpha float32) {
-	n := len(dst)
-	i := 0
-	if ActiveSIMD() >= SIMDAVX2 && n >= 8 {
-		vecs := n / 8
+	if activeSIMD == SIMDAVX2 && len(dst) >= 8 {
+		vecs := len(dst) / 8
 		axpy32Kern8(&dst[0], &src[0], vecs, alpha)
-		i = vecs * 8
+		dst, src = dst[vecs*8:], src[vecs*8:]
 	}
-	for ; i < n; i++ {
+	axpy32Scalar(dst, src, alpha)
+}
+
+// axpy32Scalar is the scalar tier of Axpy32 and its reference.
+func axpy32Scalar(dst, src []float32, alpha float32) {
+	for i := range dst {
 		dst[i] += alpha * src[i]
 	}
 }

@@ -3,7 +3,7 @@
 package tensor
 
 // hasAVX2FMA is always false off amd64: only the portable scalar
-// kernels exist, and PackB32SIMD clamps every request down to them.
+// kernels exist, so the process tier is always SIMDNone.
 func hasAVX2FMA() bool { return false }
 
 func cpuFeatureList() string { return "" }

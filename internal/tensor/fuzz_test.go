@@ -6,19 +6,19 @@ import (
 	"testing"
 )
 
-// FuzzF32KernelsAgree fuzzes the float32 inference kernels against a
-// float64 reference over arbitrary shapes — m/n/k of 1, sizes that are
-// not multiples of the register tiles, and strided final blocks — and
-// requires (a) every scalar f32 kernel to agree with the others
-// bit-for-bit (they all promise the same ascending-k per-element
-// accumulation), (b) the f32 results to sit within the
+// FuzzF32KernelsAgree fuzzes the packed float32 GEMM against a float64
+// reference over arbitrary shapes — m/n/k of 1, sizes that are not
+// multiples of the register tiles, and strided final blocks — packing
+// both layouts. It requires (a) the scalar layout, contiguous and
+// strided, to agree bit-for-bit with the fixed-order f32 reference (one
+// ascending-k sum per element), (b) the f32 results to sit within the
 // sequential-summation error bound of the f64 reference, and (c) when
-// the host has AVX2/FMA, the vector kernel to be deterministic across
-// runs and layouts and to sit within the same γ_k bound. The vector
-// kernel is deliberately NOT required to match the scalar one bitwise:
-// FMA fuses the multiply-add rounding, so its (still deterministic)
-// chain rounds differently. The committed seed corpus under
-// testdata/fuzz pins the historical edge cases.
+// the process runs the AVX2 tier, the vector layout to be deterministic
+// across runs and C layouts and to sit within the same γ_k bound. The
+// vector kernel is deliberately NOT required to match the scalar one
+// bitwise: FMA fuses the multiply-add rounding, so its (still
+// deterministic) chain rounds differently. The committed seed corpus
+// under testdata/fuzz pins the historical edge cases.
 func FuzzF32KernelsAgree(f *testing.F) {
 	f.Add(1, 1, 1, int64(1), 0)     // all-unit dims
 	f.Add(4, 4, 4, int64(2), 0)     // exact tile multiples
@@ -43,7 +43,7 @@ func FuzzF32KernelsAgree(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randSlice32(rng, m*k)
 		w := randSlice32(rng, n*k)
-		// Sprinkle zeros so the sparse skip participates.
+		// Sprinkle exact zeros, as one-hot encodings do.
 		for i := 0; i < len(a); i += 3 {
 			a[i] = 0
 		}
@@ -54,7 +54,7 @@ func FuzzF32KernelsAgree(f *testing.F) {
 
 		// Packed scalar kernel, contiguous (explicitly scalar-packed so
 		// the bit-equality checks are meaningful on AVX2 hosts).
-		pb := PackB32SIMD(w, n, k, SIMDNone)
+		pb := packB32(w, n, k, SIMDNone)
 		packed := make([]float32, m*n)
 		Gemm32Packed(m, n, k, a, k, pb, packed, n)
 
@@ -68,20 +68,6 @@ func FuzzF32KernelsAgree(f *testing.F) {
 		strided := make([]float32, m*cStride)
 		Gemm32Packed(m, n, k, wideA, aStride, pb, strided, cStride)
 
-		// Unpacked tiled kernel.
-		tb := make([]float32, m*n)
-		GemmTB32(m, n, k, a, w, tb)
-
-		// Sparse-skip kernel over B in k×n layout.
-		bRowMajor := make([]float32, k*n)
-		for j := 0; j < n; j++ {
-			for l := 0; l < k; l++ {
-				bRowMajor[l*n+j] = w[j*k+l]
-			}
-		}
-		sparse := make([]float32, m*n)
-		Gemm32(m, n, k, a, bRowMajor, sparse)
-
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				at := i*n + j
@@ -92,12 +78,6 @@ func FuzzF32KernelsAgree(f *testing.F) {
 				if strided[i*cStride+j] != ref {
 					t.Fatalf("%dx%dx%d [%d,%d]: strided Gemm32Packed %v != reference %v", m, n, k, i, j, strided[i*cStride+j], ref)
 				}
-				if tb[at] != ref {
-					t.Fatalf("%dx%dx%d [%d,%d]: GemmTB32 %v != reference %v", m, n, k, i, j, tb[at], ref)
-				}
-				if sparse[at] != ref {
-					t.Fatalf("%dx%dx%d [%d,%d]: Gemm32 %v != reference %v", m, n, k, i, j, sparse[at], ref)
-				}
 				if d := math.Abs(float64(ref) - want64[at]); d > f32Tol(k, abs[at]) {
 					t.Fatalf("%dx%dx%d [%d,%d]: f32 drift %g exceeds the γ_k bound %g",
 						m, n, k, i, j, d, f32Tol(k, abs[at]))
@@ -105,15 +85,15 @@ func FuzzF32KernelsAgree(f *testing.F) {
 			}
 		}
 
-		// Vector kernel cross-check (AVX2/FMA hosts only). Every output
+		// Vector kernel cross-check (AVX2 tier only). Every output
 		// element is one fixed-lane ascending-k FMA chain, so the vector
 		// path must be bit-reproducible run-to-run and across C layouts —
 		// and the fused rounding still satisfies the γ_k bound (FMA error
 		// per step is no larger than mul-then-add).
-		if SupportedSIMD() >= SIMDAVX2 {
-			vb := PackB32SIMD(w, n, k, SIMDAVX2)
-			if vb.SIMD() != SIMDAVX2 {
-				t.Fatalf("%dx%dx%d: PackB32SIMD(avx2) built a %s layout", m, n, k, vb.SIMD())
+		if ActiveSIMD() == SIMDAVX2 {
+			vb := PackB32(w, n, k)
+			if vb.nr != packNRAVX2 {
+				t.Fatalf("%dx%dx%d: PackB32 on the AVX2 tier built a %d-wide layout", m, n, k, vb.nr)
 			}
 			vec := make([]float32, m*n)
 			Gemm32Packed(m, n, k, a, k, vb, vec, n)

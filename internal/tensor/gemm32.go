@@ -46,36 +46,24 @@ type PackedB32 struct {
 	data []float32 // ⌈n/NR⌉ panels × k lines × NR
 }
 
-// SIMD reports the dispatch level the operand was packed for — the
-// kernel every Gemm32Packed call on it will run.
-func (p *PackedB32) SIMD() SIMD {
-	if p.nr == packNRAVX2 {
-		return SIMDAVX2
-	}
-	return SIMDNone
-}
-
 // PackB32 packs a weight matrix stored n×k row-major (the out×in layout
 // of Dense and Conv2D parameters, used as B = Wᵀ in C += A·Wᵀ) into
-// cache-friendly panels for the active dispatch level. Pack once per
+// cache-friendly panels for the process's kernel tier. Pack once per
 // model snapshot; the panels are immutable and safe for concurrent
 // reads.
 func PackB32(w []float32, n, k int) *PackedB32 {
-	return PackB32SIMD(w, n, k, ActiveSIMD())
+	return packB32(w, n, k, activeSIMD)
 }
 
-// PackB32SIMD packs for an explicit dispatch level (clamped to what
-// this CPU and build can execute) — the seam tests use to compare the
-// scalar and vector pipelines in one process.
-func PackB32SIMD(w []float32, n, k int, simd SIMD) *PackedB32 {
+// packB32 packs for an explicit tier, which must be one this CPU and
+// build can execute — the seam tensor's tests use to pack the scalar
+// layout on an AVX2 host.
+func packB32(w []float32, n, k int, tier SIMD) *PackedB32 {
 	if len(w) < n*k {
 		panic(fmt.Sprintf("tensor: packing %dx%d from %d weights", n, k, len(w)))
 	}
-	if simd > SupportedSIMD() {
-		simd = SupportedSIMD()
-	}
 	nr := packNR
-	if simd == SIMDAVX2 {
+	if tier == SIMDAVX2 {
 		nr = packNRAVX2
 	}
 	panels := (n + nr - 1) / nr
@@ -205,73 +193,6 @@ func writeRow4(c []float32, jn int, c0, c1, c2, c3 float32) {
 		c[1] += c1
 	case 1:
 		c[0] += c0
-	}
-}
-
-// Gemm32 computes C += A·B for row-major float32 matrices: A is m×k, B
-// is k×n and C is m×n. Zero A elements skip their whole B row — the
-// one-hot first convolution's position-major patch matrix is ~85% zeros,
-// so this is the sparse fast path the f32 engine keeps from the f64
-// kernels. Accumulation per C element is ascending k (the skipped terms
-// are exact zeros), so it agrees with the dense kernels for any batch
-// sharding.
-func Gemm32(m, n, k int, a, b, c []float32) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic(fmt.Sprintf("tensor: gemm32 %dx%dx%d over slices of %d/%d/%d", m, n, k, len(a), len(b), len(c)))
-	}
-	for i := 0; i < m; i++ {
-		ci := c[i*n : (i+1)*n]
-		ai := a[i*k : (i+1)*k]
-		for l, av := range ai {
-			if av == 0 {
-				continue
-			}
-			bl := b[l*n : (l+1)*n]
-			for j, bv := range bl {
-				ci[j] += av * bv
-			}
-		}
-	}
-}
-
-// GemmTB32 computes C += A·Bᵀ where A is m×k, B is stored n×k and C is
-// m×n — the unpacked counterpart of Gemm32Packed (same 4×4 register
-// tiling, B rows streamed instead of packed panels). Per-element
-// accumulation is a single ascending-k sum, bit-identical to the packed
-// kernel and to a plain dot product.
-func GemmTB32(m, n, k int, a, b, c []float32) {
-	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
-		panic(fmt.Sprintf("tensor: gemmTB32 %dx%dx%d over slices of %d/%d/%d", m, n, k, len(a), len(b), len(c)))
-	}
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
-		j := 0
-		for ; j+3 < n; j += 4 {
-			b0 := b[j*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k]
-			b2 := b[(j+2)*k : (j+3)*k]
-			b3 := b[(j+3)*k : (j+4)*k]
-			var s0, s1, s2, s3 float32
-			for l, av := range ai {
-				s0 += av * b0[l]
-				s1 += av * b1[l]
-				s2 += av * b2[l]
-				s3 += av * b3[l]
-			}
-			ci[j] += s0
-			ci[j+1] += s1
-			ci[j+2] += s2
-			ci[j+3] += s3
-		}
-		for ; j < n; j++ {
-			bj := b[j*k : (j+1)*k]
-			var sum float32
-			for l, av := range ai {
-				sum += av * bj[l]
-			}
-			ci[j] += sum
-		}
 	}
 }
 

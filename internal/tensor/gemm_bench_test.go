@@ -91,9 +91,9 @@ var simdBenchShapes = [][3]int{
 }
 
 // BenchmarkGemm32PackedSIMD compares the scalar 4×4 f32 kernel against
-// the AVX2/FMA 6×16 kernel on the same operands — the microkernel half
-// of the BenchmarkPredictPool32 speedup. Sub-benchmarks that need an
-// absent vector unit are skipped.
+// the AVX2/FMA 6×16 kernel on the same operands, each leg packing its
+// own layout. The AVX2 legs are skipped when the process runs the
+// scalar tier.
 func BenchmarkGemm32PackedSIMD(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	for _, dims := range simdBenchShapes {
@@ -103,10 +103,10 @@ func BenchmarkGemm32PackedSIMD(b *testing.B) {
 		c := make([]float32, m*n)
 		for _, simd := range []SIMD{SIMDNone, SIMDAVX2} {
 			b.Run(fmt.Sprintf("%s/%dx%dx%d", simd, m, n, k), func(b *testing.B) {
-				if simd > SupportedSIMD() {
+				if simd > ActiveSIMD() {
 					b.Skipf("%s not supported on this CPU", simd)
 				}
-				pb := PackB32SIMD(w, n, k, simd)
+				pb := packB32(w, n, k, simd)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					Gemm32Packed(m, n, k, a, k, pb, c, n)

@@ -2,10 +2,10 @@
 
 package tensor
 
-// The vector drivers are unreachable off amd64: PackB32SIMD clamps
-// every request to the scalar layout there, so a packed operand can
-// never carry a vector layout. These stubs keep the dispatch switches
-// compiling.
+// The vector drivers are unreachable off amd64: the process tier is
+// always SIMDNone there, so a packed operand never carries a vector
+// layout and the elementwise kernels never take their vector branch.
+// These stubs keep the dispatch switches compiling.
 
 func gemm32PackedAVX2(m, n, k int, a []float32, aStride int, b *PackedB32, c []float32, cStride int) {
 	panic("tensor: AVX2 f32 kernel on a non-amd64 build")

@@ -87,9 +87,6 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// Zero clears the tensor.
-func (t *Tensor) Zero() { t.Fill(0) }
-
 // Batch returns the leading (batch) dimension N of the tensor.
 func (t *Tensor) Batch() int {
 	if len(t.Shape) == 0 {

@@ -24,7 +24,6 @@ import (
 	"flowgen/internal/flow"
 	"flowgen/internal/nn"
 	"flowgen/internal/serve"
-	"flowgen/internal/tensor"
 	"flowgen/internal/train"
 )
 
@@ -57,14 +56,6 @@ func BenchmarkPredictPool32(b *testing.B) {
 	arch.InH, arch.InW = h, w
 	net := arch.Build(1)
 	inet, err := nn.NewInferenceNet(net, h, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Scalar-kernel baseline: the same snapshot compiled with dispatch
-	// forced off, isolating the vector tier's contribution (ISSUE 7).
-	prev := tensor.SetSIMD(tensor.SIMDNone)
-	snet, err := nn.NewInferenceNet(net, h, w)
-	tensor.SetSIMD(prev)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,11 +94,6 @@ func BenchmarkPredictPool32(b *testing.B) {
 		var probs64, probs32 [][]float64
 		d64 := minDur(func() { probs64 = predict(pred64) })
 		d32 := minDur(func() { probs32 = predict(inet) })
-		// The scalar pass also forces dispatch off at run time so the
-		// elementwise kernels (SELU) drop to scalar with the GEMMs.
-		prevSIMD := tensor.SetSIMD(tensor.SIMDNone)
-		dsc := minDur(func() { predict(snet) })
-		tensor.SetSIMD(prevSIMD)
 
 		ties, mismatches := 0, 0
 		for s := 0; s < poolN; s++ {
@@ -128,17 +114,13 @@ func BenchmarkPredictPool32(b *testing.B) {
 
 		f64Rate := poolN / d64.Seconds()
 		f32Rate := poolN / d32.Seconds()
-		scRate := poolN / dsc.Seconds()
 		b.ReportMetric(f32Rate, "flows/s")
 		b.ReportMetric(f32Rate/f64Rate, "x-vs-f64")
-		b.ReportMetric(f32Rate/scRate, "x-vs-scalar")
 		if i == b.N-1 {
 			appendBenchEntry(b, "BENCH_predict32.json", benchEntry{
 				Bench: "predict_pool32", Arch: "FastArch", PoolFlows: poolN,
 				F64FlowsPerS: f64Rate, F32FlowsPerS: f32Rate,
 				SpeedupF32VsF64: f32Rate / f64Rate, ArgmaxTies: ties,
-				ScalarF32FlowsPerS:  scRate,
-				SpeedupSIMDVsScalar: f32Rate / scRate,
 			})
 		}
 	}
