@@ -468,14 +468,15 @@ func (g *AIG) resurrectIfDead(id int) {
 
 // Touch declares lit as the candidate replacement output: its cone is
 // resurrected if dead and a virtual reference pins it alive so that gain
-// accounting is exact. Call exactly once per speculation, before reading
-// SpeculationGain; CommitSpeculate and AbortSpeculate release the pin.
+// accounting is exact. Call once per candidate, before reading
+// SpeculationGain; CommitSpeculate, RollbackSpeculate and AbortSpeculate
+// release the pin.
 func (g *AIG) Touch(l Lit) {
 	if !g.speculating {
 		panic("aig: Touch outside speculation")
 	}
 	if g.touchNode >= 0 {
-		panic("aig: double Touch in one speculation")
+		panic("aig: double Touch of one candidate")
 	}
 	id := g.Resolve(l).Node()
 	g.resurrectIfDead(id)
@@ -511,12 +512,19 @@ func (g *AIG) BeginSpeculate(root int) int {
 }
 
 // SpeculationGain returns the exact node-count gain of committing the
-// current candidate: nodes freed by removing root's cone, minus nodes
-// created, minus dead nodes the candidate resurrected. freed is the value
-// returned by BeginSpeculate. Call Touch on the candidate literal first.
+// current candidate: nodes freed by removing root's cone, minus its
+// SpeculationCost. freed is the value returned by BeginSpeculate. Call
+// Touch on the candidate literal first.
 func (g *AIG) SpeculationGain(freed int) int {
-	return freed - g.SpeculativeCreated() - g.resurrected
+	return freed - g.SpeculationCost()
 }
+
+// SpeculationCost returns what the current candidate has cost so far:
+// the nodes it created plus the dead nodes it resurrected. Building only
+// appends nodes and resurrects, so the cost never falls while a
+// candidate is built, and freed minus the cost bounds the candidate's
+// final SpeculationGain from above.
+func (g *AIG) SpeculationCost() int { return g.SpeculativeCreated() + g.resurrected }
 
 // CommitSpeculate replaces root with newLit: all logical fanouts of root
 // are redirected, reference counts are transferred, and speculation mode
@@ -538,12 +546,26 @@ func (g *AIG) CommitSpeculate(root int, newLit Lit) {
 	g.resurrected = 0
 }
 
-// AbortSpeculate rejects the candidate built since BeginSpeculate:
-// speculative nodes are unhashed and truncated, and root's cone is
+// AbortSpeculate rejects the candidate built since BeginSpeculate and
+// ends speculation: the candidate is rolled back and root's cone is
 // re-referenced.
 func (g *AIG) AbortSpeculate(root int) {
 	if !g.speculating {
 		panic("aig: AbortSpeculate outside speculation")
+	}
+	g.RollbackSpeculate()
+	g.speculating = false
+	g.RecursiveRef(root)
+}
+
+// RollbackSpeculate drops the candidate built since BeginSpeculate but
+// stays in speculation, with root's cone still dereferenced, so the next
+// candidate for the same root starts from the state BeginSpeculate left.
+// Speculative nodes are unhashed and truncated and the touch is
+// released.
+func (g *AIG) RollbackSpeculate() {
+	if !g.speculating {
+		panic("aig: RollbackSpeculate outside speculation")
 	}
 	g.releaseTouch()
 	// Drop speculative nodes newest first, removing the references they
@@ -564,13 +586,11 @@ func (g *AIG) AbortSpeculate(root int) {
 	}
 	g.nodes = g.nodes[:g.specMark]
 	g.repl = g.repl[:g.specMark]
-	g.speculating = false
 	g.resurrected = 0
-	g.RecursiveRef(root)
 }
 
-// SpeculativeCreated returns the number of nodes created since
-// BeginSpeculate.
+// SpeculativeCreated returns the number of nodes the current candidate
+// created: since BeginSpeculate, or since the last RollbackSpeculate.
 func (g *AIG) SpeculativeCreated() int { return len(g.nodes) - g.specMark }
 
 // Cleanup returns a compacted copy of the graph containing only live

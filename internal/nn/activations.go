@@ -134,6 +134,36 @@ func (a Activation) Deriv(x float64) float64 {
 	panic("nn: invalid activation")
 }
 
+// eval returns Apply(x) and Deriv(x), bit for bit, computed together:
+// ELU and SELU take their output and derivative from one math.Exp, and
+// Sigmoid, Tanh and Softsign share their common term.
+func (a Activation) eval(x float64) (y, d float64) {
+	switch a {
+	case ELU:
+		if x >= 0 {
+			return x, 1
+		}
+		e := math.Exp(x)
+		return e - 1, e
+	case SELU:
+		if x >= 0 {
+			return seluLambda * x, seluLambda
+		}
+		e := math.Exp(x)
+		return seluLambda * seluAlpha * (e - 1), seluLambda * seluAlpha * e
+	case Softsign:
+		d := 1 + math.Abs(x)
+		return x / d, 1 / (d * d)
+	case Sigmoid:
+		s := 1 / (1 + math.Exp(-x))
+		return s, s * (1 - s)
+	case Tanh:
+		th := math.Tanh(x)
+		return th, 1 - th*th
+	}
+	return a.Apply(x), a.Deriv(x)
+}
+
 // Smooth reports whether the activation is a smooth nonlinearity in the
 // paper's Section 3.2.2 taxonomy (the class observed to classify flows
 // better).

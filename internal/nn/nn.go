@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"flowgen/internal/tensor"
 )
@@ -215,20 +216,28 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // rounding. The im2col lowering is recomputed rather than cached from
 // Forward: it is O(K·HW) copying against the GEMM's O(OutC·K·HW) flops,
 // and keeping it would pin batch×K×HW floats across the step.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, true) }
+
+// backward is Backward; without wantDx it only accumulates the parameter
+// gradients and returns nil, skipping each block's patch-gradient GEMM
+// and col2im scatter.
+func (c *Conv2D) backward(grad *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	x := c.lastIn
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	hw := h * w
 	k := c.InC * c.KH * c.KW
-	dx := tensor.New(x.Shape...)
+	var dx *tensor.Tensor
 	padY, padX := (c.KH-1)/2, (c.KW-1)/2
 	bs := backwardBlockSamples(k, hw, n)
 	cols := c.scratch(k, bs*hw)
 	if cap(c.gemmOut) < c.OutC*bs*hw {
 		c.gemmOut = make([]float64, c.OutC*bs*hw)
 	}
-	if cap(c.dcols) < k*bs*hw {
-		c.dcols = make([]float64, k*bs*hw)
+	if wantDx {
+		dx = tensor.New(x.Shape...)
+		if cap(c.dcols) < k*bs*hw {
+			c.dcols = make([]float64, k*bs*hw)
+		}
 	}
 	for s0 := 0; s0 < n; s0 += bs {
 		m := bs
@@ -254,6 +263,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		// dW (OutC×K) += Gblk (OutC×m·HW) · colsᵀ (m·HW×K)
 		tensor.GemmTB(c.OutC, k, mhw, gblk, colsM, c.W.Grad)
+		if !wantDx {
+			continue
+		}
 		// dcols (K×m·HW) = Wᵀ (K×OutC) · Gblk (OutC×m·HW)
 		dcols := c.dcols[:k*mhw]
 		for i := range dcols {
@@ -616,8 +628,8 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // ActLayer applies a pointwise activation (batch-shape agnostic).
 type ActLayer struct {
-	Act    Activation
-	lastIn *tensor.Tensor
+	Act   Activation
+	deriv []float64 // the derivative at each input of the last Forward
 }
 
 // NewActLayer wraps an activation function as a layer.
@@ -629,12 +641,13 @@ func (a *ActLayer) Params() []*Param { return nil }
 // InferenceClone returns a state-independent copy.
 func (a *ActLayer) InferenceClone() Layer { return &ActLayer{Act: a.Act} }
 
-// Forward applies the activation.
+// Forward applies the activation and keeps its derivative at each input
+// for Backward, computed beside the output.
 func (a *ActLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	a.lastIn = x
 	out := tensor.New(x.Shape...)
+	a.deriv = slices.Grow(a.deriv[:0], len(x.Data))[:len(x.Data)]
 	for i, v := range x.Data {
-		out.Data[i] = a.Act.Apply(v)
+		out.Data[i], a.deriv[i] = a.Act.eval(v)
 	}
 	return out
 }
@@ -643,7 +656,7 @@ func (a *ActLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (a *ActLayer) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dx := tensor.New(grad.Shape...)
 	for i, g := range grad.Data {
-		dx.Data[i] = g * a.Act.Deriv(a.lastIn.Data[i])
+		dx.Data[i] = g * a.deriv[i]
 	}
 	return dx
 }
@@ -664,9 +677,14 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward propagates the loss gradient through all layers, accumulating
-// parameter gradients.
+// parameter gradients. Nothing reads the gradient of the network's
+// input, so a first Conv2D layer does not compute it.
 func (n *Network) Backward(grad *tensor.Tensor) {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
+		if c, ok := n.Layers[i].(*Conv2D); ok && i == 0 {
+			c.backward(grad, false)
+			return
+		}
 		grad = n.Layers[i].Backward(grad)
 	}
 }

@@ -345,3 +345,79 @@ func TestLoadWeightsShapeMismatch(t *testing.T) {
 		t.Fatal("expected shape mismatch error")
 	}
 }
+
+// TestActLayerDerivativeFromForward checks that ActLayer, which computes
+// each derivative in Forward beside the output, outputs Apply(x) and
+// back-propagates g·Deriv(x) bit for bit, for all eight activations,
+// across the kinks and the branch points of Softplus.
+func TestActLayerDerivativeFromForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	xs := []float64{0, math.Copysign(0, -1), 1e-300, -1e-300, 6, 30, 31, -30, -745, 710, math.Inf(1), math.Inf(-1)}
+	for len(xs) < 400 {
+		xs = append(xs, rng.NormFloat64()*4)
+	}
+	x := tensor.FromSlice(xs, 4, len(xs)/4)
+	g := tensor.New(x.Shape...)
+	for i := range g.Data {
+		g.Data[i] = rng.NormFloat64()
+	}
+	for _, a := range Activations {
+		l := NewActLayer(a)
+		y := l.Forward(x, true)
+		dx := l.Backward(g)
+		for i, v := range xs {
+			if math.Float64bits(y.Data[i]) != math.Float64bits(a.Apply(v)) {
+				t.Fatalf("%s(%v): Forward %v, Apply %v", a, v, y.Data[i], a.Apply(v))
+			}
+			if want := g.Data[i] * a.Deriv(v); math.Float64bits(dx.Data[i]) != math.Float64bits(want) {
+				t.Fatalf("%s'(%v): Backward %v, g·Deriv %v", a, v, dx.Data[i], want)
+			}
+		}
+	}
+}
+
+// TestNetworkBackwardMatchesLayerLoop checks that Network.Backward, which
+// skips the first convolution's input gradient, accumulates the parameter
+// gradients that calling every layer's Backward in turn does, bit for
+// bit, after one training-mode Forward of FastArch and of PaperArch.
+func TestNetworkBackwardMatchesLayerLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  ArchConfig
+		n    int
+	}{{"FastArch", FastArch(7), 12}, {"PaperArch", PaperArch(7), 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "PaperArch" && testing.Short() {
+				t.Skip("paper-scale backward is seconds of GEMM work")
+			}
+			net := tc.cfg.Build(5)
+			if _, ok := net.Layers[0].(*Conv2D); !ok {
+				t.Fatalf("first layer is %s, want a convolution", net.Layers[0].Name())
+			}
+			x := randBatch(6, tc.n, tc.cfg.InH, tc.cfg.InW)
+			labels := make([]int, tc.n)
+			for i := range labels {
+				labels[i] = i % tc.cfg.NumClasses
+			}
+			_, grad := SparseSoftmaxCEBatch(net.Forward(x, true), labels)
+			net.ZeroGrads()
+			net.Backward(grad)
+			var want [][]float64
+			for _, p := range net.Params() {
+				want = append(want, append([]float64(nil), p.Grad...))
+			}
+			net.ZeroGrads()
+			gg := grad
+			for i := len(net.Layers) - 1; i >= 0; i-- {
+				gg = net.Layers[i].Backward(gg)
+			}
+			for bi, p := range net.Params() {
+				for i, v := range p.Grad {
+					if math.Float64bits(v) != math.Float64bits(want[bi][i]) {
+						t.Fatalf("param block %d index %d: layer loop %v, Network.Backward %v", bi, i, v, want[bi][i])
+					}
+				}
+			}
+		})
+	}
+}

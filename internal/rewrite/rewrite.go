@@ -20,6 +20,7 @@ package rewrite
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -280,15 +281,22 @@ func lookup[K comparable](p *pass, m map[K]factored, k K, tt bitvec.TT) factored
 }
 
 // build constructs the factored form over the leaf nodes in g and
-// returns its output literal.
-func build[T int | int32](p *pass, g *aig.AIG, e factored, leaves []T) aig.Lit {
+// returns its output literal. A non-negative limit bounds the build's
+// speculation cost: past it the build stops and reports false, and the
+// caller drops the candidate (see sop.Workspace.BuildAIG).
+func build[T int | int32](p *pass, g *aig.AIG, e factored, leaves []T, limit int) (aig.Lit, bool) {
 	ws := p.ws
 	ws.lits = ws.lits[:0]
 	for _, l := range leaves {
 		ws.lits = append(ws.lits, aig.MakeLit(int(l), false))
 	}
-	return ws.sop.BuildAIG(g, e.form, ws.lits).NotIf(e.inv)
+	out, ok := ws.sop.BuildAIG(g, e.form, ws.lits, limit)
+	return out.NotIf(e.inv), ok
 }
+
+// rewriteCuts is the number of cuts rewrite enumerates per node, its
+// trivial cut included.
+const rewriteCuts = 8
 
 // Rewrite performs DAG-aware cut rewriting with 4-input cuts: for every
 // node, each cut function's pre-factored implementation is speculatively
@@ -299,19 +307,24 @@ func Rewrite(g *aig.AIG, zero bool) *aig.AIG {
 	return runPass(nil, nil, g, func(p *pass, g *aig.AIG) *aig.AIG { return p.rewrite(g, zero) })
 }
 
-// rewrite is Rewrite on the pass's library and workspace.
+// rewrite is Rewrite on the pass's library and workspace. One
+// speculation serves all of a node's cuts, each candidate rolled back
+// before the next, and a candidate's build stops as soon as its gain can
+// no longer beat the best so far: the first cut of greatest gain wins,
+// so once that gain is g >= 0 a candidate must cost at most freed-g-1,
+// and before it, at most freed, since no negative gain is accepted.
 func (p *pass) rewrite(g *aig.AIG, zero bool) *aig.AIG {
 	g.RecomputeRefs()
 	g.RecomputeLevels()
 	cuts := p.ws.cuts
-	cuts.Enumerate(g, 4, 8)
+	cuts.Enumerate(g, 4, rewriteCuts)
 	// buildCut speculatively constructs the factored form of id's cut ci
-	// in g. Cut tables are over 4 variables, so their low 16 bits
-	// identify them.
-	buildCut := func(id, ci int) aig.Lit {
+	// in g within limit. Cut tables are over 4 variables, so their low 16
+	// bits identify them.
+	buildCut := func(id, ci, limit int) (aig.Lit, bool) {
 		tt := cuts.TT(id, ci)
 		e := lookup(p, p.lib.cuts, uint16(tt.Words()[0]&0xFFFF), tt)
-		return build(p, g, e, cuts.Of(id)[ci].Leaves())
+		return build(p, g, e, cuts.Of(id)[ci].Leaves(), limit)
 	}
 
 	for _, id32 := range p.ws.walk.LiveAnds(g) {
@@ -322,44 +335,35 @@ func (p *pass) rewrite(g *aig.AIG, zero bool) *aig.AIG {
 		if aig.MakeLit(id, false) != g.Resolve(aig.MakeLit(id, false)) {
 			continue // node was replaced earlier in this pass
 		}
-		type cand struct {
-			gain    int
-			cutIdx  int
-			changed bool
-		}
-		best := cand{gain: -1 << 30}
-		nodeCuts := cuts.Of(id)
-		for ci := range nodeCuts {
-			c := &nodeCuts[ci]
-			if len(c.Leaves()) < 2 || !leavesUsable(g, id, c.Leaves()) {
-				continue
-			}
-			freed := g.BeginSpeculate(id)
-			newLit := buildCut(id, ci)
-			if newLit.Node() == id {
-				g.AbortSpeculate(id)
-				continue
-			}
-			g.Touch(newLit)
-			gain := g.SpeculationGain(freed)
-			changed := g.SpeculativeCreated() > 0 || newLit.Node() != id
-			g.AbortSpeculate(id)
-			if gain > best.gain {
-				best = cand{gain: gain, cutIdx: ci, changed: changed}
+		// Leaves are judged before speculation dereferences id's cone,
+		// which they may lie in.
+		var usable uint64 // bit ci: cut ci may be rebuilt
+		for ci, c := range cuts.Of(id) {
+			if len(c.Leaves()) >= 2 && leavesUsable(g, id, c.Leaves()) {
+				usable |= 1 << ci
 			}
 		}
-		accept := best.gain > 0 || (zero && best.gain == 0 && best.changed)
-		if best.gain == -1<<30 || !accept {
+		if usable == 0 {
 			continue
 		}
+		bestGain, bestCut := -1<<30, -1
 		freed := g.BeginSpeculate(id)
-		newLit := buildCut(id, best.cutIdx)
-		if newLit.Node() == id {
-			g.AbortSpeculate(id)
-			continue
+		for ; usable != 0 && bestGain < freed; usable &= usable - 1 {
+			ci := bits.TrailingZeros64(usable)
+			limit := freed
+			if bestGain >= 0 {
+				limit = freed - bestGain - 1
+			}
+			if newLit, ok := buildCut(id, ci, limit); ok && newLit.Node() != id {
+				g.Touch(newLit)
+				if gain := g.SpeculationGain(freed); gain > bestGain {
+					bestGain, bestCut = gain, ci
+				}
+			}
+			g.RollbackSpeculate()
 		}
-		g.Touch(newLit)
-		if gain := g.SpeculationGain(freed); gain > 0 || (zero && gain == 0) {
+		if bestGain > 0 || zero && bestGain == 0 {
+			newLit, _ := buildCut(id, bestCut, -1)
 			g.CommitSpeculate(id, newLit)
 		} else {
 			g.AbortSpeculate(id)
@@ -448,8 +452,10 @@ func (p *pass) refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG
 		e := lookup(p, p.lib.cones, key, tt)
 		oldLevel := g.Level(id)
 		freed := g.BeginSpeculate(id)
-		newLit := build(p, g, e, leaves)
-		if newLit.Node() == id {
+		// Every acceptance below needs gain >= 0, so a build that costs
+		// more than freed is dropped as soon as it does.
+		newLit, ok := build(p, g, e, leaves, freed)
+		if !ok || newLit.Node() == id {
 			g.AbortSpeculate(id)
 			continue
 		}

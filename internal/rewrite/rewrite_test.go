@@ -451,7 +451,8 @@ func TestLibraryStopsAtCap(t *testing.T) {
 		for v := range leaves {
 			leaves[v] = g.AddInput("x")
 		}
-		g.AddOutput(p.ws.sop.BuildAIG(g, e.form, leaves).NotIf(e.inv), "f")
+		out, _ := p.ws.sop.BuildAIG(g, e.form, leaves, -1)
+		g.AddOutput(out.NotIf(e.inv), "f")
 		in := make([]bool, nvars)
 		for m := 0; m < tt.NumBits(); m++ {
 			for v := range in {

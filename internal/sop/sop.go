@@ -519,7 +519,13 @@ func (w *Workspace) FactorTTFast(f bitvec.TT) (Form, bool) {
 // AND or OR combines the operands on top of the stack into a balanced
 // tree ordered by current node level, minimizing added depth, and
 // replaces them with its result.
-func (w *Workspace) BuildAIG(g *aig.AIG, f Form, leaves []aig.Lit) aig.Lit {
+//
+// A limit of zero or more bounds the build of a speculating graph: it
+// stops after the first And that raises g.SpeculationCost above limit
+// and reports ok false, leaving the part built so far for the caller to
+// roll back or abort. Cost never falls during a build, so a build that
+// stops would have ended above the limit. A negative limit never stops.
+func (w *Workspace) BuildAIG(g *aig.AIG, f Form, leaves []aig.Lit, limit int) (out aig.Lit, ok bool) {
 	w.lits = w.lits[:0]
 	for _, c := range f {
 		x := int(c &^ codeKind)
@@ -530,17 +536,21 @@ func (w *Workspace) BuildAIG(g *aig.AIG, f Form, leaves []aig.Lit) aig.Lit {
 			w.lits = append(w.lits, leaves[x>>1].NotIf(x&1 != 0))
 		default:
 			top := len(w.lits) - x
-			w.lits[top] = combineBalanced(g, w.lits[top:], c&codeKind == codeOr)
+			if w.lits[top], ok = combineBalanced(g, w.lits[top:], c&codeKind == codeOr, limit); !ok {
+				return 0, false
+			}
 			w.lits = w.lits[:top+1]
 		}
 	}
-	return w.lits[0]
+	return w.lits[0], true
 }
 
 // combineBalanced reduces the literals with AND (or OR when disj is true)
 // by repeatedly combining the two lowest-level operands, producing a
-// depth-balanced tree. It works in place on work.
-func combineBalanced(g *aig.AIG, work []aig.Lit, disj bool) aig.Lit {
+// depth-balanced tree. It works in place on work, and stops, reporting
+// false, once a combination raises g.SpeculationCost above a
+// non-negative limit.
+func combineBalanced(g *aig.AIG, work []aig.Lit, disj bool, limit int) (aig.Lit, bool) {
 	for len(work) > 1 {
 		slices.SortFunc(work, func(a, b aig.Lit) int { return g.Level(a.Node()) - g.Level(b.Node()) })
 		var n aig.Lit
@@ -549,9 +559,12 @@ func combineBalanced(g *aig.AIG, work []aig.Lit, disj bool) aig.Lit {
 		} else {
 			n = g.And(work[0], work[1])
 		}
+		if limit >= 0 && g.SpeculationCost() > limit {
+			return 0, false
+		}
 		copy(work, work[2:])
 		work[len(work)-2] = n
 		work = work[:len(work)-1]
 	}
-	return work[0]
+	return work[0], true
 }

@@ -8,6 +8,8 @@ import (
 
 	"flowgen/internal/aig"
 	"flowgen/internal/bitvec"
+	"flowgen/internal/circuits"
+	"flowgen/internal/cut"
 )
 
 func randomTT(rng *rand.Rand, k int) bitvec.TT {
@@ -167,8 +169,8 @@ func TestBuildAIGMatchesTT(t *testing.T) {
 			for i := range leaves {
 				leaves[i] = g.AddInput("x")
 			}
-			out := new(Workspace).BuildAIG(g, e, leaves).NotIf(inv)
-			g.AddOutput(out, "f")
+			out, _ := new(Workspace).BuildAIG(g, e, leaves, -1)
+			g.AddOutput(out.NotIf(inv), "f")
 			for i := 0; i < f.NumBits(); i++ {
 				in := make([]bool, k)
 				for v := 0; v < k; v++ {
@@ -192,11 +194,116 @@ func TestBuildAIGBalancedDepth(t *testing.T) {
 		f = append(f, codeLit|uint16(i)<<1)
 	}
 	f = append(f, codeAnd|8)
-	out := new(Workspace).BuildAIG(g, f, leaves)
+	out, _ := new(Workspace).BuildAIG(g, f, leaves, -1)
 	g.AddOutput(out, "f")
 	if lv := g.RecomputeLevels(); lv != 3 {
 		t.Fatalf("depth = %d, want 3", lv)
 	}
+}
+
+// TestBuildAIGLimit builds factored forms on clones of one graph, each
+// speculating on the same root, over the reconvergent cones of the
+// registered designs and of random graphs. A build with a limit either
+// completes with the literal and graph the unlimited build gives, or
+// stops above the limit, and then the unlimited build costs more than the
+// limit, and at least what the stopped build had cost.
+func TestBuildAIGLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var graphs []*aig.AIG
+	for _, name := range []string{"alu8", "miniaes2", "mont8"} {
+		d, err := circuits.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, d.Build().Cleanup())
+	}
+	for i := 0; i < 4; i++ {
+		graphs = append(graphs, randomGraph(rng, 8, 200))
+	}
+	var w Workspace
+	var lits []aig.Lit
+	completed, stopped := 0, 0
+	for gi, g := range graphs {
+		g.RecomputeRefs()
+		g.RecomputeLevels()
+		var cones cut.Cones
+		cones.Reset(g)
+		live := g.LiveAnds()
+		for trial := 0; trial < 60; trial++ {
+			root := live[rng.Intn(len(live))]
+			leaves := cones.ReconvCut(root, 4+rng.Intn(7))
+			if len(leaves) < 2 || slices.Contains(leaves, root) {
+				continue
+			}
+			tt, ok := cones.TT(root, leaves)
+			if !ok {
+				continue
+			}
+			form, _ := w.FactorTTFast(tt)
+			form = slices.Clone(form)
+			lits = lits[:0]
+			for _, l := range leaves {
+				lits = append(lits, aig.MakeLit(l, false))
+			}
+			full := g.Clone()
+			full.BeginSpeculate(root)
+			want, _ := w.BuildAIG(full, form, lits, -1)
+			cost := full.SpeculationCost()
+			limit := rng.Intn(cost + 2)
+			bounded := g.Clone()
+			bounded.BeginSpeculate(root)
+			got, ok := w.BuildAIG(bounded, form, lits, limit)
+			switch {
+			case ok && (got != want || !sameGraph(bounded, full)):
+				t.Fatalf("graph %d root %d: build within %d gave %v, unlimited %v, or another graph", gi, root, limit, got, want)
+			case ok:
+				completed++
+			case cost <= limit || bounded.SpeculationCost() <= limit || bounded.SpeculationCost() > cost:
+				t.Fatalf("graph %d root %d: build stopped at cost %d within %d, unlimited cost %d",
+					gi, root, bounded.SpeculationCost(), limit, cost)
+			default:
+				stopped++
+			}
+		}
+	}
+	t.Logf("%d builds completed and %d stopped", completed, stopped)
+	if completed == 0 || stopped == 0 {
+		t.Fatalf("%d builds completed and %d stopped; want both", completed, stopped)
+	}
+}
+
+// sameGraph reports whether a and b hold the same nodes with the same
+// fanins and reference counts.
+func sameGraph(a, b *aig.AIG) bool {
+	if a.NumNodesRaw() != b.NumNodesRaw() {
+		return false
+	}
+	for id := 0; id < a.NumNodesRaw(); id++ {
+		if a.Kind(id) != b.Kind(id) || a.Ref(id) != b.Ref(id) {
+			return false
+		}
+		if a.IsAnd(id) && (a.Fanin0(id) != b.Fanin0(id) || a.Fanin1(id) != b.Fanin1(id)) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomGraph builds a random graph of nand ANDs over nin inputs.
+func randomGraph(rng *rand.Rand, nin, nand int) *aig.AIG {
+	g := aig.New()
+	var lits []aig.Lit
+	for i := 0; i < nin; i++ {
+		lits = append(lits, g.AddInput("x"))
+	}
+	pick := func() aig.Lit { return lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0) }
+	for i := 0; i < nand; i++ {
+		lits = append(lits, g.And(pick(), pick()))
+	}
+	for i := 0; i < 6; i++ {
+		g.AddOutput(lits[len(lits)-1-i], "f")
+	}
+	return g.Cleanup()
 }
 
 // Property: ISOP of any 6-var function round-trips.
@@ -292,8 +399,8 @@ func TestWorkspaceAllocationFree(t *testing.T) {
 		leaves[i] = g.AddInput("x")
 	}
 	e, _ := w.FactorTT(f8)
-	w.BuildAIG(g, e, leaves)
-	if n := testing.AllocsPerRun(20, func() { w.BuildAIG(g, e, leaves) }); n != 0 {
+	w.BuildAIG(g, e, leaves, -1)
+	if n := testing.AllocsPerRun(20, func() { w.BuildAIG(g, e, leaves, -1) }); n != 0 {
 		t.Errorf("BuildAIG allocates %v times per call, want 0", n)
 	}
 }
