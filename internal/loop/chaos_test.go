@@ -14,6 +14,7 @@ import (
 
 	"flowgen/internal/fault"
 	"flowgen/internal/serve"
+	"flowgen/internal/synth"
 )
 
 // TestChaosEndToEnd drives the full serve → loop → storage pipeline
@@ -336,4 +337,54 @@ func getCode(t *testing.T, url string) int {
 	}
 	resp.Body.Close()
 	return resp.StatusCode
+}
+
+// TestChaosJournalStallDoesNotBlockServing stalls one journal append
+// for 200 ms and requires the serving path to stay fast meanwhile:
+// while an Add sleeps inside its journal write, Store.Has and
+// Loop.Observe — which every predict and recommend reaches — must each
+// return in under 20 ms. The corpus lock is never held across journal
+// I/O, so neither waits on the stalled write.
+func TestChaosJournalStallDoesNotBlockServing(t *testing.T) {
+	defer fault.Reset()
+	reg, eng, _ := testLoopWorld(t)
+	cfg := testLoopConfig()
+	cfg.JournalPath = filepath.Join(t.TempDir(), "labels.journal")
+	lp, err := New(reg, eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lp.Close()
+	flows := lp.space.RandomUnique(rand.New(rand.NewSource(9)), 2)
+	if err := fault.Set("loop.journal.append=sleep,d=200ms,n=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	added := make(chan error, 1)
+	go func() {
+		_, err := lp.store.Add(flows[0], synth.QoR{Area: 1, Delay: 1})
+		added <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); fault.Count("loop.journal.append") == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the journal append never reached its fault site")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	const bound = 20 * time.Millisecond
+	t0 := time.Now()
+	lp.store.Has(flows[1])
+	if d := time.Since(t0); d >= bound {
+		t.Errorf("Store.Has took %v during a stalled journal append, want under %v", d, bound)
+	}
+	t0 = time.Now()
+	lp.Observe(context.Background(), flows[1:])
+	if d := time.Since(t0); d >= bound {
+		t.Errorf("Loop.Observe took %v during a stalled journal append, want under %v", d, bound)
+	}
+	if err := <-added; err != nil {
+		t.Fatal(err)
+	}
+	if !lp.store.Has(flows[0]) || lp.store.Persisted() != 1 {
+		t.Fatalf("after the stall: has %v, persisted %d; want the flow on disk", lp.store.Has(flows[0]), lp.store.Persisted())
+	}
 }

@@ -72,20 +72,31 @@ func (rc RetryConfig) withDefaults() RetryConfig {
 // exhausted the store degrades to in-memory-only labeling — accepting
 // samples, counting what is unpersisted — and periodically tries to
 // reopen the journal and replay the unpersisted tail into it.
+//
+// Two locks split the corpus from the journal. mu guards the corpus and
+// is never held across journal I/O, so Has, Len and Snapshot — serving
+// reaches Has on every predict and recommend through Loop.Observe —
+// never wait on a write, its retry sleeps or a recovery rescan. jmu
+// serializes the journal: its holder writes the corpus past the
+// persisted prefix in corpus order, taking mu only to read that tail.
+// Nothing takes jmu while holding mu.
 type Store struct {
 	mu    sync.Mutex
-	path  string
-	rc    RetryConfig
-	f     *os.File
 	flows []flow.Flow
 	qors  []synth.QoR
 	seen  map[string]struct{}
 
-	goodOff   int64 // offset just past the last fully persisted record
-	dirty     bool  // a failed write may have left torn bytes past goodOff
-	persisted int   // prefix of flows[] known to be on disk
-	degraded  bool
-	lastTry   time.Time // last degraded-mode reopen attempt
+	jmu     sync.Mutex
+	path    string
+	rc      RetryConfig
+	f       *os.File
+	goodOff int64     // offset just past the last fully persisted record
+	dirty   bool      // a failed write may have left torn bytes past goodOff
+	lastTry time.Time // last degraded-mode reopen attempt
+
+	// Written under jmu, read without it.
+	persisted atomic.Int64 // prefix of flows[] known to be on disk
+	degraded  atomic.Bool
 
 	journalErrors  atomic.Int64 // failed write/sync attempts (incl. retries)
 	journalRetries atomic.Int64 // backoff retries taken
@@ -135,7 +146,7 @@ func OpenStoreWith(path string, rc RetryConfig) (*Store, error) {
 	}
 	s.f = f
 	s.goodOff = good
-	s.persisted = len(s.flows)
+	s.persisted.Store(int64(len(s.flows)))
 	return s, nil
 }
 
@@ -223,40 +234,50 @@ func encodeRecord(f flow.Flow, q synth.QoR) ([]byte, error) {
 func (s *Store) Add(f flow.Flow, q synth.QoR) (added bool, err error) {
 	key := f.Key()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, dup := s.seen[key]; dup {
+		s.mu.Unlock()
 		return false, nil
 	}
 	s.seen[key] = struct{}{}
 	s.flows = append(s.flows, f)
 	s.qors = append(s.qors, q)
-	s.persistLocked()
+	s.mu.Unlock()
+	s.persist()
 	return true, nil
 }
 
-// persistLocked pushes the unpersisted tail of the corpus into the
-// journal: the common case appends exactly the one record Add just
-// admitted; while degraded it first re-attempts a reopen.
-func (s *Store) persistLocked() {
+// persist pushes the unpersisted tail of the corpus into the journal:
+// the common case appends exactly the one record Add just admitted (or
+// nothing, when a concurrent Add's persist already wrote it); while
+// degraded it first re-attempts a reopen.
+func (s *Store) persist() {
 	if s.path == "" {
 		return
 	}
-	if s.degraded {
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	if s.degraded.Load() {
 		s.tryRecoverLocked()
 		return
 	}
 	if err := s.appendTailLocked(s.rc.Attempts); err != nil {
-		s.degraded = true
+		s.degraded.Store(true)
 		slog.Error("loop: journal degraded to memory-only labeling",
-			"journal", s.path, "persisted", s.persisted, "corpus", len(s.flows), "error", err)
+			"journal", s.path, "persisted", s.persisted.Load(), "corpus", s.Len(), "error", err)
 	}
 }
 
-// appendTailLocked writes flows[persisted:] to the journal, retrying
-// each record up to attempts times with capped exponential backoff.
+// appendTailLocked writes the corpus past the persisted prefix to the
+// journal, retrying each record up to attempts times with capped
+// exponential backoff. The caller holds jmu; records admitted after
+// the tail is read are written by their own Add's persist.
 func (s *Store) appendTailLocked(attempts int) error {
-	for s.persisted < len(s.flows) {
-		buf, err := encodeRecord(s.flows[s.persisted], s.qors[s.persisted])
+	done := s.persisted.Load()
+	s.mu.Lock()
+	flows, qors := s.flows[done:], s.qors[done:]
+	s.mu.Unlock()
+	for i, f := range flows {
+		buf, err := encodeRecord(f, qors[i])
 		if err != nil {
 			return err // non-transient: the record itself won't encode
 		}
@@ -276,7 +297,7 @@ func (s *Store) appendTailLocked(attempts int) error {
 				backoff = s.rc.MaxBackoff
 			}
 		}
-		s.persisted++
+		s.persisted.Add(1)
 	}
 	return nil
 }
@@ -351,19 +372,17 @@ func (s *Store) tryRecoverLocked() {
 	s.f = f
 	s.goodOff = good
 	s.dirty = false
-	if unique > len(s.flows) {
-		unique = len(s.flows) // another writer grew the journal; replay owns the rest
-	}
-	s.persisted = unique
+	// Another writer may have grown the journal; replay owns the rest.
+	s.persisted.Store(int64(min(unique, s.Len())))
 	// Catch up: single attempt per record — if the fault persists, the
 	// next RecoverEvery tick retries from wherever this stopped.
 	if err := s.appendTailLocked(1); err != nil {
 		return
 	}
-	s.degraded = false
+	s.degraded.Store(false)
 	s.recoveries.Add(1)
 	slog.Info("loop: journal recovered from degraded mode",
-		"journal", s.path, "persisted", s.persisted, "corpus", len(s.flows))
+		"journal", s.path, "persisted", s.persisted.Load(), "corpus", s.Len())
 }
 
 // Sync fsyncs the journal to stable storage — the drain path calls it
@@ -371,18 +390,18 @@ func (s *Store) tryRecoverLocked() {
 // or in-memory stores return the count of unpersisted samples in the
 // error so the caller can report what a crash would lose.
 func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.path == "" {
 		return nil
 	}
-	if s.degraded {
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	if s.degraded.Load() {
 		// One last chance to come back before reporting data at risk.
 		s.lastTry = time.Time{}
 		s.tryRecoverLocked()
 	}
-	if s.degraded || s.f == nil {
-		return fmt.Errorf("loop: journal degraded, %d samples unpersisted", len(s.flows)-s.persisted)
+	if s.degraded.Load() || s.f == nil {
+		return fmt.Errorf("loop: journal degraded, %d samples unpersisted", s.Len()-int(s.persisted.Load()))
 	}
 	if err := fault.Hit("loop.journal.sync"); err != nil {
 		s.journalErrors.Add(1)
@@ -412,18 +431,10 @@ func (s *Store) Has(f flow.Flow) bool {
 
 // Degraded reports whether the store is in memory-only degraded mode
 // after exhausting journal write retries.
-func (s *Store) Degraded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
-}
+func (s *Store) Degraded() bool { return s.degraded.Load() }
 
 // Persisted returns how many corpus samples are known to be on disk.
-func (s *Store) Persisted() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.persisted
-}
+func (s *Store) Persisted() int { return int(s.persisted.Load()) }
 
 // JournalErrors returns the cumulative failed journal operations
 // (including retried attempts); JournalRetries the backoff retries
@@ -444,8 +455,8 @@ func (s *Store) Snapshot() ([]flow.Flow, []synth.QoR) {
 // Close flushes and closes the journal file (no-op in memory-only
 // mode). The store must not be used afterwards.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
 	if s.f == nil {
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -336,6 +337,65 @@ func TestStoreTornAttemptNeverCorrupts(t *testing.T) {
 	for i := range gotFlows {
 		if gotFlows[i].Key() != flows[i].Key() {
 			t.Fatalf("record %d out of order", i)
+		}
+	}
+}
+
+// TestStoreConcurrentAddsKeepJournalOrder adds overlapping flows from
+// several goroutines at once, with one journal append in four failing
+// once, and requires the journal to replay exactly the corpus, in
+// Snapshot order: journal I/O runs outside the corpus lock, so each
+// writer must still append the corpus past the persisted prefix in
+// corpus order.
+func TestStoreConcurrentAddsKeepJournalOrder(t *testing.T) {
+	defer fault.Reset()
+	path := filepath.Join(t.TempDir(), "labels.journal")
+	space, flows := testFlows(40)
+	s, err := OpenStoreWith(path, fastRetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.Set("loop.journal.append=error,p=0.25", 3); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range flows {
+				j := (i*7 + w*11) % len(flows) // every writer covers every flow
+				if _, err := s.Add(flows[j], testQoR(j)); err != nil {
+					t.Error(err)
+				}
+				s.Has(flows[(j+1)%len(flows)])
+			}
+		}()
+	}
+	wg.Wait()
+	fault.Reset()
+	if s.Degraded() {
+		t.Fatal("a single failed attempt per record degraded the store")
+	}
+	want, wantQoRs := s.Snapshot()
+	if len(want) != len(flows) || s.Persisted() != len(flows) {
+		t.Fatalf("corpus %d, persisted %d; want %d each", len(want), s.Persisted(), len(flows))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got, gotQoRs := s2.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("journal replays %d records, corpus holds %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].String(space) != want[i].String(space) || gotQoRs[i] != wantQoRs[i] {
+			t.Fatalf("record %d: journal %s, corpus %s", i, got[i].String(space), want[i].String(space))
 		}
 	}
 }

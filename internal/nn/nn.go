@@ -41,6 +41,13 @@ func newParam(n int) *Param {
 // following Backward call, so a Layer value serves one pipeline at a
 // time; InferenceClone produces cheap parameter-sharing copies for
 // concurrent forward-only use.
+//
+// Layers own the tensors they return and reuse them, so a warm training
+// step allocates nothing: Forward's result is valid until the layer's
+// next Forward, and Backward's until its next Backward. A caller that
+// holds a result across such a call must copy it first. A layer may
+// also return its input, or a view of it (Dropout at inference,
+// Flatten).
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -61,13 +68,40 @@ func glorot(rng *rand.Rand, w []float64, fanIn, fanOut int) {
 	}
 }
 
-// checkBatch4 validates an N×C×H×W input.
-func checkBatch4(name string, x *tensor.Tensor, wantC int) {
+// buffer returns the layer-owned tensor *t reshaped to shape, growing
+// its storage only when it is too small. Its elements are stale:
+// callers overwrite or zero every one.
+func buffer(t **tensor.Tensor, shape ...int) *tensor.Tensor {
+	if *t == nil {
+		*t = new(tensor.Tensor)
+	}
+	b := *t
+	b.Shape = append(b.Shape[:0], shape...)
+	if n := b.Size(); cap(b.Data) >= n {
+		b.Data = b.Data[:n]
+	} else {
+		b.Data = make([]float64, n)
+	}
+	return b
+}
+
+// view points dst at data with the given shape and returns it: a
+// Reshape into a tensor the caller owns.
+func view(dst *tensor.Tensor, data []float64, shape ...int) *tensor.Tensor {
+	dst.Shape, dst.Data = append(dst.Shape[:0], shape...), data
+	if dst.Size() != len(data) {
+		panic(fmt.Sprintf("nn: %d elements viewed as %v", len(data), dst.Shape))
+	}
+	return dst
+}
+
+// checkBatch4 validates an N×C×H×W input to layer l.
+func checkBatch4(l Layer, x *tensor.Tensor, wantC int) {
 	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("nn: %s expects a batched N×C×H×W tensor, got shape %v", name, x.Shape))
+		panic(fmt.Sprintf("nn: %s expects a batched N×C×H×W tensor, got shape %v", l.Name(), x.Shape))
 	}
 	if x.Shape[1] != wantC {
-		panic(fmt.Sprintf("nn: %s expects %d input channels, got %d", name, wantC, x.Shape[1]))
+		panic(fmt.Sprintf("nn: %s expects %d input channels, got %d", l.Name(), wantC, x.Shape[1]))
 	}
 }
 
@@ -81,9 +115,12 @@ type Conv2D struct {
 	InC, OutC, KH, KW int
 	W, B              *Param
 	lastIn            *tensor.Tensor
-	cols              []float64 // blocked im2col scratch
+	cols              []float64 // blocked im2col patch matrix
+	colsWhole         bool      // cols holds all of lastIn, lowered by Forward in one block
 	gemmOut           []float64 // blocked GEMM output scratch
+	gradT             []float64 // backward block's output gradient, position-major
 	dcols             []float64 // backward patch-gradient scratch
+	out, dx           *tensor.Tensor
 }
 
 // NewConv2D builds a convolution layer with Glorot initialization.
@@ -160,14 +197,15 @@ func backwardBlockSamples(k, hw, n int) int {
 // accumulation order is unchanged by blocking, so results are identical
 // for any batch or block size.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	checkBatch4(c.Name(), x, c.InC)
+	checkBatch4(c, x, c.InC)
 	c.lastIn = x
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	hw := h * w
 	k := c.InC * c.KH * c.KW
-	out := tensor.New(n, c.OutC, h, w)
+	out := buffer(&c.out, n, c.OutC, h, w)
 	padY, padX := (c.KH-1)/2, (c.KW-1)/2
 	bs := blockSamples(k, hw, n)
+	c.colsWhole = bs == n
 	cols := c.scratch(k, bs*hw)
 	if cap(c.gemmOut) < c.OutC*bs*hw {
 		c.gemmOut = make([]float64, c.OutC*bs*hw)
@@ -205,17 +243,21 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward accumulates weight gradients and returns the input gradient.
-// Like Forward, samples are processed in blocks that share one im2col
-// patch matrix: the block's gradients are gathered into one oc-major
-// matrix (the inverse of the forward scatter) so the weight-gradient and
-// patch-gradient products each run as a single GEMM whose inner loops
+// Samples are processed in blocks (backwardBlockSamples) that each run
+// one weight-gradient and one patch-gradient GEMM whose inner loops
 // span block×H·W columns. The input gradient and bias gradient keep the
 // exact per-sample accumulation order, so they are bit-identical to the
 // unblocked path; the weight gradient folds each block in one addition
 // (instead of one per sample), which only perturbs floating-point
-// rounding. The im2col lowering is recomputed rather than cached from
-// Forward: it is O(K·HW) copying against the GEMM's O(OutC·K·HW) flops,
-// and keeping it would pin batch×K×HW floats across the step.
+// rounding — the block partition fixes it.
+//
+// The patch matrix is lowered once per step: when Forward's single
+// block covered the whole batch, each backward block reads its columns
+// straight out of Forward's matrix (row stride batch×H·W), which holds
+// exactly what lowering again would write. Only a batch whose patch
+// matrix exceeds convBlockBudget (PaperArch's second convolution) is
+// lowered again, block by block, as Forward's patch buffer by then
+// holds just its last block.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, true) }
 
 // backward is Backward; without wantDx it only accumulates the parameter
@@ -229,12 +271,17 @@ func (c *Conv2D) backward(grad *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	var dx *tensor.Tensor
 	padY, padX := (c.KH-1)/2, (c.KW-1)/2
 	bs := backwardBlockSamples(k, hw, n)
-	cols := c.scratch(k, bs*hw)
+	cols, stride := c.cols, n*hw
+	if !c.colsWhole {
+		cols, stride = c.scratch(k, bs*hw), bs*hw
+	}
+	c.gradT = slices.Grow(c.gradT[:0], c.OutC*bs*hw)[:c.OutC*bs*hw]
 	if cap(c.gemmOut) < c.OutC*bs*hw {
 		c.gemmOut = make([]float64, c.OutC*bs*hw)
 	}
 	if wantDx {
-		dx = tensor.New(x.Shape...)
+		dx = buffer(&c.dx, x.Shape...)
+		clear(dx.Data)
 		if cap(c.dcols) < k*bs*hw {
 			c.dcols = make([]float64, k*bs*hw)
 		}
@@ -245,24 +292,34 @@ func (c *Conv2D) backward(grad *tensor.Tensor, wantDx bool) *tensor.Tensor {
 			m = n - s0
 		}
 		mhw := m * hw
-		colsM := cols[:k*mhw]
+		blockCols := cols[s0*hw:]
+		if !c.colsWhole {
+			blockCols = cols
+		}
 		gblk := c.gemmOut[:c.OutC*mhw]
 		for s := 0; s < m; s++ {
-			tensor.Im2ColBlock(x.Data[(s0+s)*c.InC*hw:(s0+s+1)*c.InC*hw], c.InC, h, w,
-				c.KH, c.KW, padY, padX, h, w, colsM, mhw, s*hw)
+			if !c.colsWhole {
+				tensor.Im2ColBlock(x.Data[(s0+s)*c.InC*hw:(s0+s+1)*c.InC*hw], c.InC, h, w,
+					c.KH, c.KW, padY, padX, h, w, cols, stride, s*hw)
+			}
 			g := grad.Data[(s0+s)*c.OutC*hw : (s0+s+1)*c.OutC*hw]
 			for oc := 0; oc < c.OutC; oc++ {
 				row := g[oc*hw : (oc+1)*hw]
 				sum := 0.0
-				for _, gv := range row {
+				for p, gv := range row {
 					sum += gv
+					c.gradT[(s*hw+p)*c.OutC+oc] = gv
 				}
 				c.B.Grad[oc] += sum
-				copy(gblk[oc*mhw+s*hw:oc*mhw+(s+1)*hw], row)
+				if wantDx {
+					copy(gblk[oc*mhw+s*hw:oc*mhw+(s+1)*hw], row)
+				}
 			}
 		}
-		// dW (OutC×K) += Gblk (OutC×m·HW) · colsᵀ (m·HW×K)
-		tensor.GemmTB(c.OutC, k, mhw, gblk, colsM, c.W.Grad)
+		// dW (OutC×K) += Gblk (OutC×m·HW) · colsᵀ (m·HW×K), Gblk given
+		// position-major so that the vector tier takes eight output
+		// channels per lane pair.
+		tensor.GemmTATB(c.OutC, k, mhw, c.gradT, blockCols, stride, c.W.Grad)
 		if !wantDx {
 			continue
 		}
@@ -287,6 +344,7 @@ type MaxPool2D struct {
 	KH, KW, Stride int
 	lastIn         *tensor.Tensor
 	argmax         []int // flat input index per output element
+	out, dx        *tensor.Tensor
 }
 
 // NewMaxPool2D builds a pooling layer (the paper uses 2×2 kernels; the
@@ -312,7 +370,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh := (h-p.KH)/p.Stride + 1
 	ow := (w-p.KW)/p.Stride + 1
-	out := tensor.New(n, ch, oh, ow)
+	out := buffer(&p.out, n, ch, oh, ow)
 	if cap(p.argmax) < out.Size() {
 		p.argmax = make([]int, out.Size())
 	}
@@ -346,7 +404,8 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward routes gradients to the argmax positions.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(p.lastIn.Shape...)
+	dx := buffer(&p.dx, p.lastIn.Shape...)
+	clear(dx.Data)
 	for oi, ii := range p.argmax {
 		dx.Data[ii] += grad.Data[oi]
 	}
@@ -367,6 +426,7 @@ type LocallyConnected2D struct {
 	W, B              *Param
 	lastIn            *tensor.Tensor
 	patch             []float64
+	out, dx           *tensor.Tensor
 }
 
 // NewLocallyConnected2D builds the layer for a fixed input size.
@@ -413,10 +473,10 @@ func (l *LocallyConnected2D) gatherPatch(xs []float64, ih, iw, y, x int) []float
 
 // Forward computes the locally connected response for the batch.
 func (l *LocallyConnected2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	checkBatch4(l.Name(), x, l.InC)
+	checkBatch4(l, x, l.InC)
 	l.lastIn = x
 	n, ih, iw := x.Shape[0], x.Shape[2], x.Shape[3]
-	out := tensor.New(n, l.OutC, l.OH, l.OW)
+	out := buffer(&l.out, n, l.OutC, l.OH, l.OW)
 	k := l.InC * l.KH * l.KW
 	for s := 0; s < n; s++ {
 		xs := x.Data[s*l.InC*ih*iw : (s+1)*l.InC*ih*iw]
@@ -444,7 +504,8 @@ func (l *LocallyConnected2D) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 func (l *LocallyConnected2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := l.lastIn
 	n, ih, iw := x.Shape[0], x.Shape[2], x.Shape[3]
-	dx := tensor.New(x.Shape...)
+	dx := buffer(&l.dx, x.Shape...)
+	clear(dx.Data)
 	k := l.InC * l.KH * l.KW
 	for s := 0; s < n; s++ {
 		xs := x.Data[s*l.InC*ih*iw : (s+1)*l.InC*ih*iw]
@@ -490,6 +551,7 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 	lastIn  *tensor.Tensor
+	out, dx *tensor.Tensor
 }
 
 // NewDense builds a fully connected layer.
@@ -515,7 +577,8 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: dense expects %d inputs per sample, got %v", d.In, x.Shape))
 	}
 	d.lastIn = x
-	out := tensor.New(n, d.Out)
+	out := buffer(&d.out, n, d.Out)
+	clear(out.Data)
 	tensor.GemmTB(n, d.Out, d.In, x.Data, d.W.Data, out.Data)
 	for s := 0; s < n; s++ {
 		row := out.Data[s*d.Out : (s+1)*d.Out]
@@ -540,7 +603,8 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// dW (Out×In) += Gᵀ (Out×N) · X (N×In).
 	tensor.GemmTA(d.Out, d.In, n, grad.Data, x.Data, d.W.Grad)
 	// dX (N×In) = G (N×Out) · W (Out×In).
-	dx := tensor.New(x.Shape...)
+	dx := buffer(&d.dx, x.Shape...)
+	clear(dx.Data)
 	tensor.Gemm(n, d.In, d.Out, grad.Data, d.W.Data, dx.Data)
 	return dx
 }
@@ -552,9 +616,10 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // the identity. The paper uses rate 0.4. The mask spans the whole batch,
 // drawn in sample order from the layer's deterministic stream.
 type Dropout struct {
-	Rate float64
-	rng  *rand.Rand
-	mask []float64
+	Rate    float64
+	rng     *rand.Rand
+	mask    []float64 // empty after an inference Forward
+	out, dx *tensor.Tensor
 }
 
 // NewDropout builds a dropout layer with its own deterministic stream.
@@ -575,27 +640,28 @@ func (d *Dropout) InferenceClone() Layer {
 // Forward applies the mask in training mode.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || d.Rate == 0 {
-		d.mask = nil
+		d.mask = d.mask[:0]
 		return x
 	}
-	out := tensor.New(x.Shape...)
-	d.mask = make([]float64, x.Size())
+	out := buffer(&d.out, x.Shape...)
+	d.mask = slices.Grow(d.mask[:0], len(x.Data))[:len(x.Data)]
 	scale := 1 / (1 - d.Rate)
 	for i, v := range x.Data {
+		m, o := 0.0, 0.0
 		if d.rng.Float64() >= d.Rate {
-			d.mask[i] = scale
-			out.Data[i] = v * scale
+			m, o = scale, v*scale
 		}
+		d.mask[i], out.Data[i] = m, o
 	}
 	return out
 }
 
 // Backward applies the stored mask.
 func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if d.mask == nil {
+	if len(d.mask) == 0 {
 		return grad
 	}
-	dx := tensor.New(grad.Shape...)
+	dx := buffer(&d.dx, grad.Shape...)
 	for i, g := range grad.Data {
 		dx.Data[i] = g * d.mask[i]
 	}
@@ -605,7 +671,11 @@ func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // --------------------------------------------------------------- Flatten
 
 // Flatten reshapes each sample to a vector, keeping the batch dimension.
-type Flatten struct{ lastShape []int }
+// Both directions return views of their argument's data.
+type Flatten struct {
+	lastShape []int
+	out, dx   tensor.Tensor
+}
 
 func (f *Flatten) Name() string     { return "flatten" }
 func (f *Flatten) Params() []*Param { return nil }
@@ -615,21 +685,22 @@ func (f *Flatten) InferenceClone() Layer { return &Flatten{} }
 
 // Forward flattens the per-sample dimensions.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.lastShape = x.Shape
-	return x.Reshape(x.Batch(), x.SampleSize())
+	f.lastShape = append(f.lastShape[:0], x.Shape...)
+	return view(&f.out, x.Data, x.Batch(), x.SampleSize())
 }
 
 // Backward restores the stored shape.
 func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.lastShape...)
+	return view(&f.dx, grad.Data, f.lastShape...)
 }
 
 // -------------------------------------------------------------- ActLayer
 
 // ActLayer applies a pointwise activation (batch-shape agnostic).
 type ActLayer struct {
-	Act   Activation
-	deriv []float64 // the derivative at each input of the last Forward
+	Act     Activation
+	deriv   []float64 // the derivative at each input of the last Forward
+	out, dx *tensor.Tensor
 }
 
 // NewActLayer wraps an activation function as a layer.
@@ -644,7 +715,7 @@ func (a *ActLayer) InferenceClone() Layer { return &ActLayer{Act: a.Act} }
 // Forward applies the activation and keeps its derivative at each input
 // for Backward, computed beside the output.
 func (a *ActLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape...)
+	out := buffer(&a.out, x.Shape...)
 	a.deriv = slices.Grow(a.deriv[:0], len(x.Data))[:len(x.Data)]
 	for i, v := range x.Data {
 		out.Data[i], a.deriv[i] = a.Act.eval(v)
@@ -654,7 +725,7 @@ func (a *ActLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward multiplies by the activation derivative.
 func (a *ActLayer) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(grad.Shape...)
+	dx := buffer(&a.dx, grad.Shape...)
 	for i, g := range grad.Data {
 		dx.Data[i] = g * a.deriv[i]
 	}
@@ -730,13 +801,17 @@ func (n *Network) InferenceClone() *Network {
 
 // Softmax converts logits to probabilities (numerically stable).
 func Softmax(logits []float64) []float64 {
+	return softmaxInto(make([]float64, len(logits)), logits)
+}
+
+// softmaxInto is Softmax writing into out, which it returns.
+func softmaxInto(out, logits []float64) []float64 {
 	max := math.Inf(-1)
 	for _, v := range logits {
 		if v > max {
 			max = v
 		}
 	}
-	out := make([]float64, len(logits))
 	sum := 0.0
 	for i, v := range logits {
 		out[i] = math.Exp(v - max)
@@ -751,12 +826,17 @@ func Softmax(logits []float64) []float64 {
 // SparseSoftmaxCE computes the sparse softmax cross-entropy loss and the
 // gradient with respect to the logits (the paper's loss function).
 func SparseSoftmaxCE(logits []float64, label int) (float64, []float64) {
-	p := Softmax(logits)
 	grad := make([]float64, len(logits))
-	copy(grad, p)
-	grad[label] -= 1
+	return sparseSoftmaxCEInto(grad, logits, label), grad
+}
+
+// sparseSoftmaxCEInto is SparseSoftmaxCE writing the gradient into grad.
+func sparseSoftmaxCEInto(grad, logits []float64, label int) float64 {
+	p := softmaxInto(grad, logits)
 	const eps = 1e-12
-	return -math.Log(p[label] + eps), grad
+	loss := -math.Log(p[label] + eps)
+	grad[label] -= 1
+	return loss
 }
 
 // SparseSoftmaxCEBatch computes the mean sparse softmax cross-entropy
@@ -764,18 +844,25 @@ func SparseSoftmaxCE(logits []float64, label int) (float64, []float64) {
 // (unscaled — average the accumulated parameter gradients by the batch
 // size afterwards, e.g. with opt.ScaleGrads).
 func SparseSoftmaxCEBatch(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	grad := tensor.New(logits.Shape...)
+	return SparseSoftmaxCEBatchInto(logits, labels, grad), grad
+}
+
+// SparseSoftmaxCEBatchInto is SparseSoftmaxCEBatch writing the logit
+// gradients into grad, which must have the logits' shape.
+func SparseSoftmaxCEBatchInto(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) float64 {
 	n, c := logits.Shape[0], logits.Shape[1]
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), n))
 	}
-	grad := tensor.New(n, c)
+	if !tensor.SameShape(logits, grad) {
+		panic(fmt.Sprintf("nn: %v gradient for %v logits", grad.Shape, logits.Shape))
+	}
 	var total float64
 	for s := 0; s < n; s++ {
-		l, g := SparseSoftmaxCE(logits.Data[s*c:(s+1)*c], labels[s])
-		total += l
-		copy(grad.Data[s*c:(s+1)*c], g)
+		total += sparseSoftmaxCEInto(grad.Data[s*c:(s+1)*c], logits.Data[s*c:(s+1)*c], labels[s])
 	}
-	return total / float64(n), grad
+	return total / float64(n)
 }
 
 // Predict returns class probabilities for one input (C×H×W, or batched

@@ -15,7 +15,8 @@ import "fmt"
 //
 // Zero A elements are skipped: one-hot flow encodings make the first
 // convolution's im2col matrix overwhelmingly sparse, and adding a zero
-// product is a no-op.
+// product is a no-op. Each remaining row update runs on the process
+// tier (axpy64).
 func Gemm(m, n, k int, a, b, c []float64) {
 	checkGemm(m, n, k, len(a), len(b), len(c))
 	for i := 0; i < m; i++ {
@@ -25,17 +26,15 @@ func Gemm(m, n, k int, a, b, c []float64) {
 			if av == 0 {
 				continue
 			}
-			bl := b[l*n : (l+1)*n]
-			for j, bv := range bl {
-				ci[j] += av * bv
-			}
+			axpy64(ci, b[l*n:(l+1)*n], av)
 		}
 	}
 }
 
 // GemmTA computes C += Aᵀ·B where A is stored k×m (so Aᵀ is m×k), B is
 // k×n and C is m×n. This is the shape of input-gradient and
-// weight-gradient products in backpropagation.
+// weight-gradient products in backpropagation. Like Gemm it skips zero
+// A elements and runs each row update on the process tier.
 func GemmTA(m, n, k int, a, b, c []float64) {
 	checkGemm(m, n, k, len(a), len(b), len(c))
 	for l := 0; l < k; l++ {
@@ -45,10 +44,7 @@ func GemmTA(m, n, k int, a, b, c []float64) {
 			if av == 0 {
 				continue
 			}
-			ci := c[i*n : (i+1)*n]
-			for j, bv := range bl {
-				ci[j] += av * bv
-			}
+			axpy64(c[i*n:(i+1)*n], bl, av)
 		}
 	}
 }
@@ -148,7 +144,8 @@ func GemmTB(m, n, k int, a, b, c []float64) {
 // row's load/store traffic; the pairing depends only on k, so results
 // stay independent of batch and block size. There is no zero skip: this
 // is the convolution forward kernel, whose A (the kernel matrix) is
-// dense.
+// dense. The paired and single row updates run on the process tier
+// (axpyPair64, axpy64).
 func GemmStrided(m, n, k int, a, b []float64, bStride int, c []float64) {
 	if bStride < n {
 		panic(fmt.Sprintf("tensor: gemm B stride %d < %d columns", bStride, n))
@@ -162,21 +159,31 @@ func GemmStrided(m, n, k int, a, b []float64, bStride int, c []float64) {
 		ai := a[i*k : (i+1)*k]
 		l := 0
 		for ; l+1 < k; l += 2 {
-			av0, av1 := ai[l], ai[l+1]
-			b0 := b[l*bStride : l*bStride+n]
-			b1 := b[(l+1)*bStride : (l+1)*bStride+n]
-			for j := range ci {
-				ci[j] += av0*b0[j] + av1*b1[j]
-			}
+			axpyPair64(ci, b[l*bStride:l*bStride+n], b[(l+1)*bStride:(l+1)*bStride+n], ai[l], ai[l+1])
 		}
 		if l < k {
-			av := ai[l]
-			bl := b[l*bStride : l*bStride+n]
-			for j, bv := range bl {
-				ci[j] += av * bv
-			}
+			axpy64(ci, b[l*bStride:l*bStride+n], ai[l])
 		}
 	}
+}
+
+// GemmTATB computes C += Aᵀ·Bᵀ where A is stored k×m (so Aᵀ is m×k), B
+// holds n rows of k elements whose starts lie bStride apart (so Bᵀ is
+// k×n), and C is m×n. Every C element is one dot product summed from
+// zero in ascending k and then added, as in GemmTB; the AVX2 tier
+// computes eight of them per vector pair, one per lane (dotT64). This
+// is the convolution weight-gradient product: A is the block's output
+// gradient position-major, B the patch matrix, whose block may sit at a
+// column offset of a wider matrix.
+func GemmTATB(m, n, k int, a, b []float64, bStride int, c []float64) {
+	if bStride < k {
+		panic(fmt.Sprintf("tensor: gemm B stride %d < %d columns", bStride, k))
+	}
+	if len(a) < m*k || len(b) < (n-1)*bStride+k || len(c) < m*n {
+		panic(fmt.Sprintf("tensor: gemm TATB %dx%dx%d (stride %d) over slices of %d/%d/%d",
+			m, n, k, bStride, len(a), len(b), len(c)))
+	}
+	dotT64(m, n, k, a, b, bStride, c)
 }
 
 func checkGemm(m, n, k, la, lb, lc int) {

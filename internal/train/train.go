@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"flowgen/internal/nn"
@@ -53,19 +54,6 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 	})
 }
 
-// Batch gathers the samples at the given indices into one batched
-// N×1×H×W tensor plus the matching label slice.
-func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
-	hw := d.H * d.W
-	x := tensor.New(len(idx), 1, d.H, d.W)
-	y := make([]int, len(idx))
-	for b, i := range idx {
-		copy(x.Data[b*hw:(b+1)*hw], d.X[i])
-		y[b] = d.Y[i]
-	}
-	return x, y
-}
-
 // Source returns an nn.Source streaming the dataset's samples, so any
 // nn.Predictor can evaluate the set without materializing one
 // dataset-sized tensor. Rows are narrowed to float32, which is exact
@@ -82,7 +70,9 @@ func (d *Dataset) Source() nn.Source {
 	}
 }
 
-// Trainer drives mini-batch gradient descent.
+// Trainer drives mini-batch gradient descent. A warm step allocates
+// nothing: the trainer reuses its minibatch tensor, label slice,
+// logit-gradient tensor and epoch order, and the layers reuse theirs.
 type Trainer struct {
 	Net       *nn.Network
 	Opt       opt.Optimizer
@@ -91,7 +81,9 @@ type Trainer struct {
 	cursor    int
 	order     []int
 	data      *Dataset
-	batchIdx  []int
+	params    []*nn.Param // Net's parameters, listed once by NewTrainer
+	x, grad   *tensor.Tensor
+	labels    []int
 
 	// Every trainer records into the process-wide series: a step
 	// duration histogram and the most recent mean batch loss. Processes
@@ -104,7 +96,7 @@ type Trainer struct {
 // NewTrainer builds a trainer with the paper's batch size 5.
 func NewTrainer(net *nn.Network, o opt.Optimizer, seed int64) *Trainer {
 	return &Trainer{
-		Net: net, Opt: o, BatchSize: 5, rng: rand.New(rand.NewSource(seed)),
+		Net: net, Opt: o, BatchSize: 5, rng: rand.New(rand.NewSource(seed)), params: net.Params(),
 		obsStepDur: obs.Default().DurationHistogram("flowgen_train_step_duration_seconds",
 			"Wall time of one mini-batch training step (forward + backward + update)."),
 		obsLoss: obs.Default().Gauge("flowgen_train_loss",
@@ -116,13 +108,13 @@ func NewTrainer(net *nn.Network, o opt.Optimizer, seed int64) *Trainer {
 // again whenever the incremental framework grows the dataset.
 func (t *Trainer) SetData(d *Dataset) {
 	t.data = d
-	t.order = nil
+	t.order = t.order[:0]
 	t.cursor = 0
 }
 
 func (t *Trainer) refillOrder() {
 	n := t.data.Len()
-	t.order = make([]int, n)
+	t.order = slices.Grow(t.order[:0], n)[:n]
 	for i := range t.order {
 		t.order[i] = i
 	}
@@ -140,27 +132,42 @@ func (t *Trainer) Step() (float64, error) {
 	if t.cursor+t.BatchSize > len(t.order) {
 		t.refillOrder()
 	}
-	batch := t.BatchSize
-	if batch > t.data.Len() {
-		batch = t.data.Len()
-	}
-	t.batchIdx = t.batchIdx[:0]
-	for b := 0; b < batch; b++ {
-		t.batchIdx = append(t.batchIdx, t.order[t.cursor])
-		t.cursor++
-	}
-	x, labels := t.data.Batch(t.batchIdx)
+	batch := min(t.BatchSize, t.data.Len())
+	x, labels := t.minibatch(t.order[t.cursor : t.cursor+batch])
+	t.cursor += batch
 
-	t.Net.ZeroGrads()
+	for _, p := range t.params {
+		clear(p.Grad)
+	}
 	logits := t.Net.Forward(x, true)
-	loss, grad := nn.SparseSoftmaxCEBatch(logits, labels)
-	t.Net.Backward(grad)
+	if t.grad == nil || !tensor.SameShape(t.grad, logits) {
+		t.grad = tensor.New(logits.Shape...)
+	}
+	loss := nn.SparseSoftmaxCEBatchInto(logits, labels, t.grad)
+	t.Net.Backward(t.grad)
 	// The backward pass accumulated summed gradients; average them over
 	// the batch before the optimizer update.
-	opt.ScaleGrads(t.Net.Params(), 1/float64(batch))
-	t.Opt.Step(t.Net.Params())
+	opt.ScaleGrads(t.params, 1/float64(batch))
+	t.Opt.Step(t.params)
 	t.obsLoss.Set(loss)
 	return loss, nil
+}
+
+// minibatch gathers the samples at idx into the trainer's N×1×H×W
+// tensor and label slice.
+func (t *Trainer) minibatch(idx []int) (*tensor.Tensor, []int) {
+	d := t.data
+	if t.x == nil || t.x.Shape[0] != len(idx) || t.x.Shape[2] != d.H || t.x.Shape[3] != d.W {
+		t.x = tensor.New(len(idx), 1, d.H, d.W)
+	}
+	t.labels = slices.Grow(t.labels[:0], len(idx))[:len(idx)]
+	hw := d.H * d.W
+	for b, i := range idx {
+		row := t.x.Data[b*hw : (b+1)*hw]
+		clear(row[copy(row, d.X[i]):])
+		t.labels[b] = d.Y[i]
+	}
+	return t.x, t.labels
 }
 
 // Steps runs n mini-batch steps and returns the mean loss across them.
