@@ -14,7 +14,6 @@ import (
 	"flowgen/internal/exp"
 	"flowgen/internal/flow"
 	"flowgen/internal/label"
-	"flowgen/internal/nn"
 	"flowgen/internal/opt"
 	"flowgen/internal/stats"
 	"flowgen/internal/synth"
@@ -114,7 +113,7 @@ func BenchmarkAblation_Determinators(b *testing.B) {
 				b.Fatal(err)
 			}
 			tr := train.NewTrainer(rc.Arch.Build(rc.Seed), optimizer, rc.Seed+1)
-			round := core.Round{Space: bd.Space, H: rc.Arch.InH, W: rc.Arch.InW, Steps: 600, Precision: nn.F64}
+			round := core.Round{Space: bd.Space, H: rc.Arch.InH, W: rc.Arch.InW, Steps: 600}
 			rr, err := round.Run(context.Background(), tr, bd.Flows, bd.QoRs, model)
 			if err != nil {
 				b.Fatal(err)

@@ -37,7 +37,6 @@ func main() {
 		seed       = cliflags.Seed(flag.CommandLine, 11)
 		memo       = cliflags.Memo(flag.CommandLine)
 		predW      = cliflags.Workers(flag.CommandLine, "predworkers", "pool-prediction workers (0 = GOMAXPROCS)")
-		precision  = cliflags.Precision(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -72,7 +71,6 @@ func main() {
 	}
 
 	base := exp.DefaultRunConfig(space, metric)
-	base.Precision = *precision
 	base.StepsPerRound = *steps
 	base.PredictWorkers = *predW
 	if *numOut > 0 {

@@ -41,7 +41,6 @@ func main() {
 		steps      = flag.Int("steps", 400, "CNN steps per retraining round")
 		seed       = cliflags.Seed(flag.CommandLine, 1)
 		optimizer  = flag.String("optimizer", "RMSProp", "SGD|Momentum|AdaGrad|RMSProp|Ftrl")
-		precision  = cliflags.Precision(flag.CommandLine)
 		memo       = cliflags.Memo(flag.CommandLine)
 		paper      = flag.Bool("paper", false, "use the paper's full-scale parameters")
 		verify     = flag.Bool("verify", false, "synthesize the generated flows and report accuracy")
@@ -83,7 +82,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Optimizer = *optimizer
-	cfg.Precision = *precision
 	switch *objective {
 	case "area":
 		cfg.Metrics = []synth.Metric{synth.MetricArea}

@@ -7,7 +7,6 @@
 //	flowserve -model alu16.flowmodel            # serve one file
 //	flowserve -bootstrap demo                   # untrained demo model, no files needed
 //	flowserve -models ./models -watch 2s        # auto-reload models whose files change
-//	flowserve -model alu16.flowmodel -precision f64   # opt out of the f32 fast path
 //
 // With -loop, the server closes the paper's flow-development cycle in
 // the background: flows observed on the serving endpoints (plus
@@ -76,7 +75,6 @@ func main() {
 		workers    = cliflags.Workers(flag.CommandLine, "workers", "prediction workers per batch (0 = GOMAXPROCS)")
 		cacheN     = flag.Int("cache", 4096, "scored-flow cache capacity (0 disables)")
 		maxPool    = flag.Int("maxpool", 200000, "largest recommendation pool one request may score")
-		precision  = cliflags.Precision(flag.CommandLine)
 		watch      = flag.Duration("watch", 0, "poll model files at this interval and hot-reload on change (0 disables)")
 		reqTimeout = cliflags.PositiveDuration(flag.CommandLine, "request-timeout", 30*time.Second,
 			"server-side deadline per request, propagated through batcher, predictor and loop")
@@ -117,7 +115,6 @@ func main() {
 		slog.Warn("flowserve: fault injection armed", "spec", os.Getenv("FLOWGEN_FAULTS"))
 	}
 
-	prec := *precision
 	reg := serve.NewRegistry()
 	load := func(path string) error {
 		m, err := serve.LoadModelFile(path)
@@ -127,7 +124,6 @@ func main() {
 		if m.Name == "" {
 			m.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 		}
-		m.Precision = prec
 		reg.Register(m)
 		slog.Info("flowserve: loaded model", "model", m.Name, "version", m.Version,
 			"path", path, "params", m.Net.NumParams(), "classes", m.Arch.NumClasses)
@@ -154,9 +150,7 @@ func main() {
 		}
 	}
 	if *bootstrap != "" {
-		boot := serve.BootstrapModel(*bootstrap)
-		boot.Precision = prec
-		m := reg.Register(boot)
+		m := reg.Register(serve.BootstrapModel(*bootstrap))
 		slog.Info("flowserve: bootstrapped untrained model", "model", m.Name, "params", m.Net.NumParams())
 	}
 	if len(reg.List()) == 0 {
@@ -254,7 +248,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	slog.Info("flowserve: serving", "models", len(reg.List()), "addr", *addr,
-		"default", reg.DefaultName(), "engine", prec.String())
+		"default", reg.DefaultName())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

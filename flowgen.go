@@ -65,18 +65,12 @@ type (
 	LabelModel = label.Model
 	// ArchConfig describes the CNN classifier architecture (Figure 3).
 	ArchConfig = nn.ArchConfig
-	// Precision selects the inference engine (F32 packed fast path, the
-	// default, or F64 training numerics).
-	Precision = nn.Precision
 	// InferenceNet is the packed float32 forward-only snapshot of a
-	// trained network — the serving/pool-prediction fast path.
+	// trained network — the one inference engine behind pool
+	// prediction, accuracy and serving (DESIGN.md §3.5).
 	InferenceNet = nn.InferenceNet
-	// Predictor is the one inference surface every precision tier
-	// implements: PredictStream scores streamed samples, and consumers
-	// never switch on precision (DESIGN.md §3.5).
-	Predictor = nn.Predictor
-	// PredictSource fills a Predictor's chunk buffers with float32
-	// encodings (exact for one-hot flows under either tier).
+	// PredictSource fills InferenceNet.PredictStream's chunk buffers
+	// with float32 encodings (exact for one-hot flows).
 	PredictSource = nn.Source
 	// Loop is the continuous flow-development loop: online labeling,
 	// journaled corpus, gated background retraining (DESIGN.md §4).
@@ -117,24 +111,10 @@ const (
 	MetricDelay = synth.MetricDelay
 )
 
-// Precision values: F32 is the packed float32 inference fast path (the
-// default for pool prediction and serving), F64 the full-precision
-// training-numerics engine and the f32 engine's differential oracle.
-const (
-	F32 = nn.F32
-	F64 = nn.F64
-)
-
 // NewInferenceNet compiles a trained network into the packed float32
 // inference engine for the given input image shape.
 func NewInferenceNet(net *nn.Network, inH, inW int) (*InferenceNet, error) {
 	return nn.NewInferenceNet(net, inH, inW)
-}
-
-// NewPredictor compiles a trained network into the inference engine for
-// the requested precision tier, behind the uniform Predictor surface.
-func NewPredictor(net *nn.Network, p Precision, inH, inW int) (Predictor, error) {
-	return nn.NewPredictor(net, p, inH, inW)
 }
 
 // NewLoop builds the continuous flow-development loop over a serving

@@ -1,9 +1,9 @@
 // Package cliflags holds the flag definitions shared by the flowgen
 // command-line tools (flowgen, flowexp, flowserve, qor-distro), so
-// -precision, -design, -seed, -m, -memo and the worker-count flags
-// parse and document identically everywhere instead of being
-// copy-pasted per command. Helpers take the FlagSet explicitly;
-// commands pass flag.CommandLine.
+// -design, -seed, -m, -memo and the worker-count flags parse and
+// document identically everywhere instead of being copy-pasted per
+// command. Helpers take the FlagSet explicitly; commands pass
+// flag.CommandLine.
 package cliflags
 
 import (
@@ -14,41 +14,8 @@ import (
 	"time"
 
 	"flowgen/internal/circuits"
-	"flowgen/internal/nn"
 	"flowgen/internal/obs"
 )
-
-// PrecisionUsage is the -precision help text shared by every command.
-const PrecisionUsage = "f32 (packed fast path) or f64 (training numerics)"
-
-// precisionValue adapts nn.Precision to flag.Value, so a bad
-// -precision argument fails at flag.Parse with the parser's usage
-// output instead of deep inside main.
-type precisionValue struct{ p *nn.Precision }
-
-func (v precisionValue) String() string {
-	if v.p == nil {
-		return nn.F32.String()
-	}
-	return v.p.String()
-}
-
-func (v precisionValue) Set(s string) error {
-	p, err := nn.ParsePrecision(s)
-	if err != nil {
-		return err
-	}
-	*v.p = p
-	return nil
-}
-
-// Precision registers -precision (default f32) and returns the parsed
-// engine selection.
-func Precision(fs *flag.FlagSet) *nn.Precision {
-	p := nn.F32
-	fs.Var(precisionValue{&p}, "precision", PrecisionUsage)
-	return &p
-}
 
 // designValue validates -design against the circuit generator registry
 // at parse time, so an unknown design fails before any work starts.

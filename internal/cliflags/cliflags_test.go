@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"flowgen/internal/nn"
 	"flowgen/internal/obs"
 )
 
@@ -16,40 +15,6 @@ func newFS() *flag.FlagSet {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	return fs
-}
-
-func TestPrecisionFlag(t *testing.T) {
-	fs := newFS()
-	p := Precision(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if *p != nn.F32 {
-		t.Fatalf("default precision %v, want f32", *p)
-	}
-
-	for arg, want := range map[string]nn.Precision{"f64": nn.F64, "float32": nn.F32, "32": nn.F32} {
-		fs := newFS()
-		p := Precision(fs)
-		if err := fs.Parse([]string{"-precision", arg}); err != nil {
-			t.Fatalf("-precision %s: %v", arg, err)
-		}
-		if *p != want {
-			t.Fatalf("-precision %s parsed to %v, want %v", arg, *p, want)
-		}
-	}
-
-	// A bad value — including the retired int8 tier — fails at
-	// flag.Parse, not later in main, and the error lists the legal values.
-	for _, bad := range []string{"f16", "int8"} {
-		fs := newFS()
-		Precision(fs)
-		err := fs.Parse([]string{"-precision", bad})
-		if err == nil || !strings.Contains(err.Error(), bad) ||
-			!strings.Contains(err.Error(), "f32") || !strings.Contains(err.Error(), "f64") {
-			t.Fatalf("-precision %s must fail at Parse listing f32 and f64, got %v", bad, err)
-		}
-	}
 }
 
 func TestDesignFlag(t *testing.T) {

@@ -41,17 +41,18 @@ type Config struct {
 	StepsPerRound    int // CNN minibatch steps per (re)training round
 	SampleFlows      int // unlabeled pool size (paper: 100000)
 	NumOut           int // angel and devil flows to emit (paper: 200)
-	EncodeH, EncodeW int
+	EncodeH, EncodeW int // one-hot encoding shape; must equal Arch.InH×Arch.InW
 
 	Arch      nn.ArchConfig
 	Optimizer string  // one of opt.Names (paper best: RMSProp)
 	LearnRate float64 // paper: 1e-4
 	Seed      int64
 
-	// Precision selects the inference engine for pool prediction and
-	// accuracy evaluation. Training and gradients always run float64;
-	// the zero value (nn.F32) scores pools through the packed float32
-	// engine, nn.F64 opts back into training numerics.
+	// Precision is read by nothing: pools and accuracy always score
+	// through the packed float32 engine.
+	//
+	// Deprecated: kept only because bench/labeling.go passes it to
+	// nn.NewPredictor and train.AccuracyPrec (see nn.Precision).
 	Precision nn.Precision
 }
 
@@ -168,6 +169,10 @@ func New(cfg Config, engine *synth.Engine) (*Framework, error) {
 	if cfg.NumOut <= 0 {
 		return nil, fmt.Errorf("core: non-positive NumOut %d", cfg.NumOut)
 	}
+	if cfg.EncodeH != cfg.Arch.InH || cfg.EncodeW != cfg.Arch.InW {
+		return nil, fmt.Errorf("core: %dx%d flow encoding for a %dx%d network input",
+			cfg.EncodeH, cfg.EncodeW, cfg.Arch.InH, cfg.Arch.InW)
+	}
 	if _, err := opt.ByName(cfg.Optimizer, cfg.LearnRate); err != nil {
 		return nil, err
 	}
@@ -202,8 +207,7 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 		return nil, err
 	}
 	trainer := train.NewTrainer(net, optimizer, cfg.Seed+2)
-	round := &Round{Space: cfg.Space, H: cfg.EncodeH, W: cfg.EncodeW,
-		Steps: cfg.StepsPerRound, Precision: cfg.Precision}
+	round := &Round{Space: cfg.Space, H: cfg.EncodeH, W: cfg.EncodeW, Steps: cfg.StepsPerRound}
 
 	res := &Result{Net: net, TrainFlows: flows}
 	var model *label.Model
@@ -248,7 +252,7 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 	// ③ Predict the unlabeled pool and pick the extremes.
 	pool := fw.GeneratePool(flows)
 	progress("predicting %d sample flows", len(pool))
-	preds := PredictPool(net, cfg.Precision, cfg.Space, pool, cfg.EncodeH, cfg.EncodeW, 0)
+	preds := PredictPool(net, cfg.Space, pool, cfg.EncodeH, cfg.EncodeW, 0)
 	res.Angels, res.Devils = SelectFlows(preds, model.NumClasses(), cfg.NumOut)
 	progress("selected %d angel and %d devil flows", len(res.Angels), len(res.Devils))
 	return res, nil
@@ -307,15 +311,14 @@ func ScoreFlows(pool []flow.Flow, probs [][]float64) []ScoredFlow {
 // one pool scorer behind Framework.Run and the experiment harness.
 // Encodings are streamed into chunk-sized worker buffers instead of
 // materializing one pool-sized tensor (~115 MB at the paper's 100k-flow
-// pool), so peak memory is flat in the pool size. prec selects the
-// engine through nn.NewPredictor (f32 packed snapshot by default, or
-// full-precision f64 inference clones); either way results are
+// pool), so peak memory is flat in the pool size. The network compiles
+// into the packed f32 engine (nn.NewInferenceNet), whose results are
 // deterministic regardless of sharding.
-func PredictPool(net *nn.Network, prec nn.Precision, space flow.Space, pool []flow.Flow, h, w, workers int) []ScoredFlow {
+func PredictPool(net *nn.Network, space flow.Space, pool []flow.Flow, h, w, workers int) []ScoredFlow {
 	if len(pool) == 0 {
 		return nil
 	}
-	pred, err := nn.NewPredictor(net, prec, h, w)
+	pred, err := nn.NewInferenceNet(net, h, w)
 	if err != nil {
 		panic("core: pool prediction failed: " + err.Error())
 	}

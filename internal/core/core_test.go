@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"flowgen/internal/circuits"
@@ -232,6 +234,27 @@ func TestConfigValidation(t *testing.T) {
 	bad.TrainFlows = 800
 	if _, err := New(bad, engine); err == nil {
 		t.Fatal("expected error for TrainFlows beyond the space")
+	}
+}
+
+// TestNewRejectsEncodeShapeMismatch: the encoding shape and the
+// network's input shape are one fact stated twice, so New refuses a
+// config whose two copies differ — a 24×6 encoding into a 12×12
+// network, or its transpose — before any flow is labeled.
+func TestNewRejectsEncodeShapeMismatch(t *testing.T) {
+	cfg := DefaultConfig(flow.PaperSpace())
+	engine := synth.NewEngine(circuits.ALU(8), cfg.Space)
+	if _, err := New(cfg, engine); err != nil {
+		t.Fatalf("default config: %v", err)
+	}
+	for _, shape := range [][2]int{{24, 6}, {6, 24}} {
+		bad := cfg
+		bad.EncodeH, bad.EncodeW = shape[0], shape[1]
+		_, err := New(bad, engine)
+		want := fmt.Sprintf("%dx%d flow encoding for a 12x12 network input", shape[0], shape[1])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%dx%d encoding: got %v, want an error containing %q", shape[0], shape[1], err, want)
+		}
 	}
 }
 

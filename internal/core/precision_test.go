@@ -7,6 +7,7 @@ import (
 	"flowgen/internal/circuits"
 	"flowgen/internal/flow"
 	"flowgen/internal/nn"
+	"flowgen/internal/tensor"
 )
 
 // probTol is the documented f32-vs-f64 agreement tolerance on softmax
@@ -19,6 +20,23 @@ const probTol = 5e-4
 // requirement: when the top-2 f64 probabilities are closer than this,
 // float32 rounding may legitimately order them the other way.
 const tieEps = 1e-4
+
+// predictPool64 is the f64 reference the f32 engine is gated against:
+// the pool's one-hot encodings through Network.Forward, the training
+// network's own numerics, scored like PredictPool.
+func predictPool64(net *nn.Network, space flow.Space, pool []flow.Flow, h, w int) []ScoredFlow {
+	x := tensor.New(len(pool), 1, h, w)
+	for i, f := range pool {
+		copy(x.Data[i*h*w:(i+1)*h*w], f.Encode(space, h, w))
+	}
+	logits := net.Forward(x, false)
+	c := logits.Shape[1]
+	probs := make([][]float64, len(pool))
+	for i := range probs {
+		probs[i] = nn.Softmax(logits.Data[i*c : (i+1)*c])
+	}
+	return ScoreFlows(pool, probs)
+}
 
 func top2(xs []float64) (best, second float64) {
 	best, second = math.Inf(-1), math.Inf(-1)
@@ -33,9 +51,9 @@ func top2(xs []float64) (best, second float64) {
 }
 
 // TestPrecisionDifferentialAcrossDesigns is the serving gate for the
-// f32 fast path: for every registered design, a seeded sample pool is
-// scored through both engines and the f32 path must (a) agree with the
-// f64 argmax on 100% of non-tied pool flows and (b) keep every class
+// f32 engine: for every registered design, a seeded sample pool is
+// scored through PredictPool and through the f64 reference
+// (Network.Forward), and the f32 path must (a) agree with the f64 argmax on 100% of non-tied pool flows and (b) keep every class
 // probability within probTol. Each design gets its own network seed so
 // the gate sweeps distinct weight draws, not one lucky initialization.
 // The f32 engine runs the process's kernel tier, so this pins the AVX2
@@ -61,8 +79,8 @@ func TestPrecisionDifferentialAcrossDesigns(t *testing.T) {
 			net := cfg.Arch.Build(seed)
 			pool := space.RandomUnique(fw.rng, poolN)
 
-			got32 := PredictPool(net, nn.F32, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
-			got64 := PredictPool(net, nn.F64, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
+			got32 := PredictPool(net, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
+			got64 := predictPool64(net, space, pool, cfg.EncodeH, cfg.EncodeW)
 
 			ties, mismatches := 0, 0
 			for i := range pool {
@@ -86,7 +104,7 @@ func TestPrecisionDifferentialAcrossDesigns(t *testing.T) {
 				t.Fatalf("%d/%d pool flows changed argmax beyond the tie tolerance", mismatches, poolN)
 			}
 			if ties > poolN/50 {
-				t.Fatalf("%d/%d pool flows landed on numerical ties — the engines have drifted apart", ties, poolN)
+				t.Fatalf("%d/%d pool flows landed on numerical ties — f32 has drifted from f64", ties, poolN)
 			}
 		})
 	}
@@ -113,8 +131,8 @@ func TestPrecisionDifferentialPaperArch(t *testing.T) {
 	}
 	pool := space.RandomUnique(fw.rng, poolN)
 
-	got32 := PredictPool(net, nn.F32, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
-	got64 := PredictPool(net, nn.F64, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
+	got32 := PredictPool(net, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
+	got64 := predictPool64(net, space, pool, cfg.EncodeH, cfg.EncodeW)
 	for i := range pool {
 		if got32[i].Class != got64[i].Class {
 			if best, second := top2(got64[i].Probs); best-second > tieEps {

@@ -49,9 +49,8 @@ type Round struct {
 	// Holdout, when 2 or more, holds every Holdout-th corpus sample out
 	// of training as the evaluation split; otherwise accuracy is
 	// measured on the training set.
-	Holdout   int
-	Workers   int          // accuracy prediction workers (≤0 selects GOMAXPROCS)
-	Precision nn.Precision // inference engine of the accuracy pass
+	Holdout int
+	Workers int // accuracy prediction workers (≤0 selects GOMAXPROCS)
 
 	enc [][]float64 // one-hot encodings memoized by corpus position
 }
@@ -59,7 +58,7 @@ type Round struct {
 // RoundResult is what one Round.Run measured.
 type RoundResult struct {
 	Loss  float64        // mean minibatch loss over the round's steps
-	Acc   float64        // tr.Net's accuracy on Eval at the round's precision
+	Acc   float64        // tr.Net's accuracy on Eval through the f32 engine
 	Eval  *train.Dataset // the held-out split, or the training set when nothing is held out
 	Train time.Duration  // wall time of the gradient steps
 }
@@ -111,7 +110,7 @@ func (r *Round) Run(ctx context.Context, tr *train.Trainer, flows []flow.Flow, q
 		return RoundResult{}, err
 	}
 
-	pred, err := nn.NewPredictor(tr.Net, r.Precision, r.H, r.W)
+	pred, err := nn.NewInferenceNet(tr.Net, r.H, r.W)
 	if err != nil {
 		return RoundResult{}, err
 	}

@@ -62,7 +62,7 @@ func roundWorld(t *testing.T) ([]flow.Flow, []synth.QoR, *label.Model, *train.Tr
 		t.Fatal(err)
 	}
 	tr := train.NewTrainer(arch.Build(1), o, 2)
-	return flows, qors, model, tr, &Round{Space: space, H: h, W: w, Steps: 3, Precision: nn.F64}
+	return flows, qors, model, tr, &Round{Space: space, H: h, W: w, Steps: 3}
 }
 
 // TestRoundHoldout: a stride holds every k-th sample out as the

@@ -105,10 +105,6 @@ type RunConfig struct {
 	// PredictWorkers shards pool prediction and accuracy evaluation
 	// across this many workers (≤0 selects GOMAXPROCS).
 	PredictWorkers int
-	// Precision selects the inference engine for pool prediction and
-	// accuracy measurement (training always runs float64). The zero
-	// value is the packed float32 engine.
-	Precision nn.Precision
 }
 
 // DefaultRunConfig mirrors the paper's protocol at harness scale.
@@ -146,7 +142,7 @@ func RunIncremental(b *Bundle, rc RunConfig) ([]CurvePoint, *nn.Network, *label.
 	trainer := train.NewTrainer(net, optimizer, rc.Seed+1)
 	h, w := rc.Arch.InH, rc.Arch.InW
 	round := &core.Round{Space: b.Space, H: h, W: w, Steps: rc.StepsPerRound,
-		Workers: rc.PredictWorkers, Precision: rc.Precision}
+		Workers: rc.PredictWorkers}
 
 	var curve []CurvePoint
 	var model *label.Model
@@ -194,7 +190,7 @@ type Selection struct {
 // measured QoRs from the pool ground truth.
 func SelectWithTruth(b *Bundle, net *nn.Network, model *label.Model, rc RunConfig) Selection {
 	h, w := rc.Arch.InH, rc.Arch.InW
-	preds := core.PredictPool(net, rc.Precision, b.Space, b.Pool, h, w, rc.PredictWorkers)
+	preds := core.PredictPool(net, b.Space, b.Pool, h, w, rc.PredictWorkers)
 	angels, devils := core.SelectFlows(preds, model.NumClasses(), rc.NumOut)
 	byKey := make(map[string]synth.QoR, len(b.Pool))
 	for i, f := range b.Pool {

@@ -193,6 +193,16 @@ func (f Flow) String(s Space) string {
 	return strings.Join(f.Names(s), "; ")
 }
 
+// TextLen returns the length of every flow's String in the space: each
+// transformation name appears M times, joined by "; ".
+func (s Space) TextLen() int {
+	n := 2 * (s.Length() - 1)
+	for _, a := range s.Alphabet {
+		n += s.M * len(a)
+	}
+	return n
+}
+
 // Parse parses a "t0; t1; ..." flow string against the space alphabet and
 // validates that it is a proper m-repetition permutation.
 func (s Space) Parse(text string) (Flow, error) {

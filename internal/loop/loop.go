@@ -858,25 +858,24 @@ func (l *Loop) retrain(ctx context.Context) error {
 		return fmt.Errorf("retrain: %w", err)
 	}
 	// The round holds every k-th sample out and measures the candidate
-	// on it at the serving precision; the budget watchdog and shutdown
+	// on it through the serving engine; the budget watchdog and shutdown
 	// are honored between its step chunks.
 	workers := l.cfg.LabelWorkers
 	rr, err := (&core.Round{
-		Space:     cur.Space,
-		H:         cur.Arch.InH,
-		W:         cur.Arch.InW,
-		Steps:     l.cfg.StepsPerRound,
-		Holdout:   max(2, int(math.Round(1/l.cfg.HoldoutFrac))),
-		Workers:   workers,
-		Precision: cur.Precision,
+		Space:   cur.Space,
+		H:       cur.Arch.InH,
+		W:       cur.Arch.InW,
+		Steps:   l.cfg.StepsPerRound,
+		Holdout: max(2, int(math.Round(1/l.cfg.HoldoutFrac))),
+		Workers: workers,
 	}).Run(ctx, train.NewTrainer(cand, o, l.cfg.Seed+round), flows, qors, model)
 	if err != nil {
 		return fmt.Errorf("retrain: %w", err)
 	}
 
-	// Accuracy gate, both sides through the one Predictor surface: the
-	// candidate compiled at the serving precision versus the serving
-	// model's live engine, on the same holdout.
+	// Accuracy gate, both sides through the one engine: the candidate
+	// compiled by the round versus the serving model's live engine, on
+	// the same holdout.
 	curPred, err := cur.Predictor()
 	if err != nil {
 		return fmt.Errorf("retrain: serving engine: %w", err)
@@ -902,12 +901,11 @@ func (l *Loop) retrain(ctx context.Context) error {
 	}
 
 	next := &serve.Model{
-		Name:      cur.Name,
-		Space:     cur.Space,
-		Arch:      cur.Arch,
-		Net:       cand,
-		Path:      cur.Path,
-		Precision: cur.Precision,
+		Name:  cur.Name,
+		Space: cur.Space,
+		Arch:  cur.Arch,
+		Net:   cand,
+		Path:  cur.Path,
 	}
 	if l.cfg.SavePath != "" {
 		if err := serve.SaveModel(l.cfg.SavePath, next); err != nil {

@@ -15,7 +15,7 @@ func diffNets(cfg ArchConfig, seed int64) (*Network, *Network) {
 }
 
 // randBatch fills an N×1×H×W batch with deterministic noise, rounded
-// through float32 so a Source streams it to either engine exactly.
+// through float32 so a Source streams it to the f32 engine exactly.
 func randBatch(seed int64, n, h, w int) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	x := tensor.New(n, 1, h, w)
@@ -27,8 +27,9 @@ func randBatch(seed int64, n, h, w int) *tensor.Tensor {
 
 // runDifferential checks that one batched forward/backward pass over n
 // samples matches n single-sample passes: identical argmax, logits and
-// accumulated parameter/input gradients within tol, and f64
-// PredictStream probabilities equal to per-sample Predict.
+// accumulated parameter/input gradients within tol, and the f32
+// engine's sharded PredictStream agrees with per-sample Predict to the
+// f32 tolerance.
 func runDifferential(t *testing.T, cfg ArchConfig, n int, seed int64) {
 	t.Helper()
 	const tol = 1e-9
@@ -79,18 +80,19 @@ func runDifferential(t *testing.T, cfg ArchConfig, n int, seed int64) {
 		}
 	}
 
-	// Parallel prediction equals per-sample Predict (per-sample numerics
-	// are independent of batching and sharding).
-	probsB := predictAll(t, mustPredictor(t, batched, F64, cfg.InH, cfg.InW), x, 3)
+	// Sharded f32 prediction agrees with per-sample f64 Predict up to
+	// float32 rounding (per-sample numerics are independent of batching
+	// and sharding).
+	probsB := predictAll(t, mustInferenceNet(t, batched, cfg.InH, cfg.InW), x, 3)
 	for s := 0; s < n; s++ {
 		probsS := single.Predict(x.SampleView(s))
 		for j := range probsS {
-			if math.Abs(probsB[s][j]-probsS[j]) > tol {
+			if math.Abs(probsB[s][j]-probsS[j]) > infer32Tol {
 				t.Fatalf("sample %d prob %d: PredictStream %v, Predict %v",
 					s, j, probsB[s][j], probsS[j])
 			}
 		}
-		if argmax(probsB[s]) != argmax(probsS) {
+		if argmax(probsB[s]) != argmax(probsS) && top2Gap(probsS) > tieEps {
 			t.Fatalf("sample %d: PredictStream argmax != Predict argmax", s)
 		}
 	}

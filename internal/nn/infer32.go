@@ -2,16 +2,18 @@ package nn
 
 import (
 	"fmt"
+	"time"
 
+	"flowgen/internal/obs"
 	"flowgen/internal/tensor"
 )
 
-// InferenceNet is the float32 fast path beneath the float64 training
+// InferenceNet is the one inference engine beneath the float64 training
 // network: an immutable forward-only snapshot whose weights were
 // converted and packed once (at model load / end of training) for the
 // cache-blocked f32 kernels in internal/tensor.
 //
-// Differences from the f64 engine, all fixed at compile time:
+// Differences from the f64 training network, all fixed at compile time:
 //
 //   - float32 everywhere: half the memory traffic per operand;
 //   - channel-last (NHWC) activations: convolution lowers with Im2Row32
@@ -28,10 +30,10 @@ import (
 //
 // Per-sample numerics are independent of batch composition and worker
 // sharding (every kernel fixes the per-element accumulation order), so
-// f32 prediction is deterministic and bit-reproducible, like the f64
-// path. Logits differ from f64 logits only by float32 rounding; the
-// differential tests and the serving layer's acceptance gate quantify
-// the tolerance (see DESIGN.md §3.5).
+// prediction is deterministic and bit-reproducible. Logits differ from
+// the training network's f64 logits (Network.Forward) only by float32
+// rounding; the differential tests quantify the tolerance (see
+// DESIGN.md §3.5).
 type InferenceNet struct {
 	inSize  int // per-sample input elements (1×InH×InW)
 	classes int
@@ -102,8 +104,12 @@ func (t *InferenceNet) Forward32(x []float32, n int, s *Scratch32) []float32 {
 // later training steps do not affect the snapshot; recompile to pick up
 // new weights. inH/inW fix the input image shape (nn networks are shape
 // agnostic until the first forward; the packed locally-connected and
-// dense stages need it at compile time).
+// dense stages need it at compile time). Every compile is timed into
+// flowgen_predictor_compile_seconds{precision="f32"} on obs.Default().
 func NewInferenceNet(n *Network, inH, inW int) (*InferenceNet, error) {
+	defer obs.Default().DurationHistogram("flowgen_predictor_compile_seconds",
+		"Wall time to compile a trained network into a serving engine.",
+		obs.Label{Key: "precision", Value: "f32"}).ObserveSince(time.Now())
 	if inH < 1 || inW < 1 {
 		return nil, fmt.Errorf("nn: inference input %dx%d", inH, inW)
 	}

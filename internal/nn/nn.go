@@ -8,13 +8,13 @@
 // The stack is batch-first: every layer takes and returns tensors with
 // an explicit leading batch dimension (N×C×H×W for the convolutional
 // stages, N×D after Flatten), convolutions and dense layers execute as
-// im2col+GEMM (internal/tensor). Scoring goes through one Predictor
-// (NewPredictor): float64 inference clones or the packed float32
-// InferenceNet, streamed chunk by chunk through one shard loop across a
-// worker pool. Per-sample numerics are independent of batch
-// composition — every kernel fixes the accumulation order per output
-// element — so batched and single-sample execution agree to
-// floating-point noise and parallel prediction is deterministic.
+// im2col+GEMM (internal/tensor). Scoring goes through one engine: a
+// trained network compiles into the packed float32 InferenceNet, which
+// streams samples chunk by chunk across a worker pool. Per-sample
+// numerics are independent of batch composition — every kernel fixes
+// the accumulation order per output element — so batched and
+// single-sample execution agree to floating-point noise and parallel
+// prediction is deterministic.
 package nn
 
 import (
@@ -39,8 +39,7 @@ func newParam(n int) *Param {
 // Layer is a differentiable network stage over batched tensors (leading
 // dimension = batch). Forward must retain whatever it needs for the
 // following Backward call, so a Layer value serves one pipeline at a
-// time; InferenceClone produces cheap parameter-sharing copies for
-// concurrent forward-only use.
+// time; concurrent prediction runs on a compiled InferenceNet instead.
 //
 // Layers own the tensors they return and reuse them, so a warm training
 // step allocates nothing: Forward's result is valid until the layer's
@@ -53,11 +52,6 @@ type Layer interface {
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	Name() string
-	// InferenceClone returns a shallow copy sharing the learnable
-	// parameters but owning its own retained-activation state, safe for
-	// concurrent forward passes with train=false. The clone must not be
-	// trained.
-	InferenceClone() Layer
 }
 
 // glorot initializes w uniformly in ±sqrt(6/(fanIn+fanOut)).
@@ -133,11 +127,6 @@ func NewConv2D(rng *rand.Rand, inC, outC, kh, kw int) *Conv2D {
 
 func (c *Conv2D) Name() string     { return fmt.Sprintf("conv%dx%dx%d", c.OutC, c.KH, c.KW) }
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
-
-// InferenceClone shares W and B but owns its scratch buffers.
-func (c *Conv2D) InferenceClone() Layer {
-	return &Conv2D{InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW, W: c.W, B: c.B}
-}
 
 func (c *Conv2D) scratch(k, hw int) []float64 {
 	if cap(c.cols) < k*hw {
@@ -356,11 +345,6 @@ func NewMaxPool2D(kh, kw, stride int) *MaxPool2D {
 func (p *MaxPool2D) Name() string     { return fmt.Sprintf("maxpool%dx%ds%d", p.KH, p.KW, p.Stride) }
 func (p *MaxPool2D) Params() []*Param { return nil }
 
-// InferenceClone returns a state-independent copy.
-func (p *MaxPool2D) InferenceClone() Layer {
-	return &MaxPool2D{KH: p.KH, KW: p.KW, Stride: p.Stride}
-}
-
 // Forward computes the pooled batch.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 {
@@ -446,12 +430,6 @@ func (l *LocallyConnected2D) Name() string {
 }
 func (l *LocallyConnected2D) Params() []*Param { return []*Param{l.W, l.B} }
 
-// InferenceClone shares W and B but owns its patch scratch.
-func (l *LocallyConnected2D) InferenceClone() Layer {
-	return &LocallyConnected2D{InC: l.InC, OutC: l.OutC, KH: l.KH, KW: l.KW,
-		OH: l.OH, OW: l.OW, W: l.W, B: l.B}
-}
-
 // gatherPatch copies the (ic,ky,kx)-ordered input patch at output
 // position (y,x) of sample slice xs into l.patch.
 func (l *LocallyConnected2D) gatherPatch(xs []float64, ih, iw, y, x int) []float64 {
@@ -471,11 +449,17 @@ func (l *LocallyConnected2D) gatherPatch(xs []float64, ih, iw, y, x int) []float
 	return patch
 }
 
-// Forward computes the locally connected response for the batch.
+// Forward computes the locally connected response for the batch. The
+// untied weights fix the input size, so any other H×W panics: the patch
+// gather would otherwise read across row boundaries.
 func (l *LocallyConnected2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkBatch4(l, x, l.InC)
-	l.lastIn = x
 	n, ih, iw := x.Shape[0], x.Shape[2], x.Shape[3]
+	if ih != l.OH+l.KH-1 || iw != l.OW+l.KW-1 {
+		panic(fmt.Sprintf("nn: %s built for %dx%d input, got %dx%d",
+			l.Name(), l.OH+l.KH-1, l.OW+l.KW-1, ih, iw))
+	}
+	l.lastIn = x
 	out := buffer(&l.out, n, l.OutC, l.OH, l.OW)
 	k := l.InC * l.KH * l.KW
 	for s := 0; s < n; s++ {
@@ -564,11 +548,6 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 func (d *Dense) Name() string     { return fmt.Sprintf("dense%d", d.Out) }
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// InferenceClone shares W and B.
-func (d *Dense) InferenceClone() Layer {
-	return &Dense{In: d.In, Out: d.Out, W: d.W, B: d.B}
-}
-
 // Forward computes X·Wᵀ+b over the batch (any per-sample shape whose
 // element count is In).
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -630,13 +609,6 @@ func NewDropout(rng *rand.Rand, rate float64) *Dropout {
 func (d *Dropout) Name() string     { return fmt.Sprintf("dropout%.1f", d.Rate) }
 func (d *Dropout) Params() []*Param { return nil }
 
-// InferenceClone returns an inference-only copy: it has no random
-// stream, so training through a clone panics loudly instead of racing on
-// the parent's generator.
-func (d *Dropout) InferenceClone() Layer {
-	return &Dropout{Rate: d.Rate}
-}
-
 // Forward applies the mask in training mode.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || d.Rate == 0 {
@@ -680,9 +652,6 @@ type Flatten struct {
 func (f *Flatten) Name() string     { return "flatten" }
 func (f *Flatten) Params() []*Param { return nil }
 
-// InferenceClone returns a state-independent copy.
-func (f *Flatten) InferenceClone() Layer { return &Flatten{} }
-
 // Forward flattens the per-sample dimensions.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f.lastShape = append(f.lastShape[:0], x.Shape...)
@@ -708,9 +677,6 @@ func NewActLayer(a Activation) *ActLayer { return &ActLayer{Act: a} }
 
 func (a *ActLayer) Name() string     { return a.Act.String() }
 func (a *ActLayer) Params() []*Param { return nil }
-
-// InferenceClone returns a state-independent copy.
-func (a *ActLayer) InferenceClone() Layer { return &ActLayer{Act: a.Act} }
 
 // Forward applies the activation and keeps its derivative at each input
 // for Backward, computed beside the output.
@@ -787,18 +753,6 @@ func (n *Network) ZeroGrads() {
 	}
 }
 
-// InferenceClone returns a network whose layers share this network's
-// parameters but own their retained-activation state, so clones can run
-// concurrent forward passes (train=false) safely. Clones must not be
-// trained and do not see a training-mode dropout stream.
-func (n *Network) InferenceClone() *Network {
-	c := &Network{Layers: make([]Layer, len(n.Layers))}
-	for i, l := range n.Layers {
-		c.Layers[i] = l.InferenceClone()
-	}
-	return c
-}
-
 // Softmax converts logits to probabilities (numerically stable).
 func Softmax(logits []float64) []float64 {
 	return softmaxInto(make([]float64, len(logits)), logits)
@@ -866,14 +820,14 @@ func SparseSoftmaxCEBatchInto(logits *tensor.Tensor, labels []int, grad *tensor.
 }
 
 // Predict returns class probabilities for one input (C×H×W, or batched
-// with a leading 1) — the single-sample reference the Predictor engines
-// are tested against.
+// with a leading 1) — the single-sample reference the batched paths are
+// tested against.
 func (n *Network) Predict(x *tensor.Tensor) []float64 {
 	if len(x.Shape) == 3 {
 		x = x.Reshape(append([]int{1}, x.Shape...)...)
 	}
 	if x.Shape[0] != 1 {
-		panic(fmt.Sprintf("nn: Predict takes one sample, got batch %d (use NewPredictor)", x.Shape[0]))
+		panic(fmt.Sprintf("nn: Predict takes one sample, got batch %d (use NewInferenceNet)", x.Shape[0]))
 	}
 	return Softmax(n.Forward(x, false).Data)
 }

@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"flowgen/internal/tensor"
@@ -296,7 +298,7 @@ func TestSaveLoadWeightsRoundTrip(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float64(float32(rng.Float64()))
 	}
-	predict := func(n *Network) [][]float64 { return predictAll(t, mustPredictor(t, n, F64, 12, 12), x, 2) }
+	predict := func(n *Network) [][]float64 { return probs64(n, x) }
 	before := predict(net)
 
 	var buf bytes.Buffer
@@ -329,9 +331,23 @@ func TestSaveLoadWeightsRoundTrip(t *testing.T) {
 	single := other.Predict(x.SampleView(0))
 	for i := range single {
 		if math.Abs(single[i]-after[0][i]) > 1e-12 {
-			t.Fatalf("Predict disagrees with PredictStream: %v vs %v", single, after[0])
+			t.Fatalf("Predict disagrees with the batched forward: %v vs %v", single, after[0])
 		}
 	}
+}
+
+// TestLocallyConnectedRejectsOtherInputSize: the untied weights fix the
+// layer's input size, so a 24×6 image through a stack built for 12×12
+// (a 6×1 map where the layer expects 3×3) panics instead of gathering
+// patches across row boundaries.
+func TestLocallyConnectedRejectsOtherInputSize(t *testing.T) {
+	net := FastArch(7).Build(1)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "built for 3x3 input, got 6x1") {
+			t.Fatalf("want the locally connected layer's shape panic, got %v", r)
+		}
+	}()
+	net.Forward(tensor.New(2, 1, 24, 6), false)
 }
 
 func TestLoadWeightsShapeMismatch(t *testing.T) {

@@ -28,8 +28,8 @@ func testModel(name string, seed int64) *Model {
 }
 
 // directProbs scores flows through the model's own direct streamed path
-// (the serving layer's ground truth — precision-routed, so batcher
-// responses must be bit-identical to it under either engine).
+// (the serving layer's ground truth: batcher responses must be
+// bit-identical to it).
 func directProbs(m *Model, flows []flow.Flow) [][]float64 {
 	probs, err := m.PredictFlows(context.Background(), flows, 1)
 	if err != nil {
@@ -55,71 +55,68 @@ func sameProbs(a, b []float64) bool {
 // scoring of the same flow — and the traffic to have actually coalesced
 // into multi-request batches. Coalescing is made certain, not left to
 // scheduling: the first flush holds the predictor until every client's
-// first request is queued behind it. It runs against both serving
-// engines: the packed f32 snapshot (the default) and f64 inference clones.
+// first request is queued behind it. The serving engine is the packed
+// f32 snapshot.
 func TestBatcherMatchesDirect(t *testing.T) {
-	for _, prec := range []nn.Precision{nn.F32, nn.F64} {
-		t.Run(prec.String(), func(t *testing.T) {
-			m := testModel("m", 1)
-			m.Precision = prec
-			const clients, perClient = 24, 8
-			flows := m.Space.RandomUnique(rand.New(rand.NewSource(2)), clients*perClient)
-			want := directProbs(m, flows)
+	t.Run("f32", func(t *testing.T) {
+		m := testModel("m", 1)
+		const clients, perClient = 24, 8
+		flows := m.Space.RandomUnique(rand.New(rand.NewSource(2)), clients*perClient)
+		want := directProbs(m, flows)
 
-			var b *Batcher
-			var gate sync.Once
-			b = NewBatcher(func() (*Model, error) {
-				gate.Do(func() {
-					for b.Stats().Requests < clients {
-						time.Sleep(100 * time.Microsecond)
+		var b *Batcher
+		var gate sync.Once
+		b = NewBatcher(func() (*Model, error) {
+			gate.Do(func() {
+				for b.Stats().Requests < clients {
+					time.Sleep(100 * time.Microsecond)
+				}
+			})
+			return m, nil
+		}, BatcherConfig{MaxBatch: 32, QueueCap: 512, Workers: 1})
+		defer b.Close()
+
+		errs := make(chan error, clients)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < perClient; i++ {
+					idx := c*perClient + i
+					pred, err := b.Submit(context.Background(), m.EncodeFlow(flows[idx]))
+					if err != nil {
+						errs <- fmt.Errorf("client %d flow %d: %v", c, i, err)
+						return
 					}
-				})
-				return m, nil
-			}, BatcherConfig{MaxBatch: 32, QueueCap: 512, Workers: 1})
-			defer b.Close()
-
-			errs := make(chan error, clients)
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := 0; i < perClient; i++ {
-						idx := c*perClient + i
-						pred, err := b.Submit(context.Background(), m.EncodeFlow(flows[idx]))
-						if err != nil {
-							errs <- fmt.Errorf("client %d flow %d: %v", c, i, err)
-							return
-						}
-						if !sameProbs(pred.Probs, want[idx]) {
-							errs <- fmt.Errorf("client %d flow %d: batched response differs from direct scoring", c, i)
-							return
-						}
-						if pred.Class != train.Argmax(want[idx]) || pred.Model != m {
-							errs <- fmt.Errorf("client %d flow %d: wrong class or model", c, i)
-							return
-						}
+					if !sameProbs(pred.Probs, want[idx]) {
+						errs <- fmt.Errorf("client %d flow %d: batched response differs from direct scoring", c, i)
+						return
 					}
-				}(c)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
+					if pred.Class != train.Argmax(want[idx]) || pred.Model != m {
+						errs <- fmt.Errorf("client %d flow %d: wrong class or model", c, i)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 
-			st := b.Stats()
-			if st.Requests != clients*perClient || st.BatchedFlows != clients*perClient {
-				t.Fatalf("stats lost requests: %+v", st)
-			}
-			if st.Batches >= st.Requests {
-				t.Fatalf("no coalescing happened: %d batches for %d requests", st.Batches, st.Requests)
-			}
-			if st.MaxBatch < 2 {
-				t.Fatalf("never built a multi-request batch: %+v", st)
-			}
-		})
-	}
+		st := b.Stats()
+		if st.Requests != clients*perClient || st.BatchedFlows != clients*perClient {
+			t.Fatalf("stats lost requests: %+v", st)
+		}
+		if st.Batches >= st.Requests {
+			t.Fatalf("no coalescing happened: %d batches for %d requests", st.Batches, st.Requests)
+		}
+		if st.MaxBatch < 2 {
+			t.Fatalf("never built a multi-request batch: %+v", st)
+		}
+	})
 }
 
 // TestBatcherWorkConserving pins the scheduling rule: a lone request is
@@ -271,23 +268,16 @@ func TestBatcherEncodingMismatch(t *testing.T) {
 // TestHotReloadDuringTraffic swaps model versions through a registry
 // while clients hammer the batcher, asserting zero downtime: every
 // response is bit-identical to the direct scoring of whichever version
-// it reports, and the final version's responses eventually flow. It
-// runs under both engines — a reload must preserve the registered
-// precision, so f64 responses stay f64 across every swap.
+// it reports, and the final version's responses eventually flow.
 func TestHotReloadDuringTraffic(t *testing.T) {
-	for _, prec := range []nn.Precision{nn.F32, nn.F64} {
-		t.Run(prec.String(), func(t *testing.T) {
-			testHotReloadDuringTraffic(t, prec)
-		})
-	}
+	t.Run("f32", testHotReloadDuringTraffic)
 }
 
-func testHotReloadDuringTraffic(t *testing.T, prec nn.Precision) {
+func testHotReloadDuringTraffic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.flowmodel")
 	// Two weight sets cycling through the same file.
 	v1, v2 := testModel("m", 1), testModel("m", 2)
-	v1.Precision, v2.Precision = prec, prec
 	if err := SaveModel(path, v1); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +286,6 @@ func testHotReloadDuringTraffic(t *testing.T, prec nn.Precision) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded.Precision = prec
 	reg.Register(loaded)
 
 	const clients, perClient, reloadN = 8, 40, 6
@@ -364,9 +353,6 @@ func testHotReloadDuringTraffic(t *testing.T, prec nn.Precision) {
 	}
 	if cur.Version != reloadN+1 {
 		t.Fatalf("final version %d, want %d", cur.Version, reloadN+1)
-	}
-	if cur.Precision != prec {
-		t.Fatalf("reload dropped the precision: final model serves %v, want %v", cur.Precision, prec)
 	}
 	// Traffic after the last swap serves the final weights.
 	pred, err := b.Submit(context.Background(), v1.EncodeFlow(flows[0]))

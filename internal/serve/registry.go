@@ -7,7 +7,7 @@
 //     a model with zero downtime — in-flight requests keep the snapshot
 //     they resolved, new requests see the new version;
 //   - Batcher coalesces concurrent single-flow prediction requests into
-//     micro-batches streamed through the model's nn.Predictor, so
+//     micro-batches streamed through the model's nn.InferenceNet, so
 //     serving throughput tracks the batched GEMM path instead of
 //     per-request single-sample forwards;
 //   - Cache memoizes scored flows per (model, version, flow-key), since
@@ -51,28 +51,21 @@ type Model struct {
 	Path     string // source file for reloads ("" = in-memory only)
 	LoadedAt time.Time
 
-	// Precision selects the serving engine compiled by Predictor: the
-	// zero value (nn.F32) scores through a packed float32 snapshot
-	// (nn.InferenceNet), nn.F64 through full-precision inference
-	// clones. Set before the model is registered (a Model is immutable
-	// afterwards).
-	Precision nn.Precision
-
-	// pred is the lazily compiled serving engine — one nn.Predictor per
-	// registered Model, compiled exactly once (weights converted and
-	// packed as the precision demands) and shared by every request:
-	// predictors are concurrency-safe, workers own their scratch.
+	// pred is the lazily compiled serving engine — one packed f32
+	// snapshot per registered Model, compiled exactly once and shared
+	// by every request: the engine is concurrency-safe, workers own
+	// their scratch.
 	predOnce sync.Once
-	pred     nn.Predictor
+	pred     *nn.InferenceNet
 	predErr  error
 }
 
 // Predictor returns the model's serving engine, compiling it on first
 // use (Registry.Register warms it eagerly so the first request after a
 // (re)registration never pays the compile).
-func (m *Model) Predictor() (nn.Predictor, error) {
+func (m *Model) Predictor() (*nn.InferenceNet, error) {
 	m.predOnce.Do(func() {
-		m.pred, m.predErr = nn.NewPredictor(m.Net, m.Precision, m.Arch.InH, m.Arch.InW)
+		m.pred, m.predErr = nn.NewInferenceNet(m.Net, m.Arch.InH, m.Arch.InW)
 	})
 	return m.pred, m.predErr
 }
@@ -90,7 +83,7 @@ func (m *Model) EncodeFlow(f flow.Flow) []float64 {
 // encodes them into chunk-sized worker buffers. This is the scoring
 // path behind multi-flow predicts and recommendation pools, and the
 // direct scoring the batcher's responses are bit-identical to.
-// Predictors are concurrency-safe (every worker owns its scratch), and
+// The engine is concurrency-safe (every worker owns its scratch), and
 // responses are deterministic and independent of how requests were
 // batched.
 func (m *Model) PredictFlows(ctx context.Context, flows []flow.Flow, workers int) ([][]float64, error) {
@@ -336,6 +329,16 @@ func (r *Registry) Get(name string) (*Model, error) {
 	return m, nil
 }
 
+// maxFlowText returns the length of the longest flow text any
+// registered model's space renders (0 with no models).
+func (r *Registry) maxFlowText() int {
+	n := 0
+	for _, m := range r.snap.Load().byName {
+		n = max(n, m.Space.TextLen())
+	}
+	return n
+}
+
 // DefaultName returns the current default model name ("" when empty).
 func (r *Registry) DefaultName() string { return r.snap.Load().defaultName }
 
@@ -371,7 +374,6 @@ func (r *Registry) Reload(name string) (*Model, error) {
 		return nil, err
 	}
 	fresh.Name = cur.Name // the registry name wins over the stored one
-	fresh.Precision = cur.Precision
 	r.reloads.Add(1)
 	return r.Register(fresh), nil
 }

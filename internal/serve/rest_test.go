@@ -93,8 +93,7 @@ func TestServerRESTModelRoutes(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/models/alu", &info); code != http.StatusOK {
 		t.Fatalf("model get: %d", code)
 	}
-	if info.Name != "alu" || info.Version != 1 || !info.Default || info.Params == 0 ||
-		info.Precision != "f32" {
+	if info.Name != "alu" || info.Version != 1 || !info.Default || info.Params == 0 {
 		t.Fatalf("model info: %+v", info)
 	}
 

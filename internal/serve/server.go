@@ -51,10 +51,11 @@ type LoopController interface {
 type ServerConfig struct {
 	Batcher   BatcherConfig
 	CacheSize int // scored-flow memo capacity (≤0 disables)
-	// MaxFlows bounds how many flows one predict/recommend request may
-	// submit, and MaxPool how large a server-generated recommendation
-	// pool may be (both guard against a single request monopolizing the
-	// service).
+	// MaxFlows bounds how many flows one predict request may submit,
+	// and MaxPool how large a recommendation pool may be, submitted or
+	// server-generated (both guard against a single request
+	// monopolizing the service). Request bodies are bounded by the
+	// larger of the two (Server.maxBody).
 	MaxFlows int
 	MaxPool  int
 	// RequestTimeout is the server-side deadline stamped on every
@@ -340,14 +341,24 @@ func (s *Server) stage(name string) *obs.Histogram {
 	return v.(*obs.Histogram)
 }
 
+// maxBody bounds a request body, so an oversized one is refused before
+// it is buffered: the most flows one request may carry (MaxPool, or
+// MaxFlows if larger), each the longest flow text a registered model's
+// space renders plus 16 bytes for its quotes, comma and a
+// pretty-printer's indentation, and 4 KiB for the other fields.
+func (s *Server) maxBody() int64 {
+	perFlow := int64(s.Registry.maxFlowText() + 16)
+	return 4<<10 + int64(max(s.cfg.MaxPool, s.cfg.MaxFlows))*perFlow
+}
+
 // instrument wraps a handler with request tracing, the per-endpoint
 // latency histogram and error counter, the server-side request
-// deadline, panic isolation, and uniform JSON error rendering. The
-// trace ID is honored from X-Request-ID (or generated), propagated to
-// the handler through the request context — so batcher, predictor and
-// loop log lines carry it — and echoed in the X-Request-ID response
-// header; stage spans recorded along the way come back in
-// Server-Timing. A handler panic is recovered into a 500 envelope with
+// deadline, the request-body bound, panic isolation, and uniform JSON
+// error rendering. The trace ID is honored from X-Request-ID (or
+// generated), propagated to the handler through the request context —
+// so batcher, predictor and loop log lines carry it — and echoed in the
+// X-Request-ID response header; stage spans recorded along the way
+// come back in Server-Timing. A handler panic is recovered into a 500 envelope with
 // the stack logged: one poisoned request must never kill the process.
 func (s *Server) instrument(name string, h func(*http.Request) (any, error)) http.HandlerFunc {
 	m := s.endpointObs(name)
@@ -376,6 +387,7 @@ func (s *Server) instrument(name string, h func(*http.Request) (any, error)) htt
 			defer cancel()
 		}
 		r = r.WithContext(ctx)
+		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody())
 		t0 := time.Now()
 		body, err := run(r)
 		d := time.Since(t0)
@@ -455,24 +467,22 @@ func (s *Server) handleReady(*http.Request) (any, error) {
 
 // ModelInfo describes one registered model.
 type ModelInfo struct {
-	Name      string    `json:"name"`
-	Version   int       `json:"version"`
-	Default   bool      `json:"default"`
-	Classes   int       `json:"classes"`
-	Alphabet  []string  `json:"alphabet"`
-	M         int       `json:"m"`
-	Params    int       `json:"params"`
-	Precision string    `json:"precision"`
-	Path      string    `json:"path,omitempty"`
-	LoadedAt  time.Time `json:"loaded_at"`
+	Name     string    `json:"name"`
+	Version  int       `json:"version"`
+	Default  bool      `json:"default"`
+	Classes  int       `json:"classes"`
+	Alphabet []string  `json:"alphabet"`
+	M        int       `json:"m"`
+	Params   int       `json:"params"`
+	Path     string    `json:"path,omitempty"`
+	LoadedAt time.Time `json:"loaded_at"`
 }
 
 func modelInfo(m *Model, def string) ModelInfo {
 	return ModelInfo{
 		Name: m.Name, Version: m.Version, Default: m.Name == def,
 		Classes: m.Arch.NumClasses, Alphabet: m.Space.Alphabet, M: m.Space.M,
-		Params: m.Net.NumParams(), Precision: m.Precision.String(),
-		Path: m.Path, LoadedAt: m.LoadedAt,
+		Params: m.Net.NumParams(), Path: m.Path, LoadedAt: m.LoadedAt,
 	}
 }
 
@@ -908,15 +918,7 @@ type statsResponse struct {
 	Reloads       int64                    `json:"reloads"`
 	SIMD          string                   `json:"simd"` // the process's kernel tier
 	CPUFeatures   string                   `json:"cpu_features,omitempty"`
-	Models        map[string]ModelStats    `json:"models"`
 	Loop          any                      `json:"loop,omitempty"` // loop.Status when a loop is attached
-}
-
-// ModelStats describes one registered model's serving engine: its
-// version and precision.
-type ModelStats struct {
-	Version   int    `json:"version"`
-	Precision string `json:"precision"`
 }
 
 func (s *Server) handleStats(*http.Request) (any, error) {
@@ -928,16 +930,9 @@ func (s *Server) handleStats(*http.Request) (any, error) {
 		Reloads:       s.Registry.Reloads(),
 		SIMD:          tensor.ActiveSIMD().String(),
 		CPUFeatures:   tensor.CPUFeatures(),
-		Models:        map[string]ModelStats{},
 	}
 	if lc := s.getLoop(); lc != nil {
 		out.Loop = lc.LoopStatus()
-	}
-	for _, m := range s.Registry.List() {
-		out.Models[m.Name] = ModelStats{
-			Version:   m.Version,
-			Precision: m.Precision.String(),
-		}
 	}
 	s.metrics.Range(func(k, v any) bool {
 		m := v.(*endpointObs)
@@ -969,11 +964,17 @@ func (s *Server) handleStats(*http.Request) (any, error) {
 	return out, nil
 }
 
-// decodeJSON strictly decodes a JSON request body.
+// decodeJSON strictly decodes a JSON request body. A body past
+// maxBody is a 413.
 func decodeJSON(r *http.Request, dst any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &httpError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+				msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
 		return badRequest("invalid request body: %s", err.Error())
 	}
 	return nil

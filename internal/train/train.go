@@ -3,7 +3,7 @@
 // flow-classification CNN. Each Trainer.Step assembles its minibatch
 // into one batched N×1×H×W tensor and runs a single batched
 // forward/backward through the network; accuracy evaluation streams the
-// dataset through an nn.Predictor.
+// dataset through the packed f32 engine (nn.InferenceNet).
 package train
 
 import (
@@ -54,8 +54,8 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 	})
 }
 
-// Source returns an nn.Source streaming the dataset's samples, so any
-// nn.Predictor can evaluate the set without materializing one
+// Source returns an nn.Source streaming the dataset's samples, so an
+// nn.InferenceNet can evaluate the set without materializing one
 // dataset-sized tensor. Rows are narrowed to float32, which is exact
 // for the 0/1 one-hot flow encodings datasets hold.
 func (d *Dataset) Source() nn.Source {
@@ -185,13 +185,17 @@ func (t *Trainer) Steps(n int) (float64, error) {
 
 // AccuracyPrec returns the fraction of dataset samples whose argmax
 // prediction matches the label. The network is compiled once into the
-// engine prec selects (nn.NewPredictor) and the dataset streams through
-// it in chunk-sized worker buffers (workers ≤0 selects GOMAXPROCS).
-func AccuracyPrec(net *nn.Network, d *Dataset, workers int, prec nn.Precision) float64 {
+// packed f32 engine and the dataset streams through it in chunk-sized
+// worker buffers (workers ≤0 selects GOMAXPROCS). The Precision
+// argument is ignored.
+//
+// Deprecated: compile with nn.NewInferenceNet and call
+// AccuracyPredictor. Kept for bench/labeling.go (see nn.Precision).
+func AccuracyPrec(net *nn.Network, d *Dataset, workers int, _ nn.Precision) float64 {
 	if d.Len() == 0 {
 		return 0
 	}
-	pred, err := nn.NewPredictor(net, prec, d.H, d.W)
+	pred, err := nn.NewInferenceNet(net, d.H, d.W)
 	if err != nil {
 		panic("train: accuracy prediction failed: " + err.Error())
 	}
@@ -199,11 +203,11 @@ func AccuracyPrec(net *nn.Network, d *Dataset, workers int, prec nn.Precision) f
 }
 
 // AccuracyPredictor evaluates dataset accuracy through an already
-// compiled nn.Predictor — the engine-agnostic core of every accuracy
-// gate (per-round framework evaluation, the continuous-retraining
-// loop's candidate-vs-serving comparison). Samples stream into
-// chunk-sized worker buffers through Dataset.Source.
-func AccuracyPredictor(pred nn.Predictor, d *Dataset, workers int) float64 {
+// compiled engine — the core of every accuracy gate (per-round
+// framework evaluation, the continuous-retraining loop's
+// candidate-vs-serving comparison). Samples stream into chunk-sized
+// worker buffers through Dataset.Source.
+func AccuracyPredictor(pred *nn.InferenceNet, d *Dataset, workers int) float64 {
 	if d.Len() == 0 {
 		return 0
 	}
