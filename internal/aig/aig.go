@@ -87,6 +87,12 @@ type AIG struct {
 	// empty bin and a chain's end. len(bins) is a power of two.
 	bins []int32
 	repl []Lit // repl[i] != invalidLit means node i was replaced
+	// counted reports that every node's ref and level equal what
+	// RecomputeRefs and RecomputeLevels would compute, so both return
+	// at once. Cleanup sets it, Clone copies it, and every method that
+	// can change a reference count, a level or the outputs clears it (a
+	// new input, unreferenced at level 0, is what a recount gives).
+	counted bool
 
 	// Speculation support (see BeginSpeculate).
 	// Speculation maintains the invariant that a pre-speculation AND node
@@ -157,6 +163,7 @@ func (g *AIG) AddInput(name string) Lit {
 
 // AddOutput declares lit as a primary output with the given name.
 func (g *AIG) AddOutput(lit Lit, name string) {
+	g.counted = false
 	lit = g.Resolve(lit)
 	g.pos = append(g.pos, lit)
 	g.poNames = append(g.poNames, name)
@@ -195,14 +202,19 @@ func (g *AIG) IsAnd(id int) bool { return g.nodes[id].kind == KindAnd }
 func (g *AIG) Ref(id int) int { return int(g.nodes[id].ref) }
 
 // Resolve follows replacement indirections, with path compression, and
-// returns the canonical literal equal to l.
+// returns the canonical literal equal to l. The check for a node that
+// was never replaced, by far the common case, is small enough to inline.
 func (g *AIG) Resolve(l Lit) Lit {
-	r := g.repl[l.Node()]
-	if r == invalidLit {
+	if g.repl[l.Node()] == invalidLit {
 		return l
 	}
-	// Follow the chain.
-	root := r.NotIf(l.IsNeg())
+	return g.resolveChain(l)
+}
+
+// resolveChain is Resolve for a replaced node: it follows the chain and
+// compresses it.
+func (g *AIG) resolveChain(l Lit) Lit {
+	root := g.repl[l.Node()].NotIf(l.IsNeg())
 	final := g.Resolve(root)
 	// Path compression: repl entries always map the positive literal.
 	g.repl[l.Node()] = final.NotIf(l.IsNeg())
@@ -260,6 +272,7 @@ func (g *AIG) And(a, b Lit) Lit {
 			break
 		}
 	}
+	g.counted = false
 	id := len(g.nodes)
 	lvl := g.nodes[a.Node()].level
 	if l1 := g.nodes[b.Node()].level; l1 > lvl {
@@ -364,19 +377,23 @@ func (g *AIG) LiveAnds() []int {
 
 // RecomputeLevels recalculates node levels (PI level 0; AND level =
 // 1 + max(fanin levels)) over the live graph and returns the maximum
-// output level, i.e. the logic depth.
+// output level, i.e. the logic depth. On a graph that carries its
+// counts (see Cleanup) the levels are already these and only the depth
+// is read.
 func (g *AIG) RecomputeLevels() int {
-	for i := range g.nodes {
-		g.nodes[i].level = 0
-	}
-	g.ForEachLiveAnd(func(id int) {
-		l0 := g.nodes[g.Fanin0(id).Node()].level
-		l1 := g.nodes[g.Fanin1(id).Node()].level
-		if l1 > l0 {
-			l0 = l1
+	if !g.counted {
+		for i := range g.nodes {
+			g.nodes[i].level = 0
 		}
-		g.nodes[id].level = l0 + 1
-	})
+		g.ForEachLiveAnd(func(id int) {
+			l0 := g.nodes[g.Fanin0(id).Node()].level
+			l1 := g.nodes[g.Fanin1(id).Node()].level
+			if l1 > l0 {
+				l0 = l1
+			}
+			g.nodes[id].level = l0 + 1
+		})
+	}
 	max := int32(0)
 	for i := range g.pos {
 		if l := g.nodes[g.PO(i).Node()].level; l > max {
@@ -391,8 +408,12 @@ func (g *AIG) RecomputeLevels() int {
 func (g *AIG) Level(id int) int { return int(g.nodes[id].level) }
 
 // RecomputeRefs recalculates reference counts: one per AND fanin edge plus
-// one per primary output, counting only live logic.
+// one per primary output, counting only live logic. A graph that carries
+// its counts (see Cleanup) already holds these and is left alone.
 func (g *AIG) RecomputeRefs() {
+	if g.counted {
+		return
+	}
 	for i := range g.nodes {
 		g.nodes[i].ref = 0
 	}
@@ -411,6 +432,13 @@ func (g *AIG) RecomputeRefs() {
 // The caller is responsible for the symmetric RecursiveRef if the cone is
 // to be restored.
 func (g *AIG) RecursiveDeref(id int) int {
+	g.counted = false
+	return g.deref(id)
+}
+
+// deref is RecursiveDeref on a graph whose counts are already marked
+// stale.
+func (g *AIG) deref(id int) int {
 	if g.nodes[id].kind != KindAnd {
 		return 0
 	}
@@ -419,7 +447,7 @@ func (g *AIG) RecursiveDeref(id int) int {
 		fn := f.Node()
 		g.nodes[fn].ref--
 		if g.nodes[fn].ref == 0 && g.nodes[fn].kind == KindAnd {
-			count += g.RecursiveDeref(fn)
+			count += g.deref(fn)
 		}
 	}
 	return count
@@ -427,6 +455,12 @@ func (g *AIG) RecursiveDeref(id int) int {
 
 // RecursiveRef is the inverse of RecursiveDeref.
 func (g *AIG) RecursiveRef(id int) int {
+	g.counted = false
+	return g.ref(id)
+}
+
+// ref is RecursiveRef on a graph whose counts are already marked stale.
+func (g *AIG) ref(id int) int {
 	if g.nodes[id].kind != KindAnd {
 		return 0
 	}
@@ -434,7 +468,7 @@ func (g *AIG) RecursiveRef(id int) int {
 	for _, f := range [2]Lit{g.Fanin0(id), g.Fanin1(id)} {
 		fn := f.Node()
 		if g.nodes[fn].ref == 0 && g.nodes[fn].kind == KindAnd {
-			count += g.RecursiveRef(fn)
+			count += g.ref(fn)
 		}
 		g.nodes[fn].ref++
 	}
@@ -463,7 +497,7 @@ func (g *AIG) resurrectIfDead(id int) {
 	if n.kind != KindAnd || n.ref != 0 {
 		return
 	}
-	g.resurrected += g.RecursiveRef(id)
+	g.resurrected += g.ref(id)
 }
 
 // Touch declares lit as the candidate replacement output: its cone is
@@ -493,22 +527,25 @@ func (g *AIG) releaseTouch() {
 	g.touchNode = -1
 	g.nodes[id].ref--
 	if g.nodes[id].ref == 0 && id < g.specMark && g.nodes[id].kind == KindAnd {
-		g.RecursiveDeref(id)
+		g.deref(id)
 	}
 }
 
 // BeginSpeculate enters speculation mode: the MFFC of root is
 // dereferenced, and subsequent And calls will not reuse dead nodes. It
-// returns the number of nodes freed by removing root's cone.
+// returns the number of nodes freed by removing root's cone. The graph's
+// counts are stale from here on: the speculation methods below run only
+// inside a speculation, so none of them needs to mark them again.
 func (g *AIG) BeginSpeculate(root int) int {
 	if g.speculating {
 		panic("aig: nested speculation")
 	}
+	g.counted = false
 	g.speculating = true
 	g.specMark = len(g.nodes)
 	g.resurrected = 0
 	g.touchNode = -1
-	return g.RecursiveDeref(root)
+	return g.deref(root)
 }
 
 // SpeculationGain returns the exact node-count gain of committing the
@@ -555,7 +592,7 @@ func (g *AIG) AbortSpeculate(root int) {
 	}
 	g.RollbackSpeculate()
 	g.speculating = false
-	g.RecursiveRef(root)
+	g.ref(root)
 }
 
 // RollbackSpeculate drops the candidate built since BeginSpeculate but
@@ -580,7 +617,7 @@ func (g *AIG) RollbackSpeculate() {
 			fn := f.Node()
 			g.nodes[fn].ref--
 			if g.nodes[fn].ref == 0 && fn < g.specMark && g.nodes[fn].kind == KindAnd {
-				g.RecursiveDeref(fn)
+				g.deref(fn)
 			}
 		}
 	}
@@ -597,6 +634,14 @@ func (g *AIG) SpeculativeCreated() int { return len(g.nodes) - g.specMark }
 // logic, with fresh structural hashing. Primary input/output order and
 // names are preserved. The copy reserves as many nodes as g holds, an
 // upper bound on what it keeps.
+//
+// The copy carries its reference counts and levels (RecomputeRefs and
+// RecomputeLevels return at once on it). And and AddOutput count them
+// as the copy is built, and when every AND node of the copy has a
+// fanout, every AND node is live and those counts are exactly what a
+// recount over live logic gives. Structural hashing and constant
+// propagation can leave a mapped node without a fanout (a fanout that
+// became a trivial AND), and only then are both recounted.
 func (g *AIG) Cleanup() *AIG {
 	ng := NewSized(len(g.nodes))
 	m := make([]Lit, len(g.nodes))
@@ -617,8 +662,14 @@ func (g *AIG) Cleanup() *AIG {
 	for i := range g.pos {
 		ng.AddOutput(mapLit(g.PO(i)), g.poNames[i])
 	}
-	ng.RecomputeLevels()
-	ng.RecomputeRefs()
+	for i := range ng.nodes {
+		if n := &ng.nodes[i]; n.kind == KindAnd && n.ref == 0 {
+			ng.RecomputeLevels()
+			ng.RecomputeRefs()
+			break
+		}
+	}
+	ng.counted = true
 	return ng
 }
 

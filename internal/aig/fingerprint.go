@@ -29,6 +29,7 @@ func (g *AIG) Clone() *AIG {
 		bins:      append([]int32(nil), g.bins...),
 		repl:      append([]Lit(nil), g.repl...),
 		touchNode: g.touchNode,
+		counted:   g.counted,
 	}
 	return ng
 }

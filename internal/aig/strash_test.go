@@ -1,6 +1,7 @@
 package aig
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -72,6 +73,53 @@ func (m *strashModel) abort() {
 
 func (m *strashModel) end() { m.undo, m.speculating = m.undo[:0], false }
 
+// modelOf is the model of a graph no speculation has touched: each
+// fanin pair maps to its newest node.
+func modelOf(g *AIG) *strashModel {
+	m := &strashModel{newest: map[[2]Lit]int{}}
+	for id := range g.nodes {
+		if n := &g.nodes[id]; n.kind == KindAnd {
+			m.newest[[2]Lit{n.f0, n.f1}] = id
+		}
+	}
+	return m
+}
+
+// checkCounted fails the test when g says it carries its counts
+// (RecomputeRefs and RecomputeLevels would return at once) but a recount
+// on a clone that does not say so gives other references or levels. It
+// reports whether g said so.
+func checkCounted(t *testing.T, g *AIG, where string) bool {
+	t.Helper()
+	if !g.counted {
+		return false
+	}
+	if g.speculating {
+		t.Fatalf("%s: a speculating graph says it carries its counts", where)
+	}
+	c := g.Clone()
+	c.counted = false
+	c.RecomputeRefs()
+	c.RecomputeLevels()
+	for id := range g.nodes {
+		if g.nodes[id].ref != c.nodes[id].ref || g.nodes[id].level != c.nodes[id].level {
+			t.Fatalf("%s: node %d carries ref %d and level %d, a recount gives %d and %d",
+				where, id, g.nodes[id].ref, g.nodes[id].level, c.nodes[id].ref, c.nodes[id].level)
+		}
+	}
+	return true
+}
+
+// hasDeadAnd reports whether some AND node of g has no reference.
+func hasDeadAnd(g *AIG) bool {
+	for _, n := range g.nodes {
+		if n.kind == KindAnd && n.ref == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func (m *strashModel) clone() *strashModel {
 	c := &strashModel{newest: make(map[[2]Lit]int, len(m.newest))}
 	for k, v := range m.newest {
@@ -116,24 +164,47 @@ func lookup(g *AIG, a, b Lit) int32 {
 }
 
 // TestStrashMatchesMapModel runs random graphs through random sequences
-// of And, BeginSpeculate, Touch, RollbackSpeculate, CommitSpeculate,
-// AbortSpeculate and Clone beside a map model of structural hashing.
-// Candidates rebuild nodes of the speculation root's cone from their
-// fanins, so dead nodes are shadowed and restored; graphs start with few
-// bins, so chains are rehashed, during speculation too. Every And on the
-// graph and on each of its clones must return the literal the model
-// predicts. SpeculationCost must never fall while a candidate is built
-// and touched; after each rollback, references, lookups and the node
-// count must be those BeginSpeculate left; and the commit or abort that
-// ends a speculation with rollbacks must leave the graph that a replay
-// of its last candidate alone leaves on a clone taken before it.
+// of And, AddOutput, BeginSpeculate, Touch, RollbackSpeculate,
+// CommitSpeculate, AbortSpeculate, RecursiveDeref, RecursiveRef, Cleanup
+// and Clone beside a map model of structural hashing. Candidates rebuild
+// nodes of the speculation root's cone from their fanins, so dead nodes
+// are shadowed and restored; graphs start with few bins, so chains are
+// rehashed, during speculation too. Every And on the graph and on each
+// of its clones must return the literal the model predicts.
+// SpeculationCost must never fall while a candidate is built and
+// touched; after each rollback, references, lookups and the node count
+// must be those BeginSpeculate left; and the commit or abort that ends a
+// speculation with rollbacks must leave the graph that a replay of its
+// last candidate alone leaves on a clone taken before it. After every
+// operation, a graph that says it carries its counts must hold what a
+// recount gives (checkCounted); Cleanup sets that, and once also on a
+// copy where a fanout folded to a constant leaves an AND dead, so that
+// its recount fallback runs and an output added to the dead AND must
+// make the graph stop saying so.
 func TestStrashMatchesMapModel(t *testing.T) {
+	{
+		g := New()
+		a, b, c := g.AddInput("a"), g.AddInput("b"), g.AddInput("c")
+		x, z := g.And(a, b), g.And(a, c)
+		g.AddOutput(g.And(x, z), "y")
+		g.RecomputeRefs()
+		g.BeginSpeculate(z.Node())
+		g.CommitSpeculate(z.Node(), x.Not()) // y is now x AND NOT x
+		ng := g.Cleanup()
+		if !ng.counted || !hasDeadAnd(ng) {
+			t.Fatalf("Cleanup of a graph whose output folds to a constant: counted %v, dead AND %v, want both", ng.counted, hasDeadAnd(ng))
+		}
+		checkCounted(t, ng, "Cleanup leaving a dead AND")
+		ng.AddOutput(MakeLit(ng.NumNodesRaw()-1, false), "dead")
+		checkCounted(t, ng, "AddOutput of a dead AND")
+	}
+
 	rng := rand.New(rand.NewSource(19))
 	type replica struct {
 		g *AIG
 		m *strashModel
 	}
-	var shadowed, specRehashes, cloneRounds, rollbacks, replays int
+	var shadowed, specRehashes, cloneRounds, rollbacks, replays, counted, cleanups, fallbacks int
 	for trial := 0; trial < 60; trial++ {
 		reps := []replica{{NewSized(1 + rng.Intn(16)), &strashModel{newest: map[[2]Lit]int{}}}}
 		var ops [][2]Lit // the Ands of the candidate being built
@@ -161,6 +232,13 @@ func TestStrashMatchesMapModel(t *testing.T) {
 				f(r.g)
 			}
 		}
+		check := func(where string) {
+			for i, r := range reps {
+				if checkCounted(t, r.g, fmt.Sprintf("trial %d replica %d, %s", trial, i, where)) {
+					counted++
+				}
+			}
+		}
 
 		nin := 2 + rng.Intn(6)
 		lits := []Lit{}
@@ -179,15 +257,52 @@ func TestStrashMatchesMapModel(t *testing.T) {
 		reps[0].g.RecomputeRefs()
 
 		for round := 0; round < 40; round++ {
+			check("round start")
 			g := reps[0].g
-			if len(reps) < 4 && rng.Intn(6) == 0 {
-				src := reps[rng.Intn(len(reps))]
-				reps = append(reps, replica{src.g.Clone(), src.m.clone()})
-				continue
-			}
 			live := g.LiveAnds()
 			if len(live) == 0 {
 				break
+			}
+			switch op := rng.Intn(12); {
+			case op == 0 && len(reps) < 4:
+				src := reps[rng.Intn(len(reps))]
+				reps = append(reps, replica{src.g.Clone(), src.m.clone()})
+				continue
+			case op == 1:
+				shadowed += reps[0].m.shadowed
+				for i, r := range reps {
+					ng := r.g.Cleanup()
+					reps[i] = replica{ng, modelOf(ng)}
+				}
+				cleanups++
+				if hasDeadAnd(reps[0].g) {
+					fallbacks++
+				}
+				continue
+			case op == 2:
+				// An And outside speculation: a new node is dead.
+				x := MakeLit(live[rng.Intn(len(live))], rng.Intn(2) == 0)
+				y := g.PI(rng.Intn(g.NumPIs())).NotIf(rng.Intn(2) == 0)
+				and(x, y)
+				continue
+			case op == 3:
+				l := MakeLit(live[rng.Intn(len(live))], rng.Intn(2) == 0)
+				each(func(g *AIG) { g.AddOutput(l, "o") })
+				continue
+			case op == 4:
+				// A cone dereferenced and referenced again, in either
+				// order, is what it was.
+				id := live[rng.Intn(len(live))]
+				if rng.Intn(2) == 0 {
+					each(func(g *AIG) { g.RecursiveDeref(id) })
+					check("RecursiveDeref")
+					each(func(g *AIG) { g.RecursiveRef(id) })
+				} else {
+					each(func(g *AIG) { g.RecursiveRef(id) })
+					check("RecursiveRef")
+					each(func(g *AIG) { g.RecursiveDeref(id) })
+				}
+				continue
 			}
 			root := live[rng.Intn(len(live))]
 			if g.Ref(root) == 0 || g.Resolve(MakeLit(root, false)) != MakeLit(root, false) {
@@ -196,6 +311,7 @@ func TestStrashMatchesMapModel(t *testing.T) {
 			tfi := g.TFISorted(root)
 			plain := g.Clone()
 			each(func(g *AIG) { g.BeginSpeculate(root) })
+			check("BeginSpeculate")
 			for _, r := range reps {
 				r.m.speculating = true
 			}
@@ -214,18 +330,21 @@ func TestStrashMatchesMapModel(t *testing.T) {
 				}
 				return and(g.Fanin0(n), g.Fanin1(n)).NotIf(rng.Intn(2) == 1)
 			}
-			// candidate builds a candidate and touches it unless it is
-			// root itself, which it reports.
+			// candidate builds a candidate and touches it unless root is
+			// in its cone, which it reports: a lookup may return root
+			// (its fanout keeps it referenced), and committing a
+			// candidate built on it would make a cycle.
 			candidate := func() (Lit, bool) {
 				ops, cost = ops[:0], 0
 				cand := operand()
 				for d := rng.Intn(5); d > 0; d-- {
 					cand = and(cand, operand())
 				}
-				if g.Resolve(cand).Node() == root {
+				if slices.Contains(g.TFISorted(g.Resolve(cand).Node()), root) {
 					return cand, false
 				}
 				each(func(g *AIG) { g.Touch(cand) })
+				check("Touch")
 				if c := g.SpeculationCost(); c < cost {
 					t.Fatalf("trial %d round %d: Touch lowered SpeculationCost from %d to %d", trial, round, cost, c)
 				}
@@ -235,6 +354,7 @@ func TestStrashMatchesMapModel(t *testing.T) {
 			for i := 0; i < rolled; i++ {
 				candidate()
 				each(func(g *AIG) { g.RollbackSpeculate() })
+				check("RollbackSpeculate")
 				for _, r := range reps {
 					r.m.rollback()
 				}
@@ -263,6 +383,7 @@ func TestStrashMatchesMapModel(t *testing.T) {
 				}
 			}
 			each(end)
+			check("CommitSpeculate or AbortSpeculate")
 			for _, r := range reps {
 				if commit {
 					r.m.end()
@@ -292,8 +413,10 @@ func TestStrashMatchesMapModel(t *testing.T) {
 		}
 		shadowed += reps[0].m.shadowed
 	}
-	if shadowed == 0 || specRehashes == 0 || cloneRounds == 0 || rollbacks == 0 || replays == 0 {
+	if shadowed == 0 || specRehashes == 0 || cloneRounds == 0 || rollbacks == 0 || replays == 0 || counted == 0 || cleanups == 0 {
 		t.Fatalf("sequences shadowed %d dead nodes, rehashed %d times while speculating, ran %d rounds on clones, "+
-			"rolled back %d candidates and replayed %d ends; want all five", shadowed, specRehashes, cloneRounds, rollbacks, replays)
+			"rolled back %d candidates, replayed %d ends, checked %d counted graphs and ran %d cleanups; want all seven",
+			shadowed, specRehashes, cloneRounds, rollbacks, replays, counted, cleanups)
 	}
+	t.Logf("%d cleanups, %d of them leaving a dead AND; %d counted graphs checked", cleanups, fallbacks, counted)
 }

@@ -31,9 +31,7 @@ func (p *pass) rewriteUnbounded(g *aig.AIG, zero bool) *aig.AIG {
 	cuts := p.ws.cuts
 	cuts.Enumerate(g, 4, rewriteCuts)
 	buildCut := func(id, ci int) aig.Lit {
-		tt := cuts.TT(id, ci)
-		e := lookup(p, p.lib.cuts, uint16(tt.Words()[0]&0xFFFF), tt)
-		out, _ := build(p, g, e, cuts.Of(id)[ci].Leaves(), -1)
+		out, _ := build(p, g, p.lookup(cuts.TT(id, ci)), cuts.Of(id)[ci].Leaves(), -1)
 		return out
 	}
 
@@ -91,7 +89,9 @@ func (p *pass) rewriteUnbounded(g *aig.AIG, zero bool) *aig.AIG {
 	return g.Cleanup()
 }
 
-// refactorKUnbounded is refactorK with every build run to the end.
+// refactorKUnbounded is refactorK with every build run to the end, and
+// with its cone's MFFC measured by MFFCSize before the speculation that
+// dereferences it again.
 func (p *pass) refactorKUnbounded(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
 	g.RecomputeRefs()
 	g.RecomputeLevels()
@@ -116,9 +116,7 @@ func (p *pass) refactorKUnbounded(g *aig.AIG, zero bool, k int, depthAware bool)
 		if !ok {
 			continue
 		}
-		key := coneKey{nvars: len(leaves)}
-		copy(key.words[:], tt.Words())
-		e := lookup(p, p.lib.cones, key, tt)
+		e := p.lookup(tt)
 		oldLevel := g.Level(id)
 		freed := g.BeginSpeculate(id)
 		newLit, _ := build(p, g, e, leaves, -1)

@@ -24,6 +24,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"flowgen/internal/aig"
 	"flowgen/internal/bitvec"
@@ -204,25 +205,51 @@ func (p *pass) balance(g *aig.AIG) *aig.AIG {
 }
 
 // Library holds the factored form of every table its passes have
-// factored: the 4-input cut tables of rewrite and rewrite -z, and the
-// cone tables of refactor, refactor -z and restructure. A form is a pure
+// factored, up to a byte budget: the 4-input cut tables of rewrite and
+// rewrite -z, and the cone tables of refactor, refactor -z and
+// restructure, all keyed by variable count and table. A form is a pure
 // function of its table, so passes on different graphs may share one
 // library from several goroutines and get the graphs a fresh library
-// gives. Each of the two maps stops accepting entries at libraryCap;
-// after that, lookups still hit and a miss is factored for its one use.
+// gives.
+//
+// Nothing in a library holds a pointer but its three slices: every
+// table back to back in one arena of words, each taking what its
+// variable count needs (one word up to six variables, 16 at ten), every
+// form back to back in one []uint16, and one open-addressing index of
+// 16-byte entries. The capacity of all three counts against
+// libraryBytes, and an entry that would take the library past it is not
+// stored: lookups still hit, and such a miss is factored for its one
+// use.
 type Library struct {
-	mu    sync.RWMutex
-	cuts  map[uint16]factored
-	cones map[coneKey]factored
+	mu      sync.RWMutex
+	tables  []uint64   // every entry's table, back to back
+	forms   []uint16   // every entry's form, back to back
+	index   []libEntry // linear probing; a power of two, at most half full
+	entries int
+	bytes   int // the capacity of tables, forms and index, in bytes
 
 	hits, misses atomic.Int64 // lookups of ended passes
 }
 
-// libraryCap bounds each map of a Library. A synthesis engine keeps its
-// library as long as it lives, which for the online loop is the process,
-// so this is the only limit on it; DESIGN.md §6.2 gives the sweep that
-// sized it against the benchmark's RSS bound.
-const libraryCap = 2048
+// libraryBytes bounds the memory of a Library. A synthesis engine keeps
+// its library as long as it lives, which for the online loop is the
+// process, so this is the only limit on it; DESIGN.md §6.2 gives the
+// measurements that sized it against the benchmark's RSS bound.
+const libraryBytes = 2 << 20
+
+// libEntry indexes one table and its form. An entry with nv 0 is empty:
+// the passes factor tables of 3 to 10 variables (a cut's table has 4).
+type libEntry struct {
+	tag   uint32 // the low half of the table's hash
+	table uint32 // the table's offset in tables
+	form  uint32 // the form's offset in forms
+	size  uint16 // the form's length: at ten variables an ISOP has at most 512 cubes of 10 literals, so fewer than 12,000 codes
+	nv    uint8  // the table's variable count
+	inv   bool   // the form computes the table's complement
+}
+
+// minIndex is the slot count of a library's first index.
+const minIndex = 1 << 10
 
 // factored is a library entry: a form and whether it computes the
 // complement of its table.
@@ -231,15 +258,22 @@ type factored struct {
 	inv  bool
 }
 
-// NewLibrary returns an empty library.
-func NewLibrary() *Library {
-	return &Library{cuts: make(map[uint16]factored), cones: make(map[coneKey]factored)}
-}
+// NewLibrary returns an empty library. It allocates nothing until its
+// first entry.
+func NewLibrary() *Library { return new(Library) }
 
 // Counts returns the library lookups that hit and that missed, summed
 // over the passes that have ended.
 func (l *Library) Counts() (hits, misses int) {
 	return int(l.hits.Load()), int(l.misses.Load())
+}
+
+// Size returns the number of tables the library holds and the bytes its
+// arenas and index take, which never exceed libraryBytes.
+func (l *Library) Size() (entries, bytes int) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.entries, l.bytes
 }
 
 // pass is one synthesis pass: the library it factors through, the
@@ -257,27 +291,140 @@ func (p *pass) end() {
 	p.lib.misses.Add(p.misses)
 }
 
-// lookup returns the factored form of tt, the table keyed k in m. A miss
-// is factored outside the lock on the pass's workspace; below the cap
-// the library stores a copy, so two passes that miss the same table
-// store equal forms. On the 4-variable cut tables FactorTTFast is the
-// FactorTT that Rewrite always used.
-func lookup[K comparable](p *pass, m map[K]factored, k K, tt bitvec.TT) factored {
-	p.lib.mu.RLock()
-	e, ok := m[k]
-	p.lib.mu.RUnlock()
+// lookup returns the factored form of tt. A miss is factored outside the
+// lock on the pass's workspace, and the library stores a copy if it has
+// room, so two passes that miss the same table store one form. On the
+// 4-variable cut tables FactorTTFast is the FactorTT that Rewrite always
+// used.
+func (p *pass) lookup(tt bitvec.TT) factored {
+	l := p.lib
+	nv, words := tt.NumVars(), tt.Words()
+	h := tableHash(nv, words)
+	l.mu.RLock()
+	e, ok := l.find(nv, words, h)
+	l.mu.RUnlock()
 	if ok {
 		p.hits++
 		return e
 	}
 	p.misses++
 	e.form, e.inv = p.ws.sop.FactorTTFast(tt)
-	p.lib.mu.Lock()
-	if len(m) < libraryCap {
-		m[k] = factored{form: slices.Clone(e.form), inv: e.inv}
-	}
-	p.lib.mu.Unlock()
+	l.mu.Lock()
+	l.insert(nv, words, h, e)
+	l.mu.Unlock()
 	return e
+}
+
+// tableHash mixes a table and its variable count into 64 bits.
+func tableHash(nv int, words []uint64) uint64 {
+	h := uint64(nv)
+	for _, w := range words {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h * 0xbf58476d1ce4e5b9
+}
+
+// find returns the entry of the nv-variable table words, whose hash is
+// h. The caller holds the lock, at least for reading; the form it
+// returns stays valid after, since stored codes are never written again.
+func (l *Library) find(nv int, words []uint64, h uint64) (factored, bool) {
+	if len(l.index) == 0 {
+		return factored{}, false
+	}
+	mask := len(l.index) - 1
+	for i := int(h>>32) & mask; ; i = (i + 1) & mask {
+		e := &l.index[i]
+		if e.nv == 0 {
+			return factored{}, false
+		}
+		if e.tag == uint32(h) && int(e.nv) == nv && slices.Equal(l.table(e), words) {
+			end := e.form + uint32(e.size)
+			return factored{form: l.forms[e.form:end:end], inv: e.inv}, true
+		}
+	}
+}
+
+// table returns the words of e's table.
+func (l *Library) table(e *libEntry) []uint64 {
+	return l.tables[e.table : int(e.table)+bitvec.WordsFor(int(e.nv))]
+}
+
+// insert stores a copy of e as the form of the nv-variable table words,
+// whose hash is h, unless the library holds the table already or has no
+// room for it. The caller holds the write lock.
+func (l *Library) insert(nv int, words []uint64, h uint64, e factored) {
+	if _, ok := l.find(nv, words, h); ok {
+		return // another pass stored it first
+	}
+	if 2*(l.entries+1) > len(l.index) && !l.growIndex() {
+		return
+	}
+	tables, ok := reserve(l, l.tables, len(words), 8)
+	if l.tables = tables; !ok {
+		return
+	}
+	forms, ok := reserve(l, l.forms, len(e.form), 2)
+	if l.forms = forms; !ok {
+		return
+	}
+	*l.emptySlot(h) = libEntry{
+		tag:   uint32(h),
+		table: uint32(len(l.tables)),
+		form:  uint32(len(l.forms)),
+		size:  uint16(len(e.form)),
+		nv:    uint8(nv),
+		inv:   e.inv,
+	}
+	l.tables = append(l.tables, words...)
+	l.forms = append(l.forms, e.form...)
+	l.entries++
+}
+
+// growIndex doubles the index, or makes the first one, if the budget
+// allows, and reports whether it did.
+func (l *Library) growIndex() bool {
+	n := max(2*len(l.index), minIndex)
+	const size = int(unsafe.Sizeof(libEntry{}))
+	if l.bytes+(n-len(l.index))*size > libraryBytes {
+		return false
+	}
+	old := l.index
+	l.index = make([]libEntry, n)
+	l.bytes += (n - len(old)) * size
+	for _, e := range old {
+		if e.nv != 0 {
+			*l.emptySlot(tableHash(int(e.nv), l.table(&e))) = e
+		}
+	}
+	return true
+}
+
+// emptySlot returns the first empty index slot on the probe sequence of
+// hash h.
+func (l *Library) emptySlot(h uint64) *libEntry {
+	mask := len(l.index) - 1
+	i := int(h>>32) & mask
+	for l.index[i].nv != 0 {
+		i = (i + 1) & mask
+	}
+	return &l.index[i]
+}
+
+// reserve returns s with room for n more elements of size bytes each,
+// growing its capacity by a quarter, or to what the budget leaves, when
+// it is full. It reports false, and returns s as it was, when the budget
+// leaves too little.
+func reserve[T uint64 | uint16](l *Library, s []T, n, size int) ([]T, bool) {
+	if len(s)+n <= cap(s) {
+		return s, true
+	}
+	c := min(max(cap(s)+cap(s)/4, len(s)+n, 1024), cap(s)+(libraryBytes-l.bytes)/size)
+	if c < len(s)+n {
+		return s, false
+	}
+	l.bytes += (c - cap(s)) * size
+	return append(make([]T, 0, c), s...), true
 }
 
 // build constructs the factored form over the leaf nodes in g and
@@ -319,12 +466,9 @@ func (p *pass) rewrite(g *aig.AIG, zero bool) *aig.AIG {
 	cuts := p.ws.cuts
 	cuts.Enumerate(g, 4, rewriteCuts)
 	// buildCut speculatively constructs the factored form of id's cut ci
-	// in g within limit. Cut tables are over 4 variables, so their low 16
-	// bits identify them.
+	// in g within limit.
 	buildCut := func(id, ci, limit int) (aig.Lit, bool) {
-		tt := cuts.TT(id, ci)
-		e := lookup(p, p.lib.cuts, uint16(tt.Words()[0]&0xFFFF), tt)
-		return build(p, g, e, cuts.Of(id)[ci].Leaves(), limit)
+		return build(p, g, p.lookup(cuts.TT(id, ci)), cuts.Of(id)[ci].Leaves(), limit)
 	}
 
 	for _, id32 := range p.ws.walk.LiveAnds(g) {
@@ -407,19 +551,10 @@ func Refactor(g *aig.AIG, zero bool) *aig.AIG {
 // collapses.
 const refactorLeaves = 10
 
-// coneKey identifies a cone function: its variable count and table.
-type coneKey struct {
-	nvars int
-	words [maxConeWords]uint64
-}
-
-// maxConeWords is the table size of the widest cone refactorK collapses.
-const maxConeWords = 1 << (refactorLeaves - 6)
-
 // refactorK collapses each node's reconvergent cone of up to k leaves
 // and rebuilds its factored form. Structured circuits (adder grids, S-box
 // arrays) repeat cone functions heavily, across passes as well as within
-// one, which is what the library's cone map catches.
+// one, which is what the library catches.
 func (p *pass) refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
 	g.RecomputeRefs()
 	g.RecomputeLevels()
@@ -436,25 +571,28 @@ func (p *pass) refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG
 		// Nodes whose cone frees fewer than 2 nodes cannot yield positive
 		// gain except by pure sharing; skipping them saves most of the
 		// pass runtime (ABC's refactoring applies similar filtering).
-		if g.MFFCSize(id) < 2 {
+		// The count is the one speculation starts from, so each cone is
+		// dereferenced once; the cut and its table read only fanins,
+		// which speculation leaves alone.
+		freed := g.BeginSpeculate(id)
+		if freed < 2 {
+			g.AbortSpeculate(id)
 			continue
 		}
 		leaves := cones.ReconvCut(id, k)
 		if len(leaves) < 3 || slices.Contains(leaves, id) {
+			g.AbortSpeculate(id)
 			continue
 		}
 		tt, ok := cones.TT(id, leaves)
 		if !ok {
+			g.AbortSpeculate(id)
 			continue
 		}
-		key := coneKey{nvars: len(leaves)}
-		copy(key.words[:], tt.Words())
-		e := lookup(p, p.lib.cones, key, tt)
 		oldLevel := g.Level(id)
-		freed := g.BeginSpeculate(id)
 		// Every acceptance below needs gain >= 0, so a build that costs
 		// more than freed is dropped as soon as it does.
-		newLit, ok := build(p, g, e, leaves, freed)
+		newLit, ok := build(p, g, p.lookup(tt), leaves, freed)
 		if !ok || newLit.Node() == id {
 			g.AbortSpeculate(id)
 			continue

@@ -1,14 +1,17 @@
 package rewrite
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"flowgen/internal/aig"
 	"flowgen/internal/bitvec"
 	"flowgen/internal/circuits"
+	"flowgen/internal/sop"
 )
 
 // raceEnabled reports a race-detector build (race_test.go sets it).
@@ -419,62 +422,95 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestLibraryStopsAtCap feeds one library more distinct cone tables than
-// its cap: it holds exactly the cap, still hits on what it holds, and the
-// forms it returns past the cap compute their tables.
-func TestLibraryStopsAtCap(t *testing.T) {
-	const nvars = 6
+// TestLibraryByteBudget fills one library with random distinct tables of
+// 3 to 10 variables until it has refused many: its arenas and index never
+// take more than libraryBytes, every form it returns, refused or held,
+// computes its table, and the tables it holds hit with the form a fresh
+// workspace factors.
+func TestLibraryByteBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	seen := make(map[uint64]bool)
-	var tables []bitvec.TT
-	for len(tables) < libraryCap+64 {
-		w := rng.Uint64()
-		if !seen[w] {
-			seen[w] = true
-			tables = append(tables, bitvec.FromWords(nvars, []uint64{w}))
-		}
-	}
-	key := func(tt bitvec.TT) coneKey {
-		k := coneKey{nvars: nvars}
-		copy(k.words[:], tt.Words())
-		return k
-	}
+	seen := make(map[string]bool)
 	lib := NewLibrary()
 	p := &pass{lib: lib, ws: NewWorkspace(nil)}
-	for i, tt := range tables {
-		e := lookup(p, lib.cones, key(tt), tt)
-		if i < libraryCap {
+	var held, refused []bitvec.TT
+	for len(refused) < 64 {
+		nv := 3 + rng.Intn(8)
+		if len(held) > 100 {
+			nv = 9 + rng.Intn(2) // large tables fill the budget fastest
+		}
+		tt := bitvec.New(nv)
+		for w := range tt.Words() {
+			tt.Words()[w] = rng.Uint64() & bitvec.WordMask(nv)
+		}
+		if k := fmt.Sprint(nv, tt.Words()); seen[k] {
 			continue
+		} else {
+			seen[k] = true
 		}
-		g := aig.New()
-		leaves := make([]aig.Lit, nvars)
-		for v := range leaves {
-			leaves[v] = g.AddInput("x")
+		before, _ := lib.Size()
+		e := p.lookup(tt)
+		checkForm(t, e, tt)
+		entries, bytes := lib.Size()
+		if bytes > libraryBytes {
+			t.Fatalf("library takes %d bytes after %d tables, budget %d", bytes, len(seen), libraryBytes)
 		}
-		out, _ := p.ws.sop.BuildAIG(g, e.form, leaves, -1)
-		g.AddOutput(out.NotIf(e.inv), "f")
-		in := make([]bool, nvars)
-		for m := 0; m < tt.NumBits(); m++ {
-			for v := range in {
-				in[v] = m>>v&1 != 0
-			}
-			if g.EvalUint(in)[0] != tt.Bit(m) {
-				t.Fatalf("table %d past the cap: form %v (inv=%v) wrong on minterm %d", i, e.form, e.inv, m)
-			}
+		switch entries {
+		case before + 1:
+			held = append(held, tt)
+		case before:
+			refused = append(refused, tt)
+		default:
+			t.Fatalf("one lookup took the library from %d to %d entries", before, entries)
 		}
 	}
 	p.end()
-	if len(lib.cones) != libraryCap {
-		t.Fatalf("library holds %d cone tables, want the cap %d", len(lib.cones), libraryCap)
+	if hits, misses := lib.Counts(); hits != 0 || misses != len(seen) {
+		t.Fatalf("filling counted %d hits and %d misses, want 0 and %d", hits, misses, len(seen))
 	}
-	if hits, misses := lib.Counts(); hits != 0 || misses != len(tables) {
-		t.Fatalf("filling counted %d hits and %d misses, want 0 and %d", hits, misses, len(tables))
+	entries, bytes := lib.Size()
+	t.Logf("holds %d tables in %d bytes after refusing %d", entries, bytes, len(refused))
+	if entries != len(held) || bytes < libraryBytes*9/10 {
+		t.Fatalf("library holds %d tables in %d bytes, want %d tables in at least 90%% of %d", entries, bytes, len(held), libraryBytes)
 	}
+
+	var fresh sop.Workspace
 	p = &pass{lib: lib, ws: NewWorkspace(nil)}
-	lookup(p, lib.cones, key(tables[0]), tables[0])
-	lookup(p, lib.cones, key(tables[libraryCap]), tables[libraryCap])
-	if p.hits != 1 || p.misses != 1 {
-		t.Fatalf("a held and a refused table counted %d hits and %d misses, want 1 and 1", p.hits, p.misses)
+	for _, tt := range held {
+		e := p.lookup(tt)
+		form, inv := fresh.FactorTTFast(tt)
+		if !slices.Equal(e.form, form) || e.inv != inv {
+			t.Fatalf("held %d-variable table %v: library form %v (inv=%v), fresh %v (inv=%v)", tt.NumVars(), tt, e.form, e.inv, form, inv)
+		}
+	}
+	for _, tt := range refused[:8] {
+		checkForm(t, p.lookup(tt), tt)
+	}
+	if p.hits != int64(len(held)) || p.misses != 8 {
+		t.Fatalf("%d held and 8 refused tables counted %d hits and %d misses", len(held), p.hits, p.misses)
+	}
+}
+
+// checkForm fails the test unless e's form, complemented when e says so,
+// computes tt: it builds the form over fresh inputs and simulates it on
+// every minterm.
+func checkForm(t *testing.T, e factored, tt bitvec.TT) {
+	t.Helper()
+	nv := tt.NumVars()
+	g := aig.New()
+	leaves := make([]aig.Lit, nv)
+	patterns := make([][]uint64, nv)
+	for v := range leaves {
+		leaves[v] = g.AddInput("x")
+		patterns[v] = bitvec.Var(nv, v).Words()
+	}
+	var ws sop.Workspace
+	out, _ := ws.BuildAIG(g, e.form, leaves, -1)
+	g.AddOutput(out.NotIf(e.inv), "f")
+	got := g.Simulate(patterns)[0]
+	for w := range got {
+		if got[w]&bitvec.WordMask(nv) != tt.Words()[w] {
+			t.Fatalf("%d-variable table %v: form %v (inv=%v) computes another function", nv, tt, e.form, e.inv)
+		}
 	}
 }
 

@@ -550,9 +550,17 @@ func (w *Workspace) BuildAIG(g *aig.AIG, f Form, leaves []aig.Lit, limit int) (o
 // depth-balanced tree. It works in place on work, and stops, reporting
 // false, once a combination raises g.SpeculationCost above a
 // non-negative limit.
+//
+// The operands are sorted once. Each new literal then goes where sorting
+// the remaining operands followed by it would put it: on up to
+// maxInsertion operands slices.SortFunc is a stable insertion sort, so
+// that is after every operand of equal or lower level. Over more
+// operands SortFunc's order among equal levels is its own, so it sorts
+// again.
 func combineBalanced(g *aig.AIG, work []aig.Lit, disj bool, limit int) (aig.Lit, bool) {
+	byLevel := func(a, b aig.Lit) int { return g.Level(a.Node()) - g.Level(b.Node()) }
+	slices.SortFunc(work, byLevel)
 	for len(work) > 1 {
-		slices.SortFunc(work, func(a, b aig.Lit) int { return g.Level(a.Node()) - g.Level(b.Node()) })
 		var n aig.Lit
 		if disj {
 			n = g.Or(work[0], work[1])
@@ -562,9 +570,24 @@ func combineBalanced(g *aig.AIG, work []aig.Lit, disj bool, limit int) (aig.Lit,
 		if limit >= 0 && g.SpeculationCost() > limit {
 			return 0, false
 		}
-		copy(work, work[2:])
-		work[len(work)-2] = n
-		work = work[:len(work)-1]
+		// Drop the first operand: the second's slot, now work[0], is
+		// free, and work[1:] is the sorted rest.
+		work = work[1:]
+		if len(work) > maxInsertion {
+			copy(work, work[1:])
+			work[len(work)-1] = n
+			slices.SortFunc(work, byLevel)
+			continue
+		}
+		lvl, i := g.Level(n.Node()), 1
+		for ; i < len(work) && g.Level(work[i].Node()) <= lvl; i++ {
+			work[i-1] = work[i]
+		}
+		work[i-1] = n
 	}
 	return work[0], true
 }
+
+// maxInsertion is the longest slice slices.SortFunc sorts by insertion
+// (pdqsort's maxInsertion).
+const maxInsertion = 12

@@ -51,6 +51,8 @@ type MemoStats struct {
 	PeakGraphs     int // peak number of simultaneously cached intermediate graphs
 	FactorHits     int // cut and cone tables found in the engine's factoring library
 	FactorMisses   int // cut and cone tables factored because the library lacked them
+	LibraryEntries int // tables the factoring library holds
+	LibraryBytes   int // bytes the factoring library's arenas and index take
 }
 
 // SpeedupFactor estimates the transformation-work reduction: direct
@@ -348,8 +350,8 @@ func (m *memoEval) finishFlows(n *flow.TrieNode, entry *memoState, fp aig.Finger
 		}
 		close(f.done)
 		q = f.q
-		// Mapping only recomputes the derived ref/level fields, which a
-		// canonical (Cleanup'd) graph already carries — the graph is still
+		// Mapping reads the graph and recounts nothing: a canonical
+		// (Cleanup'd) graph carries its refs and levels. The graph is still
 		// representation-identical to its transformation output, so it can
 		// serve as a victim for transitions targeting this fingerprint.
 		m.tbl.mu.Lock()
@@ -432,11 +434,12 @@ func (e *Engine) evaluateAllMemo(flows []flow.Flow, progress func(done int)) ([]
 
 // MemoStats returns the accumulated sharing statistics of the engine's
 // memoized evaluations. The factoring counts cover the passes that have
-// ended.
+// ended; the library's size is its size now.
 func (e *Engine) MemoStats() MemoStats {
 	e.memo.mu.Lock()
 	s := e.memo.stats
 	e.memo.mu.Unlock()
 	s.FactorHits, s.FactorMisses = e.lib.Counts()
+	s.LibraryEntries, s.LibraryBytes = e.lib.Size()
 	return s
 }

@@ -206,6 +206,12 @@ func TestMemoStatsAccumulateAcrossBatches(t *testing.T) {
 	if first.FactorMisses == 0 || second.FactorHits <= first.FactorHits {
 		t.Fatalf("factoring library did not accumulate hits: first %+v second %+v", first, second)
 	}
+	// It keeps what it factors: every miss of the first batch stored a
+	// table, and the second batch stored more.
+	if first.LibraryEntries == 0 || first.LibraryEntries > first.FactorMisses ||
+		second.LibraryEntries <= first.LibraryEntries || second.LibraryBytes < first.LibraryBytes {
+		t.Fatalf("factoring library did not keep its tables: first %+v second %+v", first, second)
+	}
 	reg := obs.NewRegistry()
 	e.RegisterMetrics(reg)
 	var b strings.Builder
@@ -213,6 +219,8 @@ func TestMemoStatsAccumulateAcrossBatches(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("flowgen_synth_memo_factor_hits %d\n", second.FactorHits),
 		fmt.Sprintf("flowgen_synth_memo_factor_misses %d\n", second.FactorMisses),
+		fmt.Sprintf("flowgen_synth_library_entries %d\n", second.LibraryEntries),
+		fmt.Sprintf("flowgen_synth_library_bytes %d\n", second.LibraryBytes),
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("metrics lack %q", want)

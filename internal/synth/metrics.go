@@ -37,6 +37,10 @@ func (e *Engine) RegisterMetrics(o *obs.Registry) {
 		stat(func(s MemoStats) int { return s.FactorHits }))
 	o.GaugeFunc("flowgen_synth_memo_factor_misses", "Cut and cone tables factored because the library lacked them.",
 		stat(func(s MemoStats) int { return s.FactorMisses }))
+	o.GaugeFunc("flowgen_synth_library_entries", "Cut and cone tables the engine's factoring library holds.",
+		stat(func(s MemoStats) int { return s.LibraryEntries }))
+	o.GaugeFunc("flowgen_synth_library_bytes", "Bytes the factoring library's arenas and index take (bounded by its budget).",
+		stat(func(s MemoStats) int { return s.LibraryBytes }))
 	o.GaugeFunc("flowgen_synth_memo_speedup_factor", "Direct steps divided by transformations actually run.",
 		func() float64 { return e.MemoStats().SpeedupFactor() })
 }

@@ -266,14 +266,23 @@ func MapNetlist(g *aig.AIG, matcher *Matcher, mode Mode) (QoR, *Netlist) {
 // mapNetlist is MapNetlist working in ws.
 func mapNetlist(g *aig.AIG, matcher *Matcher, mode Mode, ws *Workspace) (QoR, *Netlist) {
 	g.RecomputeRefs()
+	ws.cuts.Enumerate(g, 4, 8)
+	ws.reset(g.NumNodesRaw())
+	ws.match(g, matcher, mode)
+	return ws.cover(g, matcher)
+}
+
+// match runs the mapping DP: it picks, for every live node phase in
+// topological order, the cheapest implementation under mode, recording
+// its area flow in ws.cost, its arrival in ws.arr and the choice in
+// ws.sel. Each cut's leaf terms (area flow, arrival, whether the leaf
+// phase is implemented) are read once for all of its matches. In delay
+// mode a match's area is priced only when its arrival ties or beats the
+// node's best so far, since only then can the area decide.
+func (ws *Workspace) match(g *aig.AIG, matcher *Matcher, mode Mode) {
 	lib := matcher.Lib
 	inv := lib.Inv()
-
 	cs := ws.cuts
-	cs.Enumerate(g, 4, 8)
-
-	// DP state per node and phase (0 = positive, 1 = negative).
-	ws.reset(g.NumNodesRaw())
 	cost, arr, sel := ws.cost, ws.arr, ws.sel
 	// Constant node: free in both phases.
 	cost[0] = [2]float64{0, 0}
@@ -286,14 +295,10 @@ func mapNetlist(g *aig.AIG, matcher *Matcher, mode Mode, ws *Workspace) (QoR, *N
 		sel[id][1] = choice{viaInv: true, valid: true}
 	}
 
-	refWeight := func(id int) float64 {
-		r := g.Ref(id)
-		if r < 1 {
-			r = 1
-		}
-		return float64(r)
-	}
-
+	// The current cut's terms per leaf and phase: area flow (the leaf's
+	// cost shared among its fanouts), arrival, and whether it is mapped.
+	var flow, at [4][2]float64
+	var mapped [4][2]bool
 	for _, id32 := range ws.walk.LiveAnds(g) {
 		id := int(id32)
 		nodeCuts := cs.Of(id)
@@ -302,52 +307,56 @@ func mapNetlist(g *aig.AIG, matcher *Matcher, mode Mode, ws *Workspace) (QoR, *N
 			if len(leaves) == 1 && int(leaves[0]) == id {
 				continue // trivial cut
 			}
+			for i, l := range leaves {
+				leaf := int(l)
+				r := float64(max(g.Ref(leaf), 1))
+				for ph := 0; ph < 2; ph++ {
+					flow[i][ph] = cost[leaf][ph] / r
+					at[i][ph] = arr[leaf][ph]
+					mapped[i][ph] = !math.IsInf(cost[leaf][ph], 1)
+				}
+			}
 			key := uint16(cs.TT(id, ci).Words()[0] & 0xFFFF)
 			for phase := 0; phase < 2; phase++ {
 				k := key
 				if phase == 1 {
 					k = ^key
 				}
+				best := &arr[id][phase]
 				for _, m := range matcher.table[k] {
-					cell := lib.Cells[m.cell]
-					aCost, dCost := cell.Area, 0.0
-					feasible := true
+					cell := &lib.Cells[m.cell]
+					dCost, feasible := 0.0, true
 					for i := 0; i < m.k; i++ {
-						if int(m.pins[i]) >= len(leaves) {
+						pin, ph := int(m.pins[i]), int(m.negs>>i&1)
+						if pin >= len(leaves) || !mapped[pin][ph] {
 							feasible = false
 							break
 						}
-						leaf := int(leaves[m.pins[i]])
-						ph := 0
-						if m.negs&(1<<uint(i)) != 0 {
-							ph = 1
-						}
-						if math.IsInf(cost[leaf][ph], 1) {
-							feasible = false
-							break
-						}
-						aCost += cost[leaf][ph] / refWeight(leaf)
-						if t := arr[leaf][ph] + cell.Delay; t > dCost {
+						if t := at[pin][ph] + cell.Delay; t > dCost {
 							dCost = t
 						}
-					}
-					if !feasible {
-						continue
 					}
 					if m.k == 0 {
 						dCost = cell.Delay
 					}
-					better := false
+					if !feasible || mode == DelayMode && dCost > *best {
+						continue
+					}
+					aCost := cell.Area
+					for i := 0; i < m.k; i++ {
+						aCost += flow[m.pins[i]][m.negs>>i&1]
+					}
+					var better bool
 					if mode == AreaMode {
 						better = aCost < cost[id][phase] ||
-							(aCost == cost[id][phase] && dCost < arr[id][phase])
+							(aCost == cost[id][phase] && dCost < *best)
 					} else {
-						better = dCost < arr[id][phase] ||
-							(dCost == arr[id][phase] && aCost < cost[id][phase])
+						better = dCost < *best ||
+							(dCost == *best && aCost < cost[id][phase])
 					}
 					if better {
 						cost[id][phase] = aCost
-						arr[id][phase] = dCost
+						*best = dCost
 						sel[id][phase] = choice{cut: int32(ci), m: m, valid: true}
 					}
 				}
@@ -371,6 +380,14 @@ func mapNetlist(g *aig.AIG, matcher *Matcher, mode Mode, ws *Workspace) (QoR, *N
 			}
 		}
 	}
+}
+
+// cover extracts the netlist the DP's selections describe, from the
+// primary outputs, and times it.
+func (ws *Workspace) cover(g *aig.AIG, matcher *Matcher) (QoR, *Netlist) {
+	lib := matcher.Lib
+	inv := lib.Inv()
+	cs, sel := ws.cuts, ws.sel
 
 	// Cover extraction from the primary outputs. Gate input lists are
 	// carved from shared chunks; a full chunk is replaced by one twice its

@@ -228,6 +228,29 @@ func BenchmarkMapArea(b *testing.B) {
 	}
 }
 
+// BenchmarkMapDelay times the mapping a QoR label ends with: delay mode,
+// as the synthesis engine maps, on a workspace reused across iterations,
+// as each engine worker's is, over the canonical graphs of the designs
+// the labeling benchmarks use.
+func BenchmarkMapDelay(b *testing.B) {
+	for _, design := range []string{"alu8", "miniaes2"} {
+		d, err := circuits.ByName(design)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := d.Build().Cleanup()
+		b.Run(design, func(b *testing.B) {
+			ws := NewWorkspace(nil)
+			MapWith(g, testMatcher, DelayMode, ws)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MapWith(g, testMatcher, DelayMode, ws)
+			}
+		})
+	}
+}
+
 func BenchmarkNewMatcher(b *testing.B) {
 	lib := cells.New14nm()
 	b.ReportAllocs()
