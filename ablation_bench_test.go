@@ -61,33 +61,25 @@ func BenchmarkAblation_ZeroCostVariants(b *testing.B) {
 // budget.
 func BenchmarkAblation_IncrementalVsOneShot(b *testing.B) {
 	bd := bundleFor(b, "ALU")
+	final := func(rc exp.RunConfig) exp.CurvePoint {
+		curve, _, err := exp.RunIncremental(bd, rc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return curve[len(curve)-1]
+	}
 	for i := 0; i < b.N; i++ {
-		// Incremental (the framework's protocol).
-		rc := exp.DefaultRunConfig(bd.Space, synth.MetricArea)
-		rc.NumOut = benchNumOut(len(bd.Pool))
-		curve, _, _, err := exp.RunIncremental(bd, rc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		incAcc := curve[len(curve)-1].GenAcc
-		totalSteps := curve[len(curve)-1].Steps
-
+		rc := exp.DefaultRunConfig(bd, synth.MetricArea)
+		inc := final(rc) // the framework's incremental protocol
 		// One-shot: all data from the start, same step budget.
-		oneShot := rc
-		oneShot.InitialLabeled = len(bd.Flows)
-		oneShot.RetrainEvery = len(bd.Flows)
-		oneShot.StepsPerRound = totalSteps
-		c2, _, _, err := exp.RunIncremental(bd, oneShot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oneAcc := c2[len(c2)-1].GenAcc
+		rc.InitialLabeled, rc.RetrainEvery, rc.StepsPerRound = len(bd.Flows), len(bd.Flows), inc.Steps
+		one := final(rc)
 		if i == 0 {
 			fmt.Printf("Ablation[incremental] incremental %.3f vs one-shot %.3f (total %d steps)\n",
-				incAcc, oneAcc, totalSteps)
+				inc.GenAcc, one.GenAcc, inc.Steps)
 		}
-		b.ReportMetric(incAcc, "incremental-acc")
-		b.ReportMetric(oneAcc, "oneshot-acc")
+		b.ReportMetric(inc.GenAcc, "incremental-acc")
+		b.ReportMetric(one.GenAcc, "oneshot-acc")
 	}
 }
 
@@ -107,7 +99,7 @@ func BenchmarkAblation_Determinators(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rc := exp.DefaultRunConfig(bd.Space, synth.MetricArea)
+			rc := exp.DefaultRunConfig(bd, synth.MetricArea)
 			optimizer, err := opt.ByName(rc.Optimizer, rc.LearnRate)
 			if err != nil {
 				b.Fatal(err)

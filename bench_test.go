@@ -25,7 +25,6 @@ import (
 	"flowgen/internal/exp"
 	"flowgen/internal/flow"
 	"flowgen/internal/label"
-	"flowgen/internal/nn"
 	"flowgen/internal/stats"
 	"flowgen/internal/synth"
 )
@@ -47,17 +46,6 @@ var (
 	benchM     = envInt("FLOWGEN_BENCH_M", 2)
 	benchFig1  = envInt("FLOWGEN_BENCH_FIG1", 200)
 )
-
-// benchNumOut keeps the selection size under the 5% extreme-class
-// population of the pool, so the accuracy metric has ceiling 1.0 as in
-// the paper (which picks 200 from a 100k pool).
-func benchNumOut(poolSize int) int {
-	n := poolSize / 25
-	if n < 4 {
-		n = 4
-	}
-	return n
-}
 
 // benchDesigns maps the paper's designs to their bench-scale stand-ins.
 var benchDesigns = map[string]string{
@@ -136,41 +124,37 @@ func BenchmarkFig1_AES_QoRDistribution(b *testing.B) { fig1(b, "AES") }
 // BenchmarkFig1_ALU_QoRDistribution regenerates Figure 1 (c, d).
 func BenchmarkFig1_ALU_QoRDistribution(b *testing.B) { fig1(b, "ALU") }
 
-// ------------------------------------------------------------ Figs. 4, 5
+// ------------------------------------------------------------ Figs. 4–7
 
-// figOptimizers replays incremental training with each of the five
-// gradient-descent algorithms and prints the accuracy curves of Figure 4
-// (area-driven) or Figure 5 (delay-driven).
-func figOptimizers(b *testing.B, metric synth.Metric, figName string) {
+// figSweep replays one of exp's Figure 4–7 sweeps of the harness's
+// default run on each design's bundle and prints, per variant, the line
+// that line makes of its final curve point.
+func figSweep(b *testing.B, designs []string, metric synth.Metric, variants []exp.Variant,
+	line func(design string, r exp.Run, final exp.CurvePoint) string) {
 	for i := 0; i < b.N; i++ {
-		for _, paperName := range []string{"Montgomery", "AES", "ALU"} {
-			bd := bundleFor(b, paperName)
-			best, bestAcc := "", -1.0
-			for _, optName := range []string{"SGD", "Momentum", "AdaGrad", "RMSProp", "Ftrl"} {
-				rc := exp.DefaultRunConfig(bd.Space, metric)
-				rc.NumOut = benchNumOut(len(bd.Pool))
-				rc.Optimizer = optName
-				if optName == "SGD" || optName == "Momentum" {
-					rc.LearnRate = 1e-2 // plain-gradient methods need a larger η at this scale
-				}
-				curve, _, _, err := exp.RunIncremental(bd, rc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				final := curve[len(curve)-1]
-				if i == 0 {
-					fmt.Printf("%s[%s] %-8s final gen-acc %.3f train-acc %.3f (%.0fs simulated)\n",
-						figName, paperName, optName, final.GenAcc, final.TrainAcc, final.SimTime.Seconds())
-				}
-				if final.GenAcc > bestAcc {
-					best, bestAcc = optName, final.GenAcc
-				}
+		for _, design := range designs {
+			bd := bundleFor(b, design)
+			runs, err := exp.Sweep(bd, exp.DefaultRunConfig(bd, metric), variants)
+			if err != nil {
+				b.Fatal(err)
 			}
-			if i == 0 {
-				fmt.Printf("%s[%s] best optimizer: %s (%.3f)\n", figName, paperName, best, bestAcc)
+			for _, r := range runs {
+				if i == 0 {
+					fmt.Println(line(design, r, r.Curve[len(r.Curve)-1]))
+				}
 			}
 		}
 	}
+}
+
+// figOptimizers replays incremental training with each of the five
+// gradient-descent algorithms on every design: Figure 4 (area-driven)
+// or Figure 5 (delay-driven).
+func figOptimizers(b *testing.B, metric synth.Metric, figName string) {
+	figSweep(b, []string{"Montgomery", "AES", "ALU"}, metric, exp.Optimizers, func(d string, r exp.Run, f exp.CurvePoint) string {
+		return fmt.Sprintf("%s[%s] %-8s final gen-acc %.3f train-acc %.3f (%.0fs simulated)",
+			figName, d, r.Name, f.GenAcc, f.TrainAcc, f.SimTime.Seconds())
+	})
 }
 
 // BenchmarkFig4_Optimizers_Area regenerates Figure 4 (a–c).
@@ -179,56 +163,22 @@ func BenchmarkFig4_Optimizers_Area(b *testing.B) { figOptimizers(b, synth.Metric
 // BenchmarkFig5_Optimizers_Delay regenerates Figure 5 (a–c).
 func BenchmarkFig5_Optimizers_Delay(b *testing.B) { figOptimizers(b, synth.MetricDelay, "Fig5") }
 
-// ---------------------------------------------------------------- Fig. 6
-
-// BenchmarkFig6_KernelSize compares convolution kernel shapes (3×6, 6×6,
-// 6×12 in the paper; scaled to the bench encoding here), reproducing the
-// finding that n×2n kernels outperform n×n.
+// BenchmarkFig6_KernelSize compares the paper's convolution kernel
+// shapes (3×6, 6×6, 6×12) on delay-driven AES flows.
 func BenchmarkFig6_KernelSize(b *testing.B) {
-	bd := bundleFor(b, "AES")
-	type k struct{ kh, kw int }
-	kernels := []k{{3, 6}, {6, 6}, {6, 12}}
-	for i := 0; i < b.N; i++ {
-		for _, kn := range kernels {
-			rc := exp.DefaultRunConfig(bd.Space, synth.MetricDelay)
-			rc.NumOut = benchNumOut(len(bd.Pool))
-			rc.Arch.KH, rc.Arch.KW = kn.kh, kn.kw
-			curve, _, _, err := exp.RunIncremental(bd, rc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			final := curve[len(curve)-1]
-			if i == 0 {
-				fmt.Printf("Fig6[AES] kernel %dx%-2d final gen-acc %.3f train-acc %.3f\n",
-					kn.kh, kn.kw, final.GenAcc, final.TrainAcc)
-			}
-		}
-	}
+	figSweep(b, []string{"AES"}, synth.MetricDelay, exp.Kernels, func(_ string, r exp.Run, f exp.CurvePoint) string {
+		return fmt.Sprintf("Fig6[AES] kernel %-4s final gen-acc %.3f train-acc %.3f", r.Name, f.GenAcc, f.TrainAcc)
+	})
 }
 
-// ---------------------------------------------------------------- Fig. 7
-
 // BenchmarkFig7_Activations compares the eight activation functions on
-// delay-driven AES flows, reproducing the finding that the smooth
-// nonlinearities (SELU, Tanh, ELU, Softsign) beat the ReLU family.
+// delay-driven AES flows, marking the smooth nonlinearities apart from
+// the ReLU family.
 func BenchmarkFig7_Activations(b *testing.B) {
-	bd := bundleFor(b, "AES")
-	for i := 0; i < b.N; i++ {
-		for _, act := range nn.Activations {
-			rc := exp.DefaultRunConfig(bd.Space, synth.MetricDelay)
-			rc.NumOut = benchNumOut(len(bd.Pool))
-			rc.Arch.Act = act
-			curve, _, _, err := exp.RunIncremental(bd, rc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			final := curve[len(curve)-1]
-			if i == 0 {
-				fmt.Printf("Fig7[AES] %-8s (smooth=%-5v) final gen-acc %.3f train-acc %.3f\n",
-					act, act.Smooth(), final.GenAcc, final.TrainAcc)
-			}
-		}
-	}
+	figSweep(b, []string{"AES"}, synth.MetricDelay, exp.Activations, func(_ string, r exp.Run, f exp.CurvePoint) string {
+		return fmt.Sprintf("Fig7[AES] %-8s (smooth=%-5v) final gen-acc %.3f train-acc %.3f",
+			r.Name, r.Config.Arch.Act.Smooth(), f.GenAcc, f.TrainAcc)
+	})
 }
 
 // ---------------------------------------------------------------- Fig. 8
@@ -240,27 +190,19 @@ func fig8(b *testing.B, paperName string) {
 	bd := bundleFor(b, paperName)
 	for i := 0; i < b.N; i++ {
 		for _, metric := range []synth.Metric{synth.MetricArea, synth.MetricDelay} {
-			rc := exp.DefaultRunConfig(bd.Space, metric)
-			rc.NumOut = benchNumOut(len(bd.Pool))
-			_, net, model, err := exp.RunIncremental(bd, rc)
+			_, q, err := exp.RunIncremental(bd, exp.DefaultRunConfig(bd, metric))
 			if err != nil {
 				b.Fatal(err)
 			}
-			sel := exp.SelectWithTruth(bd, net, model, rc)
-			pool := exp.Metrics(bd.PoolQoRs, metric)
-			angel := stats.Summarize(exp.Metrics(sel.AngelQoRs, metric))
-			devil := stats.Summarize(exp.Metrics(sel.DevilQoRs, metric))
-			poolS := stats.Summarize(pool)
 			if i == 0 {
 				fmt.Printf("Fig8[%s] %s-driven: angel mean %.0f | pool mean %.0f (p5 %.0f, p95 %.0f) | devil mean %.0f\n",
-					paperName, metric, angel.Mean, poolS.Mean,
-					stats.Percentile(pool, 5), stats.Percentile(pool, 95), devil.Mean)
+					paperName, metric, q.Angel.Mean, q.Pool.Mean, q.PoolP5, q.PoolP95, q.Devil.Mean)
 			}
-			if angel.Mean >= devil.Mean {
+			if q.Angel.Mean >= q.Devil.Mean {
 				b.Fatalf("%s %s: angel mean %.1f not better than devil mean %.1f",
-					paperName, metric, angel.Mean, devil.Mean)
+					paperName, metric, q.Angel.Mean, q.Devil.Mean)
 			}
-			b.ReportMetric(devil.Mean/angel.Mean, metric.String()+"-devil/angel")
+			b.ReportMetric(q.Devil.Mean/q.Angel.Mean, metric.String()+"-devil/angel")
 		}
 	}
 }

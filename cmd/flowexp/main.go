@@ -19,7 +19,6 @@ import (
 	"flowgen/internal/cliflags"
 	"flowgen/internal/exp"
 	"flowgen/internal/flow"
-	"flowgen/internal/nn"
 	"flowgen/internal/stats"
 	"flowgen/internal/synth"
 )
@@ -33,9 +32,8 @@ func main() {
 		trainN     = flag.Int("train", 300, "training flows (paper: 10000)")
 		poolN      = flag.Int("pool", 300, "sample pool flows (paper: 100000)")
 		steps      = flag.Int("steps", 300, "CNN steps per retraining round")
-		numOut     = flag.Int("out", 0, "flows to select (0 = pool/25)")
+		numOut     = flag.Int("out", 0, "flows to select (0 = the harness default for the pool size)")
 		seed       = cliflags.Seed(flag.CommandLine, 11)
-		memo       = cliflags.Memo(flag.CommandLine)
 		predW      = cliflags.Workers(flag.CommandLine, "predworkers", "pool-prediction workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -46,6 +44,20 @@ func main() {
 	} else if *metricName != "area" {
 		fatal(fmt.Errorf("unknown metric %q", *metricName))
 	}
+	// Each curve is titled "<design> <label> <variant>".
+	var variants []exp.Variant
+	var label string
+	switch *expName {
+	case "optimizers": // Figures 4 and 5
+		variants, label = exp.Optimizers, metric.String()+"-driven"
+	case "kernels": // Figure 6
+		variants, label = exp.Kernels, "kernel"
+	case "activations": // Figure 7
+		variants, label = exp.Activations, "activation"
+	case "quality": // Figure 8
+	default:
+		fatal(fmt.Errorf("unknown experiment %q", *expName))
+	}
 
 	d, err := circuits.ByName(*designName)
 	if err != nil {
@@ -53,7 +65,7 @@ func main() {
 	}
 	space := flow.NewSpace(flow.DefaultAlphabet, *m)
 	fmt.Fprintf(os.Stderr, "collecting %d+%d flows on %s...\n", *trainN, *poolN, *designName)
-	bundle, err := exp.CollectMode(d.Build(), space, *trainN, *poolN, *seed, *memo, func(done, total int) {
+	bundle, err := exp.Collect(d.Build(), space, *trainN, *poolN, *seed, func(done, total int) {
 		if done%100 == 0 {
 			fmt.Fprintf(os.Stderr, "  %d/%d\n", done, total)
 		}
@@ -61,76 +73,35 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *memo {
-		fmt.Fprintf(os.Stderr, "collected in %v: %d/%d transformations run (%.2fx work sharing)\n",
-			bundle.SynthTime.Round(time.Millisecond), bundle.Memo.TransformsRun,
-			bundle.Memo.DirectSteps, bundle.Memo.SpeedupFactor())
-	} else {
-		fmt.Fprintf(os.Stderr, "collected in %v (independent per-flow synthesis)\n",
-			bundle.SynthTime.Round(time.Millisecond))
-	}
+	fmt.Fprintf(os.Stderr, "collected in %v: %d/%d transformations run (%.2fx work sharing)\n",
+		bundle.SynthTime.Round(time.Millisecond), bundle.Memo.TransformsRun,
+		bundle.Memo.DirectSteps, bundle.Memo.SpeedupFactor())
 
-	base := exp.DefaultRunConfig(space, metric)
-	base.StepsPerRound = *steps
-	base.PredictWorkers = *predW
+	rc := exp.DefaultRunConfig(bundle, metric)
+	rc.StepsPerRound = *steps
+	rc.PredictWorkers = *predW
 	if *numOut > 0 {
-		base.NumOut = *numOut
-	} else {
-		base.NumOut = max(4, *poolN/25)
+		rc.NumOut = *numOut
 	}
 
-	switch *expName {
-	case "optimizers": // Figures 4 and 5
-		for _, optName := range []string{"SGD", "Momentum", "AdaGrad", "RMSProp", "Ftrl"} {
-			rc := base
-			rc.Optimizer = optName
-			if optName == "SGD" || optName == "Momentum" {
-				rc.LearnRate = 1e-2
-			}
-			curve, _, _, err := exp.RunIncremental(bundle, rc)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(exp.FormatCurve(fmt.Sprintf("%s %s-driven %s", *designName, metric, optName), curve))
-		}
-	case "kernels": // Figure 6
-		for _, k := range [][2]int{{3, 6}, {6, 6}, {6, 12}} {
-			rc := base
-			rc.Arch.KH, rc.Arch.KW = k[0], k[1]
-			curve, _, _, err := exp.RunIncremental(bundle, rc)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(exp.FormatCurve(fmt.Sprintf("%s kernel %dx%d", *designName, k[0], k[1]), curve))
-		}
-	case "activations": // Figure 7
-		for _, act := range nn.Activations {
-			rc := base
-			rc.Arch.Act = act
-			curve, _, _, err := exp.RunIncremental(bundle, rc)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(exp.FormatCurve(fmt.Sprintf("%s activation %s", *designName, act), curve))
-		}
-	case "quality": // Figure 8
-		rc := base
-		_, net, model, err := exp.RunIncremental(bundle, rc)
+	if variants == nil {
+		_, q, err := exp.RunIncremental(bundle, rc)
 		if err != nil {
 			fatal(err)
 		}
-		sel := exp.SelectWithTruth(bundle, net, model, rc)
-		pool := exp.Metrics(bundle.PoolQoRs, metric)
-		fmt.Printf("# %s %s-driven quality (pool %d flows)\nseries,min,mean,max\n", *designName, metric, len(pool))
-		row := func(name string, xs []float64) {
-			s := stats.Summarize(xs)
-			fmt.Printf("%s,%.2f,%.2f,%.2f\n", name, s.Min, s.Mean, s.Max)
-		}
-		row("pool", pool)
-		row("angel", exp.Metrics(sel.AngelQoRs, metric))
-		row("devil", exp.Metrics(sel.DevilQoRs, metric))
-	default:
-		fatal(fmt.Errorf("unknown experiment %q", *expName))
+		fmt.Printf("# %s %s-driven quality (pool %d flows)\nseries,min,mean,max\n", *designName, metric, q.Pool.N)
+		row := func(series string, s stats.Summary) { fmt.Printf("%s,%.2f,%.2f,%.2f\n", series, s.Min, s.Mean, s.Max) }
+		row("pool", q.Pool)
+		row("angel", q.Angel)
+		row("devil", q.Devil)
+		return
+	}
+	runs, err := exp.Sweep(bundle, rc, variants)
+	if err != nil {
+		fatal(err)
+	}
+	for _, r := range runs {
+		fmt.Print(exp.FormatCurve(fmt.Sprintf("%s %s %s", *designName, label, r.Name), r.Curve))
 	}
 }
 

@@ -35,14 +35,14 @@ type Config struct {
 	Metrics     []synth.Metric // labeling objective (single- or multi-metric)
 	Percentiles []float64      // class determinator percentiles
 
-	TrainFlows       int // total labeled flows to collect (paper: 10000)
-	InitialLabeled   int // flows before the first training round (paper: 1000)
-	RetrainEvery     int // new flows per retraining round (paper: 500)
-	StepsPerRound    int // CNN minibatch steps per (re)training round
-	SampleFlows      int // unlabeled pool size (paper: 100000)
-	NumOut           int // angel and devil flows to emit (paper: 200)
-	EncodeH, EncodeW int // one-hot encoding shape; must equal Arch.InH×Arch.InW
+	TrainFlows     int // total labeled flows to collect (paper: 10000)
+	InitialLabeled int // flows before the first training round (paper: 1000)
+	RetrainEvery   int // new flows per retraining round (paper: 500)
+	StepsPerRound  int // CNN minibatch steps per (re)training round
+	SampleFlows    int // unlabeled pool size (paper: 100000)
+	NumOut         int // angel and devil flows to emit (paper: 200)
 
+	// Arch.InH×Arch.InW is also the one-hot flow encoding shape.
 	Arch      nn.ArchConfig
 	Optimizer string  // one of opt.Names (paper best: RMSProp)
 	LearnRate float64 // paper: 1e-4
@@ -54,6 +54,10 @@ type Config struct {
 	// Deprecated: kept only because bench/labeling.go passes it to
 	// nn.NewPredictor and train.AccuracyPrec (see nn.Precision).
 	Precision nn.Precision
+
+	// Deprecated: New sets these to Arch.InH×Arch.InW; kept only
+	// because bench/labeling.go reads them.
+	EncodeH, EncodeW int
 }
 
 // DefaultConfig returns a configuration with the paper's structure but
@@ -73,9 +77,8 @@ func DefaultConfig(space flow.Space) Config {
 		LearnRate:      1e-3,
 		Seed:           1,
 	}
-	cfg.EncodeH, cfg.EncodeW = EncodeShape(space)
 	cfg.Arch = nn.FastArch(len(cfg.Percentiles) + 1)
-	cfg.Arch.InH, cfg.Arch.InW = cfg.EncodeH, cfg.EncodeW
+	cfg.Arch.InH, cfg.Arch.InW = EncodeShape(space)
 	return cfg
 }
 
@@ -91,7 +94,7 @@ func PaperConfig(space flow.Space) Config {
 	cfg.NumOut = 200
 	cfg.LearnRate = 1e-4
 	cfg.Arch = nn.PaperArch(len(cfg.Percentiles) + 1)
-	cfg.Arch.InH, cfg.Arch.InW = cfg.EncodeH, cfg.EncodeW
+	cfg.Arch.InH, cfg.Arch.InW = EncodeShape(space)
 	return cfg
 }
 
@@ -169,13 +172,10 @@ func New(cfg Config, engine *synth.Engine) (*Framework, error) {
 	if cfg.NumOut <= 0 {
 		return nil, fmt.Errorf("core: non-positive NumOut %d", cfg.NumOut)
 	}
-	if cfg.EncodeH != cfg.Arch.InH || cfg.EncodeW != cfg.Arch.InW {
-		return nil, fmt.Errorf("core: %dx%d flow encoding for a %dx%d network input",
-			cfg.EncodeH, cfg.EncodeW, cfg.Arch.InH, cfg.Arch.InW)
-	}
 	if _, err := opt.ByName(cfg.Optimizer, cfg.LearnRate); err != nil {
 		return nil, err
 	}
+	cfg.EncodeH, cfg.EncodeW = cfg.Arch.InH, cfg.Arch.InW
 	return &Framework{Cfg: cfg, Engine: engine, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
@@ -207,7 +207,7 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 		return nil, err
 	}
 	trainer := train.NewTrainer(net, optimizer, cfg.Seed+2)
-	round := &Round{Space: cfg.Space, H: cfg.EncodeH, W: cfg.EncodeW, Steps: cfg.StepsPerRound}
+	round := &Round{Space: cfg.Space, H: cfg.Arch.InH, W: cfg.Arch.InW, Steps: cfg.StepsPerRound}
 
 	res := &Result{Net: net, TrainFlows: flows}
 	var model *label.Model
@@ -252,7 +252,7 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 	// ③ Predict the unlabeled pool and pick the extremes.
 	pool := fw.GeneratePool(flows)
 	progress("predicting %d sample flows", len(pool))
-	preds := PredictPool(net, cfg.Space, pool, cfg.EncodeH, cfg.EncodeW, 0)
+	preds := PredictPool(net, cfg.Space, pool, cfg.Arch.InH, cfg.Arch.InW, 0)
 	res.Angels, res.Devils = SelectFlows(preds, model.NumClasses(), cfg.NumOut)
 	progress("selected %d angel and %d devil flows", len(res.Angels), len(res.Devils))
 	return res, nil

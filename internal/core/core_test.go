@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"flowgen/internal/circuits"
@@ -21,8 +19,6 @@ func tinyConfig() Config {
 	cfg.StepsPerRound = 30
 	cfg.SampleFlows = 60
 	cfg.NumOut = 5
-	cfg.Arch = nn.FastArch(7)
-	cfg.Arch.InH, cfg.Arch.InW = cfg.EncodeH, cfg.EncodeW
 	return cfg
 }
 
@@ -237,24 +233,17 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestNewRejectsEncodeShapeMismatch: the encoding shape and the
-// network's input shape are one fact stated twice, so New refuses a
-// config whose two copies differ — a 24×6 encoding into a 12×12
-// network, or its transpose — before any flow is labeled.
-func TestNewRejectsEncodeShapeMismatch(t *testing.T) {
+// TestNewDerivesEncodingFromArch: Arch.InH×Arch.InW is the one statement
+// of the input shape; New overwrites the deprecated EncodeH/EncodeW.
+func TestNewDerivesEncodingFromArch(t *testing.T) {
 	cfg := DefaultConfig(flow.PaperSpace())
-	engine := synth.NewEngine(circuits.ALU(8), cfg.Space)
-	if _, err := New(cfg, engine); err != nil {
-		t.Fatalf("default config: %v", err)
+	cfg.Arch.InH, cfg.Arch.InW, cfg.EncodeH, cfg.EncodeW = 24, 6, 12, 12
+	fw, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, shape := range [][2]int{{24, 6}, {6, 24}} {
-		bad := cfg
-		bad.EncodeH, bad.EncodeW = shape[0], shape[1]
-		_, err := New(bad, engine)
-		want := fmt.Sprintf("%dx%d flow encoding for a 12x12 network input", shape[0], shape[1])
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%dx%d encoding: got %v, want an error containing %q", shape[0], shape[1], err, want)
-		}
+	if fw.Cfg.EncodeH != 24 || fw.Cfg.EncodeW != 6 {
+		t.Fatalf("24x6 network input: encoding %dx%d", fw.Cfg.EncodeH, fw.Cfg.EncodeW)
 	}
 }
 

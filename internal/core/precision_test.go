@@ -79,8 +79,8 @@ func TestPrecisionDifferentialAcrossDesigns(t *testing.T) {
 			net := cfg.Arch.Build(seed)
 			pool := space.RandomUnique(fw.rng, poolN)
 
-			got32 := PredictPool(net, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
-			got64 := predictPool64(net, space, pool, cfg.EncodeH, cfg.EncodeW)
+			got32 := PredictPool(net, space, pool, cfg.Arch.InH, cfg.Arch.InW, 0)
+			got64 := predictPool64(net, space, pool, cfg.Arch.InH, cfg.Arch.InW)
 
 			ties, mismatches := 0, 0
 			for i := range pool {
@@ -119,9 +119,7 @@ func TestPrecisionDifferentialPaperArch(t *testing.T) {
 		t.Skip("paper-scale forward passes are multi-second; covered by the FastArch sweep in -short")
 	}
 	space := flow.PaperSpace()
-	cfg := DefaultConfig(space)
-	cfg.Arch = nn.PaperArch(len(cfg.Percentiles) + 1)
-	cfg.Arch.InH, cfg.Arch.InW = cfg.EncodeH, cfg.EncodeW
+	cfg := PaperConfig(space)
 	const poolN = 24
 	cfg.SampleFlows = poolN
 	net := cfg.Arch.Build(7)
@@ -131,8 +129,8 @@ func TestPrecisionDifferentialPaperArch(t *testing.T) {
 	}
 	pool := space.RandomUnique(fw.rng, poolN)
 
-	got32 := PredictPool(net, space, pool, cfg.EncodeH, cfg.EncodeW, 0)
-	got64 := predictPool64(net, space, pool, cfg.EncodeH, cfg.EncodeW)
+	got32 := PredictPool(net, space, pool, cfg.Arch.InH, cfg.Arch.InW, 0)
+	got64 := predictPool64(net, space, pool, cfg.Arch.InH, cfg.Arch.InW)
 	for i := range pool {
 		if got32[i].Class != got64[i].Class {
 			if best, second := top2(got64[i].Probs); best-second > tieEps {

@@ -21,6 +21,7 @@ import (
 	"flowgen/internal/label"
 	"flowgen/internal/nn"
 	"flowgen/internal/opt"
+	"flowgen/internal/stats"
 	"flowgen/internal/synth"
 	"flowgen/internal/train"
 )
@@ -29,7 +30,6 @@ import (
 // plus a ground-truth-labeled sample pool for accuracy measurement.
 type Bundle struct {
 	Space      flow.Space
-	Engine     *synth.Engine
 	Flows      []flow.Flow
 	QoRs       []synth.QoR
 	Pool       []flow.Flow
@@ -40,19 +40,17 @@ type Bundle struct {
 }
 
 // Collect evaluates trainN training flows and poolN disjoint sample
-// flows on the design with the prefix-memoized engine.
+// flows on the design with the prefix-memoized engine. Both sets must be
+// non-empty: training needs flows, and the accuracy metric selects from
+// the pool.
 func Collect(design *aig.AIG, space flow.Space, trainN, poolN int, seed int64, progress func(done, total int)) (*Bundle, error) {
-	return CollectMode(design, space, trainN, poolN, seed, true, progress)
-}
-
-// CollectMode is Collect with an explicit memoization toggle (memo=false
-// forces one independent synthesis per flow, e.g. for baseline timing).
-func CollectMode(design *aig.AIG, space flow.Space, trainN, poolN int, seed int64, memo bool, progress func(done, total int)) (*Bundle, error) {
+	if trainN <= 0 || poolN <= 0 {
+		return nil, fmt.Errorf("exp: need training and pool flows, got %d and %d", trainN, poolN)
+	}
 	if !space.Holds(trainN + poolN) {
 		return nil, fmt.Errorf("exp: %d training + %d pool flows exceed the space's %v flows", trainN, poolN, space.Count())
 	}
 	engine := synth.NewEngine(design, space)
-	engine.Memo = memo
 	rng := rand.New(rand.NewSource(seed))
 	all := space.RandomUnique(rng, trainN+poolN)
 	start := time.Now()
@@ -68,7 +66,6 @@ func CollectMode(design *aig.AIG, space flow.Space, trainN, poolN int, seed int6
 	dur := time.Since(start)
 	return &Bundle{
 		Space:      space,
-		Engine:     engine,
 		Flows:      all[:trainN],
 		QoRs:       qors[:trainN],
 		Pool:       all[trainN:],
@@ -107,20 +104,20 @@ type RunConfig struct {
 	PredictWorkers int
 }
 
-// DefaultRunConfig mirrors the paper's protocol at harness scale.
-func DefaultRunConfig(space flow.Space, metric synth.Metric) RunConfig {
-	h, w := core.EncodeShape(space)
-	arch := nn.FastArch(len(label.DefaultPercentiles) + 1)
-	arch.InH, arch.InW = h, w
+// DefaultRunConfig mirrors the paper's protocol at harness scale on b.
+// It selects max(4, pool/25) flows a side, which stays under the pool's
+// 5% extreme classes, so the accuracy metric can reach 1.0 as in the
+// paper (which picks 200 flows from a 100k pool).
+func DefaultRunConfig(b *Bundle, metric synth.Metric) RunConfig {
 	return RunConfig{
 		Metric:         metric,
 		Optimizer:      "RMSProp",
 		LearnRate:      1e-3,
-		Arch:           arch,
+		Arch:           core.DefaultConfig(b.Space).Arch,
 		InitialLabeled: 100,
 		RetrainEvery:   50,
 		StepsPerRound:  300,
-		NumOut:         20,
+		NumOut:         max(4, len(b.Pool)/25),
 		Seed:           7,
 	}
 }
@@ -128,82 +125,136 @@ func DefaultRunConfig(space flow.Space, metric synth.Metric) RunConfig {
 // RunIncremental replays the paper's incremental protocol over the
 // pre-collected bundle: after each labeling increment the determinators
 // are refit, the CNN continues training, and the generated-flow accuracy
-// is measured against the pool's ground truth.
-func RunIncremental(b *Bundle, rc RunConfig) ([]CurvePoint, *nn.Network, *label.Model, error) {
+// is measured against the pool's ground truth. It also returns Figure
+// 8's summary of the last round's selection.
+func RunIncremental(b *Bundle, rc RunConfig) ([]CurvePoint, Quality, error) {
+	if len(b.Flows) == 0 || len(b.Pool) == 0 {
+		return nil, Quality{}, fmt.Errorf("exp: the bundle has %d training and %d pool flows", len(b.Flows), len(b.Pool))
+	}
 	sizes, err := core.Schedule(rc.InitialLabeled, rc.RetrainEvery, len(b.Flows))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, Quality{}, err
 	}
 	net := rc.Arch.Build(rc.Seed)
 	optimizer, err := opt.ByName(rc.Optimizer, rc.LearnRate)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, Quality{}, err
 	}
 	trainer := train.NewTrainer(net, optimizer, rc.Seed+1)
-	h, w := rc.Arch.InH, rc.Arch.InW
-	round := &core.Round{Space: b.Space, H: h, W: w, Steps: rc.StepsPerRound,
+	round := &core.Round{Space: b.Space, H: rc.Arch.InH, W: rc.Arch.InW, Steps: rc.StepsPerRound,
 		Workers: rc.PredictWorkers}
 
+	// Each round's selection from the pool is scored by the pool's
+	// measured QoRs.
+	truth := make(map[string]synth.QoR, len(b.Pool))
+	for i, f := range b.Pool {
+		truth[f.Key()] = b.PoolQoRs[i]
+	}
+	measured := func(sel []core.ScoredFlow) []synth.QoR {
+		qs := make([]synth.QoR, len(sel))
+		for i, s := range sel {
+			qs[i] = truth[s.Flow.Key()]
+		}
+		return qs
+	}
+
 	var curve []CurvePoint
-	var model *label.Model
+	var angels, devils []synth.QoR
 	var trained time.Duration
 	for _, labeled := range sizes {
-		model, err = label.Fit(b.QoRs[:labeled], []synth.Metric{rc.Metric}, label.DefaultPercentiles)
+		model, err := label.Fit(b.QoRs[:labeled], []synth.Metric{rc.Metric}, label.DefaultPercentiles)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, Quality{}, err
 		}
 		rr, err := round.Run(context.Background(), trainer, b.Flows[:labeled], b.QoRs[:labeled], model)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, Quality{}, err
 		}
 		trained += rr.Train
 
+		preds := core.PredictPool(net, b.Space, b.Pool, rc.Arch.InH, rc.Arch.InW, rc.PredictWorkers)
+		angelFlows, devilFlows := core.SelectFlows(preds, model.NumClasses(), rc.NumOut)
+		angels, devils = measured(angelFlows), measured(devilFlows)
 		curve = append(curve, CurvePoint{
 			Round:    len(curve) + 1,
 			Labeled:  labeled,
 			Steps:    (len(curve) + 1) * rc.StepsPerRound,
 			Loss:     rr.Loss,
 			TrainAcc: rr.Acc,
-			GenAcc:   GeneratedAccuracy(b, net, model, rc),
+			GenAcc:   core.SelectionAccuracy(model, angels, devils),
 			SimTime:  b.PerFlowAvg*time.Duration(labeled) + trained,
 		})
 	}
-	return curve, net, model, nil
+	pool := Metrics(b.PoolQoRs, rc.Metric)
+	return curve, Quality{
+		Pool:    stats.Summarize(pool),
+		Angel:   stats.Summarize(Metrics(angels, rc.Metric)),
+		Devil:   stats.Summarize(Metrics(devils, rc.Metric)),
+		PoolP5:  stats.Percentile(pool, 5),
+		PoolP95: stats.Percentile(pool, 95),
+	}, nil
 }
 
-// GeneratedAccuracy computes the paper's accuracy metric: predict the
-// pool, select NumOut angel and devil flows, and score them against the
-// pool's ground truth under the current labeling model.
-func GeneratedAccuracy(b *Bundle, net *nn.Network, model *label.Model, rc RunConfig) float64 {
-	sel := SelectWithTruth(b, net, model, rc)
-	return core.SelectionAccuracy(model, sel.AngelQoRs, sel.DevilQoRs)
+// Quality is Figure 8's summary for one metric: the pool's true QoR and
+// that of the angel and devil flows selected from it.
+type Quality struct {
+	Pool, Angel, Devil stats.Summary
+	PoolP5, PoolP95    float64 // the pool's 5th and 95th percentiles
 }
 
-// Selection returns the final angel/devil flows with their ground-truth
-// QoRs (for the Figure 8 scatter).
-type Selection struct {
-	AngelQoRs []synth.QoR
-	DevilQoRs []synth.QoR
+// Variant is one configuration a figure compares: its name and the
+// change it makes to the run it is applied to.
+type Variant struct {
+	Name  string
+	Apply func(*RunConfig)
 }
 
-// SelectWithTruth selects flows with the trained net and returns their
-// measured QoRs from the pool ground truth.
-func SelectWithTruth(b *Bundle, net *nn.Network, model *label.Model, rc RunConfig) Selection {
-	h, w := rc.Arch.InH, rc.Arch.InW
-	preds := core.PredictPool(net, b.Space, b.Pool, h, w, rc.PredictWorkers)
-	angels, devils := core.SelectFlows(preds, model.NumClasses(), rc.NumOut)
-	byKey := make(map[string]synth.QoR, len(b.Pool))
-	for i, f := range b.Pool {
-		byKey[f.Key()] = b.PoolQoRs[i]
+// The variants of Figures 4–7, in the paper's order: the optimizers of
+// Figures 4 and 5 (opt.Names), the 3×6, 6×6 and 6×12 kernels of Figure 6
+// and the activations of Figure 7 (nn.Activations). SGD and Momentum run
+// at η = 1e-2, since plain-gradient methods need a larger η at this
+// scale; every other variant keeps the rate of the run it is applied to.
+var Optimizers, Kernels, Activations []Variant
+
+func init() {
+	for _, name := range opt.Names {
+		Optimizers = append(Optimizers, Variant{name, func(rc *RunConfig) {
+			rc.Optimizer = name
+			if name == "SGD" || name == "Momentum" {
+				rc.LearnRate = 1e-2
+			}
+		}})
 	}
-	var sel Selection
-	for _, a := range angels {
-		sel.AngelQoRs = append(sel.AngelQoRs, byKey[a.Flow.Key()])
+	for _, k := range [][2]int{{3, 6}, {6, 6}, {6, 12}} {
+		Kernels = append(Kernels, Variant{fmt.Sprintf("%dx%d", k[0], k[1]),
+			func(rc *RunConfig) { rc.Arch.KH, rc.Arch.KW = k[0], k[1] }})
 	}
-	for _, d := range devils {
-		sel.DevilQoRs = append(sel.DevilQoRs, byKey[d.Flow.Key()])
+	for _, act := range nn.Activations {
+		Activations = append(Activations, Variant{act.String(), func(rc *RunConfig) { rc.Arch.Act = act }})
 	}
-	return sel
+}
+
+// Run is one variant's replay in a Sweep.
+type Run struct {
+	Name   string
+	Config RunConfig // the variant applied to the sweep's base run
+	Curve  []CurvePoint
+}
+
+// Sweep is the comparison behind Figures 4–7: it replays RunIncremental
+// over b once per variant, in order, each applied to a copy of base.
+func Sweep(b *Bundle, base RunConfig, variants []Variant) ([]Run, error) {
+	runs := make([]Run, len(variants))
+	for i, v := range variants {
+		rc := base
+		v.Apply(&rc)
+		curve, _, err := RunIncremental(b, rc)
+		if err != nil {
+			return nil, fmt.Errorf("exp: %s: %w", v.Name, err)
+		}
+		runs[i] = Run{v.Name, rc, curve}
+	}
+	return runs, nil
 }
 
 // Metrics extracts a QoR component series.

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,28 +43,30 @@ func TestCollectShapes(t *testing.T) {
 			t.Fatal("pool overlaps train")
 		}
 	}
-	// The m=1 space holds 720 flows.
-	if _, err := CollectMode(circuits.ALU(8), b.Space, 200, 600, 1, false, nil); err == nil {
-		t.Fatal("collecting 800 flows from a 720-flow space succeeded")
+	// The m=1 space holds 720 flows; both sets must be non-empty.
+	for _, n := range [][2]int{{200, 600}, {0, 60}, {40, 0}} {
+		if _, err := Collect(circuits.ALU(8), b.Space, n[0], n[1], 1, nil); err == nil {
+			t.Errorf("collecting %d training + %d pool flows succeeded", n[0], n[1])
+		}
 	}
 }
 
 func TestRunIncrementalCurve(t *testing.T) {
 	b := tinyBundle(t)
-	rc := DefaultRunConfig(b.Space, synth.MetricArea)
+	rc := DefaultRunConfig(b, synth.MetricArea)
 	rc.InitialLabeled = 20
 	rc.RetrainEvery = 10
 	rc.StepsPerRound = 30
 	rc.NumOut = 5
-	curve, net, model, err := RunIncremental(b, rc)
+	curve, q, err := RunIncremental(b, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(curve) != 3 { // 20, 30, 40
 		t.Fatalf("curve length %d, want 3", len(curve))
 	}
-	if net == nil || model == nil {
-		t.Fatal("missing outputs")
+	if q.Pool.N != len(b.Pool) || q.Angel.N != rc.NumOut || q.Devil.N != rc.NumOut {
+		t.Fatalf("quality sizes pool %d, angels %d, devils %d", q.Pool.N, q.Angel.N, q.Devil.N)
 	}
 	for i, p := range curve {
 		if p.GenAcc < 0 || p.GenAcc > 1 || p.TrainAcc < 0 || p.TrainAcc > 1 {
@@ -74,10 +78,6 @@ func TestRunIncrementalCurve(t *testing.T) {
 		if i > 0 && p.Labeled <= curve[i-1].Labeled {
 			t.Fatal("labeled must increase")
 		}
-	}
-	sel := SelectWithTruth(b, net, model, rc)
-	if len(sel.AngelQoRs) != rc.NumOut || len(sel.DevilQoRs) != rc.NumOut {
-		t.Fatalf("selection sizes %d/%d", len(sel.AngelQoRs), len(sel.DevilQoRs))
 	}
 }
 
@@ -105,11 +105,11 @@ func TestRunIncrementalMatchesFrameworkRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := DefaultRunConfig(space, synth.MetricArea)
+	rc := DefaultRunConfig(b, synth.MetricArea)
 	rc.InitialLabeled, rc.RetrainEvery, rc.StepsPerRound = cfg.InitialLabeled, cfg.RetrainEvery, cfg.StepsPerRound
 	rc.NumOut = cfg.NumOut
 	rc.Seed = seed + 1 // exp builds its net at Seed, core at Seed+1
-	got, _, _, err := RunIncremental(b, rc)
+	got, _, err := RunIncremental(b, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +133,64 @@ func TestRunIncrementalRejectsNonPositiveSizes(t *testing.T) {
 		"RetrainEvery":   func(rc *RunConfig) { rc.RetrainEvery = 0 },
 		"StepsPerRound":  func(rc *RunConfig) { rc.StepsPerRound = 0 },
 	} {
-		rc := DefaultRunConfig(b.Space, synth.MetricArea)
+		rc := DefaultRunConfig(b, synth.MetricArea)
 		rc.InitialLabeled, rc.StepsPerRound = 20, 30
 		zero(&rc)
-		if curve, _, _, err := RunIncremental(b, rc); err == nil {
+		if curve, _, err := RunIncremental(b, rc); err == nil {
 			t.Errorf("zero %s: accepted, curve %+v", name, curve)
 		}
+	}
+	// With no training flows the schedule has no rounds and no model.
+	if curve, _, err := RunIncremental(&Bundle{Space: b.Space}, DefaultRunConfig(b, synth.MetricArea)); err == nil {
+		t.Errorf("empty bundle: accepted, curve %+v", curve)
+	}
+}
+
+func TestDefaultRunConfigNumOut(t *testing.T) {
+	for pool, want := range map[int]int{60: 4, 300: 12} {
+		if got := DefaultRunConfig(&Bundle{Space: flow.PaperSpace(), Pool: make([]flow.Flow, pool)}, synth.MetricArea).NumOut; got != want {
+			t.Errorf("%d-flow pool: NumOut %d, want %d", pool, got, want)
+		}
+	}
+}
+
+// TestSweep pins each figure's variants (their order, the names flowexp
+// prints, the run each makes of the default: SGD and Momentum at η =
+// 1e-2, the rest at DefaultRunConfig's rate) and that each variant's
+// curve is, bit for bit, RunIncremental on that run.
+func TestSweep(t *testing.T) {
+	b := tinyBundle(t)
+	base := DefaultRunConfig(b, synth.MetricArea)
+	base.InitialLabeled, base.RetrainEvery, base.StepsPerRound = 20, 10, 10
+	variants := slices.Concat(Optimizers, Kernels, Activations)
+	runs, err := Sweep(b, base, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for i, r := range runs {
+		c := base
+		variants[i].Apply(&c)
+		want, _, err := RunIncremental(b, c)
+		if err != nil || r.Name != variants[i].Name || r.Config != c || len(r.Curve) != len(want) {
+			t.Fatalf("run %d: %q, %d points, %+v; want %q, %d points, %+v (%v)",
+				i, r.Name, len(r.Curve), r.Config, variants[i].Name, len(want), c, err)
+		}
+		for j, w := range want {
+			if g := r.Curve[j]; g.Loss != w.Loss || g.TrainAcc != w.TrainAcc || g.GenAcc != w.GenAcc {
+				t.Errorf("%s round %d: sweep %+v, replay %+v", r.Name, j+1, g, w)
+			}
+		}
+		got = append(got, fmt.Sprintf("%s=%s@%g/%dx%d/%s", r.Name, c.Optimizer, c.LearnRate, c.Arch.KH, c.Arch.KW, c.Arch.Act))
+	}
+	want := "SGD=SGD@0.01/3x6/SELU Momentum=Momentum@0.01/3x6/SELU AdaGrad=AdaGrad@0.001/3x6/SELU " +
+		"RMSProp=RMSProp@0.001/3x6/SELU Ftrl=Ftrl@0.001/3x6/SELU " +
+		"3x6=RMSProp@0.001/3x6/SELU 6x6=RMSProp@0.001/6x6/SELU 6x12=RMSProp@0.001/6x12/SELU " +
+		"ReLU=RMSProp@0.001/3x6/ReLU ReLU6=RMSProp@0.001/3x6/ReLU6 ELU=RMSProp@0.001/3x6/ELU " +
+		"SELU=RMSProp@0.001/3x6/SELU Softplus=RMSProp@0.001/3x6/Softplus Softsign=RMSProp@0.001/3x6/Softsign " +
+		"Sigmoid=RMSProp@0.001/3x6/Sigmoid Tanh=RMSProp@0.001/3x6/Tanh"
+	if g := strings.Join(got, " "); g != want {
+		t.Errorf("variants\n%s\nwant\n%s", g, want)
 	}
 }
 

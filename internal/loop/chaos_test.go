@@ -388,3 +388,34 @@ func TestChaosJournalStallDoesNotBlockServing(t *testing.T) {
 		t.Fatalf("after the stall: has %v, persisted %d; want the flow on disk", lp.store.Has(flows[0]), lp.store.Persisted())
 	}
 }
+
+// TestChaosDrainWaitsForExploration drains while one labeler round's
+// exploration batch sleeps 200 ms in its labeling. The drain must wait
+// for the batch, or its labels land after the drain reported the corpus
+// (and the journal replays more labels than the drain counted).
+func TestChaosDrainWaitsForExploration(t *testing.T) {
+	defer fault.Reset()
+	reg, eng, _ := testLoopWorld(t)
+	lp, err := New(reg, eng, testLoopConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lp.Close()
+	if err := fault.Set("loop.labeler=sleep,d=200ms", 1); err != nil {
+		t.Fatal(err)
+	}
+	round := make(chan struct{})
+	go func() { // nothing is queued, so the round explores
+		defer close(round)
+		lp.labelRound(context.Background(), rand.New(rand.NewSource(1)), time.NewTimer(0))
+	}()
+	for lp.Status().Explored == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	res, err := lp.Drain(context.Background())
+	<-round
+	dr, _ := res.(DrainResult)
+	if explored := lp.Status().Explored; err != nil || int64(dr.DatasetSize) != explored {
+		t.Fatalf("drain returned with %d of %d explored flows labeled (%v)", dr.DatasetSize, explored, err)
+	}
+}

@@ -529,7 +529,11 @@ type DrainResult struct {
 // /v1/loop/status stays live, but no new candidates are accepted).
 func (l *Loop) Drain(ctx context.Context) (any, error) {
 	l.drains.Add(1)
+	// Set under mu, so explore either queues its flows before the drain
+	// begins (and the wait below covers them) or explores nothing.
+	l.mu.Lock()
 	l.draining.Store(true)
+	l.mu.Unlock()
 	// Queued keys persist until their labeling round completes, so an
 	// empty queued set means the queue is flushed AND nothing is mid
 	// evaluation.
@@ -617,9 +621,7 @@ func (l *Loop) labelRound(ctx context.Context, rng *rand.Rand, timer *time.Timer
 	if ctx.Err() != nil {
 		return
 	}
-	if !l.draining.Load() {
-		batch = l.explore(rng, batch)
-	}
+	batch = l.explore(rng, batch)
 	if len(batch) == 0 {
 		return
 	}
@@ -720,8 +722,7 @@ func (l *Loop) gather(ctx context.Context, timer *time.Timer) []flow.Flow {
 	return batch
 }
 
-// release removes a finished round's flows from the queued set
-// (explored flows were never in it; deleting is a no-op).
+// release removes a finished round's flows from the queued set.
 func (l *Loop) release(batch []flow.Flow) {
 	if len(batch) == 0 {
 		return
@@ -734,32 +735,36 @@ func (l *Loop) release(batch []flow.Flow) {
 }
 
 // explore tops the batch up with fresh random flows so the corpus keeps
-// growing when traffic is idle. Sampling attempts are bounded so a
-// nearly exhausted (toy) flow space cannot spin the labeler.
+// growing when traffic is idle, until a drain begins. Explored flows
+// join the queued set, where the gathered ones already are, so a flow
+// is never in flight twice and Drain waits for their round too.
+// Sampling attempts are bounded so a nearly exhausted (toy) flow space
+// cannot spin the labeler.
 func (l *Loop) explore(rng *rand.Rand, batch []flow.Flow) []flow.Flow {
 	want := len(batch) + l.cfg.ExploreBatch
 	if want > l.cfg.LabelBatch && len(batch) > 0 {
 		want = l.cfg.LabelBatch
 	}
-	inBatch := make(map[string]struct{}, len(batch))
-	for _, f := range batch {
-		inBatch[f.Key()] = struct{}{}
-	}
 	for tries := 4 * l.cfg.ExploreBatch; tries > 0 && len(batch) < want; tries-- {
 		f := l.space.Random(rng)
-		key := f.Key()
-		if _, dup := inBatch[key]; dup || l.store.Has(f) {
+		if l.store.Has(f) {
 			continue
 		}
+		key := f.Key()
 		l.mu.Lock()
 		_, dup := l.queued[key]
-		l.mu.Unlock()
-		if dup {
-			continue
+		draining := l.draining.Load()
+		if !dup && !draining {
+			l.queued[key] = struct{}{}
 		}
-		inBatch[key] = struct{}{}
-		batch = append(batch, f)
-		l.explored.Add(1)
+		l.mu.Unlock()
+		if draining {
+			return batch
+		}
+		if !dup {
+			batch = append(batch, f)
+			l.explored.Add(1)
+		}
 	}
 	return batch
 }
