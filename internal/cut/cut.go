@@ -266,19 +266,18 @@ func (s *Set) add(start int, nc *Cut, tt []uint64) {
 // (refactoring adds them) but must not be renumbered.
 type Cones struct {
 	g      *aig.AIG
-	stamp  []uint32 // per node: epoch of the call that set flags
-	flags  []uint8  // per node: inLeaves, inCone
+	stamp  []uint32 // per node: epoch of the call that marked it a leaf or inside the cone
 	slot   []int32  // per node: index of its table in words (TT)
 	epoch  uint32
+	cut    []cutLeaf // ReconvCut's leaves, sorted by id
 	leaves []int
 	order  []int
 	words  []uint64
 }
 
-const (
-	inLeaves uint8 = 1 << iota
-	inCone
-)
+// cutLeaf is a leaf of the cut ReconvCut grows, with its resolved fanin
+// nodes; f0 is -1 for an input or the constant, which cannot expand.
+type cutLeaf struct{ id, f0, f1 int32 }
 
 // NewCones returns a cone workspace for g.
 func NewCones(g *aig.AIG) *Cones { return &Cones{g: g} }
@@ -287,11 +286,10 @@ func NewCones(g *aig.AIG) *Cones { return &Cones{g: g} }
 // on the previous graph reads as set.
 func (c *Cones) Reset(g *aig.AIG) { c.g = g }
 
-// begin starts a call: every node's flags read as clear.
+// begin starts a call: no node reads as marked.
 func (c *Cones) begin() {
 	if n := c.g.NumNodesRaw(); n > len(c.stamp) {
 		c.stamp = append(c.stamp, make([]uint32, n-len(c.stamp))...)
-		c.flags = append(c.flags, make([]uint8, n-len(c.flags))...)
 		c.slot = append(c.slot, make([]int32, n-len(c.slot))...)
 	}
 	c.epoch++
@@ -301,15 +299,11 @@ func (c *Cones) begin() {
 	}
 }
 
-func (c *Cones) has(id int, f uint8) bool { return c.stamp[id] == c.epoch && c.flags[id]&f != 0 }
+// marked reports whether this call has made id a leaf or put it inside
+// the cone.
+func (c *Cones) marked(id int) bool { return c.stamp[id] == c.epoch }
 
-func (c *Cones) set(id int, f uint8) {
-	if c.stamp[id] != c.epoch {
-		c.stamp[id] = c.epoch
-		c.flags[id] = 0
-	}
-	c.flags[id] |= f
-}
+func (c *Cones) mark(id int) { c.stamp[id] = c.epoch }
 
 // ReconvCut grows a reconvergence-driven cut of root with at most k
 // leaves, in the style of ABC's reconvergence-driven cut computation:
@@ -318,55 +312,71 @@ func (c *Cones) set(id int, f uint8) {
 // expansions that shrink the cut). The leaves are sorted ascending.
 func (c *Cones) ReconvCut(root int, k int) []int {
 	g := c.g
+	c.leaves = c.leaves[:0]
 	if !g.IsAnd(root) {
-		return append(c.leaves[:0], root)
+		return append(c.leaves, root)
 	}
 	c.begin()
-	c.set(root, inCone)
-	c.leaves = c.leaves[:0]
+	c.mark(root)
+	c.cut = c.cut[:0]
 	c.addLeaf(g.Fanin0(root).Node())
 	c.addLeaf(g.Fanin1(root).Node())
 	for {
-		// Candidates in ascending node-id order (leaves is sorted), so
-		// ties go to the lowest id.
+		// Candidates in ascending node-id order, so ties go to the
+		// lowest id, and none beats a cost of -1. Expanding a leaf
+		// removes it and adds its fanins that are not yet marked.
 		best, bestCost := -1, 3
-		for _, l := range c.leaves {
-			if !g.IsAnd(l) {
+		for i, l := range c.cut {
+			if l.f0 < 0 {
 				continue
 			}
-			// Expanding a leaf removes it and adds its fanins that are
-			// neither leaves nor inside the cone.
 			cost := -1
-			for _, f := range [2]aig.Lit{g.Fanin0(l), g.Fanin1(l)} {
-				if !c.has(f.Node(), inLeaves|inCone) {
-					cost++
-				}
+			if !c.marked(int(l.f0)) {
+				cost++
+			}
+			if !c.marked(int(l.f1)) {
+				cost++
 			}
 			if cost < bestCost {
-				best, bestCost = l, cost
+				best, bestCost = i, cost
+				if cost < 0 {
+					break
+				}
 			}
 		}
-		if best < 0 || len(c.leaves)+bestCost > k {
+		if best < 0 || len(c.cut)+bestCost > k {
 			break
 		}
-		i, _ := slices.BinarySearch(c.leaves, best)
-		c.leaves = slices.Delete(c.leaves, i, i+1)
-		c.flags[best] = c.flags[best]&^inLeaves | inCone
-		c.addLeaf(g.Fanin0(best).Node())
-		c.addLeaf(g.Fanin1(best).Node())
+		// The expanded leaf stays marked: it is inside the cone now.
+		l := c.cut[best]
+		c.cut = append(c.cut[:best], c.cut[best+1:]...)
+		c.addLeaf(int(l.f0))
+		c.addLeaf(int(l.f1))
+	}
+	for _, l := range c.cut {
+		c.leaves = append(c.leaves, int(l.id))
 	}
 	return c.leaves
 }
 
-// addLeaf inserts id into the sorted leaf list unless it is already a
-// leaf or inside the cone.
+// addLeaf inserts id into the sorted cut unless it is already marked,
+// reading its resolved fanins once: the graph does not change during a
+// call, so they hold until the leaf is expanded.
 func (c *Cones) addLeaf(id int) {
-	if c.has(id, inLeaves|inCone) {
+	if c.marked(id) {
 		return
 	}
-	c.set(id, inLeaves)
-	i, _ := slices.BinarySearch(c.leaves, id)
-	c.leaves = slices.Insert(c.leaves, i, id)
+	c.mark(id)
+	l := cutLeaf{int32(id), -1, -1}
+	if c.g.IsAnd(id) {
+		l.f0, l.f1 = int32(c.g.Fanin0(id).Node()), int32(c.g.Fanin1(id).Node())
+	}
+	c.cut = append(c.cut, l)
+	i := len(c.cut) - 1
+	for ; i > 0 && c.cut[i-1].id > l.id; i-- {
+		c.cut[i] = c.cut[i-1]
+	}
+	c.cut[i] = l
 }
 
 // Nodes returns the interior AND nodes of the cone of root bounded by
@@ -375,7 +385,7 @@ func (c *Cones) addLeaf(id int) {
 func (c *Cones) Nodes(root int, leaves []int) []int {
 	c.begin()
 	for _, l := range leaves {
-		c.set(l, inLeaves)
+		c.mark(l)
 	}
 	c.order = c.order[:0]
 	if !c.visit(root) || len(c.order) == 0 {
@@ -385,13 +395,13 @@ func (c *Cones) Nodes(root int, leaves []int) []int {
 }
 
 func (c *Cones) visit(id int) bool {
-	if c.has(id, inLeaves|inCone) {
+	if c.marked(id) {
 		return true
 	}
 	if !c.g.IsAnd(id) {
 		return false // hit a PI that is not a leaf: unbounded
 	}
-	c.set(id, inCone)
+	c.mark(id)
 	if !c.visit(c.g.Fanin0(id).Node()) || !c.visit(c.g.Fanin1(id).Node()) {
 		return false
 	}

@@ -1,12 +1,14 @@
 package cut
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"flowgen/internal/aig"
 	"flowgen/internal/bitvec"
+	"flowgen/internal/circuits"
 )
 
 // buildRandom constructs a random DAG for testing.
@@ -356,5 +358,33 @@ func BenchmarkReconvCutK12(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = cones.ReconvCut(ids[i%len(ids)], 12)
+	}
+}
+
+// BenchmarkReconvCut times one reconvergent cut per operation, root by
+// root over every AND node of the canonical graphs of the designs the
+// labeling benchmarks use, at the widths restructure (8) and refactor
+// (10) take, on one reused workspace as a pass uses it.
+func BenchmarkReconvCut(b *testing.B) {
+	for _, design := range []string{"alu8", "miniaes2", "mont8"} {
+		d, err := circuits.ByName(design)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := d.Build().Cleanup()
+		ids := g.LiveAnds()
+		for _, k := range []int{8, 10} {
+			b.Run(fmt.Sprintf("%s/k=%d", design, k), func(b *testing.B) {
+				cones := NewCones(g)
+				for _, id := range ids {
+					cones.ReconvCut(id, k)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := range b.N {
+					cones.ReconvCut(ids[i%len(ids)], k)
+				}
+			})
+		}
 	}
 }

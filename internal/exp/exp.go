@@ -104,18 +104,21 @@ type RunConfig struct {
 	PredictWorkers int
 }
 
-// DefaultRunConfig mirrors the paper's protocol at harness scale on b.
-// It selects max(4, pool/25) flows a side, which stays under the pool's
-// 5% extreme classes, so the accuracy metric can reach 1.0 as in the
-// paper (which picks 200 flows from a 100k pool).
+// DefaultRunConfig mirrors the paper's protocol at harness scale on b:
+// the optimizer, learning rate, architecture and labeling schedule are
+// the framework's defaults (core.DefaultConfig). It selects max(4,
+// pool/25) flows a side, which stays under the pool's 5% extreme
+// classes, so the accuracy metric can reach 1.0 as in the paper (which
+// picks 200 flows from a 100k pool).
 func DefaultRunConfig(b *Bundle, metric synth.Metric) RunConfig {
+	cfg := core.DefaultConfig(b.Space)
 	return RunConfig{
 		Metric:         metric,
-		Optimizer:      "RMSProp",
-		LearnRate:      1e-3,
-		Arch:           core.DefaultConfig(b.Space).Arch,
-		InitialLabeled: 100,
-		RetrainEvery:   50,
+		Optimizer:      cfg.Optimizer,
+		LearnRate:      cfg.LearnRate,
+		Arch:           cfg.Arch,
+		InitialLabeled: cfg.InitialLabeled,
+		RetrainEvery:   cfg.RetrainEvery,
 		StepsPerRound:  300,
 		NumOut:         max(4, len(b.Pool)/25),
 		Seed:           7,

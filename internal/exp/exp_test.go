@@ -154,6 +154,23 @@ func TestDefaultRunConfigNumOut(t *testing.T) {
 	}
 }
 
+// TestDefaultRunConfigFollowsFramework pins the harness to the
+// framework's protocol: the optimizer, learning rate, architecture and
+// labeling schedule are core.DefaultConfig's, so a change there reaches
+// every figure. TestRunIncrementalMatchesFrameworkRun overrides the
+// schedule and cannot see it.
+func TestDefaultRunConfigFollowsFramework(t *testing.T) {
+	for _, space := range []flow.Space{flow.PaperSpace(), flow.NewSpace(flow.DefaultAlphabet, 1)} {
+		rc, cfg := DefaultRunConfig(&Bundle{Space: space}, synth.MetricArea), core.DefaultConfig(space)
+		if rc.Optimizer != cfg.Optimizer || rc.LearnRate != cfg.LearnRate || rc.Arch != cfg.Arch ||
+			rc.InitialLabeled != cfg.InitialLabeled || rc.RetrainEvery != cfg.RetrainEvery {
+			t.Fatalf("harness protocol %s η=%g %+v, %d initial, every %d; framework %s η=%g %+v, %d initial, every %d",
+				rc.Optimizer, rc.LearnRate, rc.Arch, rc.InitialLabeled, rc.RetrainEvery,
+				cfg.Optimizer, cfg.LearnRate, cfg.Arch, cfg.InitialLabeled, cfg.RetrainEvery)
+		}
+	}
+}
+
 // TestSweep pins each figure's variants (their order, the names flowexp
 // prints, the run each makes of the default: SGD and Momentum at η =
 // 1e-2, the rest at DefaultRunConfig's rate) and that each variant's

@@ -2,12 +2,106 @@ package techmap
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"flowgen/internal/aig"
+	"flowgen/internal/cells"
 	"flowgen/internal/circuits"
 	"flowgen/internal/rewrite"
 )
+
+// tableOracle is the match table as NewMatcher built it before the dense
+// index: a map from each key to its matches, appended cell by cell, pin
+// assignment by pin assignment and complementation by complementation,
+// each key computed minterm by minterm. It is the oracle the index is
+// held to.
+func tableOracle(lib *cells.Library) map[uint16][]match {
+	table := make(map[uint16][]match)
+	for ci, c := range lib.Cells {
+		for _, pins := range injectionsOracle(c.Inputs) {
+			for negs := 0; negs < 1<<uint(c.Inputs); negs++ {
+				key := expandKeyOracle(c, pins, uint8(negs))
+				e := match{cell: ci, negs: uint8(negs), k: c.Inputs}
+				copy(e.pins[:], pins)
+				table[key] = append(table[key], e)
+			}
+		}
+	}
+	return table
+}
+
+// expandKeyOracle computes the 16-bit truth table of cell c over 4 cut
+// variables with the given pin assignment and input complementation, one
+// minterm at a time.
+func expandKeyOracle(c cells.Cell, pins []int8, negs uint8) uint16 {
+	var key uint16
+	for minterm := 0; minterm < 16; minterm++ {
+		idx := 0
+		for i := 0; i < c.Inputs; i++ {
+			v := minterm&(1<<uint(pins[i])) != 0
+			if negs&(1<<uint(i)) != 0 {
+				v = !v
+			}
+			if v {
+				idx |= 1 << uint(i)
+			}
+		}
+		if c.TT.Bit(idx) {
+			key |= 1 << uint(minterm)
+		}
+	}
+	return key
+}
+
+// injectionsOracle enumerates injective assignments of k cell inputs to
+// the 4 cut variable positions, depth first.
+func injectionsOracle(k int) [][]int8 {
+	var out [][]int8
+	cur := make([]int8, 0, k)
+	used := [4]bool{}
+	var rec func()
+	rec = func() {
+		if len(cur) == k {
+			out = append(out, slices.Clone(cur))
+			return
+		}
+		for p := int8(0); p < 4; p++ {
+			if used[p] {
+				continue
+			}
+			used[p] = true
+			cur = append(cur, p)
+			rec()
+			cur = cur[:len(cur)-1]
+			used[p] = false
+		}
+	}
+	rec()
+	return out
+}
+
+// TestMatcherIndexMatchesMap requires the matcher to return, for every
+// one of the 65,536 keys, the matches the map-built table holds, in the
+// same order: the mapping DP keeps the first of equal-cost matches, so
+// the order is part of every label.
+func TestMatcherIndexMatchesMap(t *testing.T) {
+	lib := cells.New14nm()
+	m, want := NewMatcher(lib), tableOracle(lib)
+	total, most := 0, 0
+	for key := range 1 << 16 {
+		got := m.lookup(uint16(key))
+		if !slices.Equal(got, want[uint16(key)]) {
+			t.Fatalf("key %#04x: index gives %+v, map %+v", key, got, want[uint16(key)])
+		}
+		total += len(got)
+		most = max(most, len(got))
+	}
+	if total != len(m.list) {
+		t.Fatalf("the index reaches %d of %d matches", total, len(m.list))
+	}
+	t.Logf("%d matches over %d keys, at most %d per key", total, len(want), most)
+}
 
 // matchOracle is the mapping DP's match loop as it was before each cut's
 // leaf terms were read once and delay mode skipped pricing the area of
@@ -51,7 +145,7 @@ func (ws *Workspace) matchOracle(g *aig.AIG, matcher *Matcher, mode Mode) {
 				if phase == 1 {
 					k = ^key
 				}
-				for _, m := range matcher.table[k] {
+				for _, m := range matcher.lookup(k) {
 					cell := lib.Cells[m.cell]
 					aCost, dCost := cell.Area, 0.0
 					feasible := true

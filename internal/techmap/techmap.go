@@ -54,78 +54,105 @@ type match struct {
 // share one Matcher across Map calls. It is immutable after construction
 // and safe for concurrent use.
 type Matcher struct {
-	Lib   *cells.Library
-	table map[uint16][]match
+	Lib *cells.Library
+	// list holds every match grouped by key; the matches of key k are
+	// list[index[k]:index[k+1]], in the order NewMatcher enumerates them.
+	list  []match
+	index [1<<16 + 1]uint16
 }
+
+// lookup returns the matches whose function is the 4-variable table key.
+func (m *Matcher) lookup(key uint16) []match { return m.list[m.index[key]:m.index[int(key)+1]] }
 
 // NewMatcher precomputes the match table: every cell, under every
 // injective pin assignment into 4 cut variables and every input
-// complementation, keyed by the resulting 4-variable truth table.
+// complementation, keyed by the resulting 4-variable truth table. Each
+// key keeps its matches in that order (cell, then pin assignment, then
+// complementation), since the mapping DP keeps the first of equal-cost
+// matches. The table is a counting sort of the enumeration: one pass
+// counts the matches of each key, the next places them.
 func NewMatcher(lib *cells.Library) *Matcher {
-	m := &Matcher{Lib: lib, table: make(map[uint16][]match)}
-	for ci, c := range lib.Cells {
-		assignments := injections(c.Inputs)
-		for _, pins := range assignments {
-			for negs := 0; negs < 1<<uint(c.Inputs); negs++ {
-				key := expandKey(c, pins, uint8(negs))
-				e := match{cell: ci, negs: uint8(negs), k: c.Inputs}
-				copy(e.pins[:], pins)
-				m.table[key] = append(m.table[key], e)
-			}
-		}
+	m := &Matcher{Lib: lib}
+	n := 0
+	eachMatch(lib, func(key uint16, _ match) {
+		m.index[int(key)+1]++
+		n++
+	})
+	if n > 1<<16-1 {
+		panic("techmap: library has more matches than the table indexes")
 	}
+	// index[k+1] becomes the first slot of key k; placing a match moves
+	// it on, so it ends as the slot after key k's last, where key k+1
+	// starts.
+	var next uint16
+	for k := 1; k < len(m.index); k++ {
+		m.index[k], next = next, next+m.index[k]
+	}
+	m.list = make([]match, n)
+	eachMatch(lib, func(key uint16, e match) {
+		m.list[m.index[int(key)+1]] = e
+		m.index[int(key)+1]++
+	})
 	return m
 }
 
-// expandKey computes the 16-bit truth table of cell c over 4 cut
-// variables with the given pin assignment and input complementation.
-func expandKey(c cells.Cell, pins []int8, negs uint8) uint16 {
-	var key uint16
-	for minterm := 0; minterm < 16; minterm++ {
-		idx := 0
-		for i := 0; i < c.Inputs; i++ {
-			v := minterm&(1<<uint(pins[i])) != 0
-			if negs&(1<<uint(i)) != 0 {
-				v = !v
-			}
-			if v {
-				idx |= 1 << uint(i)
-			}
+// eachMatch calls fn with every match of every cell of lib that fits a
+// 4-variable cut and the truth table it implements: cell by cell, its
+// injective pin assignments in lexicographic order, and for each, its
+// input complementations in ascending order.
+func eachMatch(lib *cells.Library, fn func(key uint16, e match)) {
+	for ci, c := range lib.Cells {
+		if c.Inputs > 4 {
+			continue
 		}
-		if c.TT.Bit(idx) {
-			key |= 1 << uint(minterm)
+		f := uint16(c.TT.Words()[0])
+		// Assignment t gives input i the base-4 digit i of t, most
+		// significant first; those that repeat a variable are skipped.
+	assign:
+		for t := 0; t < 1<<(2*c.Inputs); t++ {
+			e := match{cell: ci, k: c.Inputs}
+			used := 0
+			for i := 0; i < c.Inputs; i++ {
+				p := t >> (2 * (c.Inputs - 1 - i)) & 3
+				if used>>p&1 != 0 {
+					continue assign
+				}
+				used |= 1 << p
+				e.pins[i] = int8(p)
+			}
+			for negs := 0; negs < 1<<c.Inputs; negs++ {
+				e.negs = uint8(negs)
+				fn(expandKey(f, c.Inputs, &e), e)
+			}
 		}
 	}
-	return key
 }
 
-// injections enumerates injective assignments of k cell inputs to the 4
-// cut variable positions.
-func injections(k int) [][]int8 {
-	var out [][]int8
-	cur := make([]int8, 0, k)
-	used := [4]bool{}
-	var rec func()
-	rec = func() {
-		if len(cur) == k {
-			cp := make([]int8, k)
-			copy(cp, cur)
-			out = append(out, cp)
-			return
+// cutVars are the truth tables of the 4 cut variables.
+var cutVars = [4]uint16{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
+
+// expandKey computes the 16-bit truth table, over 4 cut variables, of
+// the n-input cell function f (bit idx is its value on input minterm
+// idx) under e's pin assignment and input complementation, a word at a
+// time: the table's 2^n constants are folded one input at a time, last
+// input first, each fold selecting between the halves by that input's
+// function of the cut variables.
+func expandKey(f uint16, n int, e *match) uint16 {
+	var lanes [16]uint16
+	for idx := range 1 << n {
+		lanes[idx] = -(f >> idx & 1)
+	}
+	for i := n - 1; i >= 0; i-- {
+		x := cutVars[e.pins[i]]
+		if e.negs>>i&1 != 0 {
+			x = ^x
 		}
-		for p := int8(0); p < 4; p++ {
-			if used[p] {
-				continue
-			}
-			used[p] = true
-			cur = append(cur, p)
-			rec()
-			cur = cur[:len(cur)-1]
-			used[p] = false
+		half := 1 << i
+		for j := range half {
+			lanes[j] = lanes[j]&^x | lanes[j+half]&x
 		}
 	}
-	rec()
-	return out
+	return lanes[0]
 }
 
 // choice is the selected implementation of one node phase: an inverter
@@ -323,7 +350,7 @@ func (ws *Workspace) match(g *aig.AIG, matcher *Matcher, mode Mode) {
 					k = ^key
 				}
 				best := &arr[id][phase]
-				for _, m := range matcher.table[k] {
+				for _, m := range matcher.lookup(k) {
 					cell := &lib.Cells[m.cell]
 					dCost, feasible := 0.0, true
 					for i := 0; i < m.k; i++ {

@@ -40,7 +40,7 @@ func TestMatcherCoversBasicFunctions(t *testing.T) {
 			key |= 1 << uint(m)
 		}
 	}
-	if len(testMatcher.table[key]) == 0 {
+	if len(testMatcher.lookup(key)) == 0 {
 		t.Fatal("no match for AND2")
 	}
 	// Negated single input (~x0): INV must match.
@@ -50,7 +50,7 @@ func TestMatcherCoversBasicFunctions(t *testing.T) {
 			invKey |= 1 << uint(m)
 		}
 	}
-	if len(testMatcher.table[invKey]) == 0 {
+	if len(testMatcher.lookup(invKey)) == 0 {
 		t.Fatal("no match for INV")
 	}
 }
