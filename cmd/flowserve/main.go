@@ -1,7 +1,8 @@
 // Command flowserve is the flow-recommendation service: it loads
 // trained classifier models (written by flowgen -save-model) and serves
-// JSON prediction and top-k angel/devil recommendation over HTTP,
-// micro-batching concurrent requests through the batched GEMM engine.
+// JSON prediction and top-k angel/devil recommendation over HTTP. Each
+// request scores its uncached flows in one batched pass through the
+// packed f32 engine, on the model snapshot it resolved.
 //
 //	flowserve -models ./models                  # serve every *.flowmodel in a directory
 //	flowserve -model alu16.flowmodel            # serve one file
@@ -29,7 +30,7 @@
 //	POST /v1/label                   {"flow":"...","area":812,"delay":403} — external ground truth
 //	GET  /v1/loop/status             labeler/retrainer counters (404 unless -loop)
 //	POST /v1/loop/drain              quiesce intake, flush labeler, fsync journal, report
-//	GET  /v1/stats                   per-endpoint latency, batcher, cache and loop counters
+//	GET  /v1/stats                   per-endpoint latency, cache and loop counters
 //	GET  /metrics                    Prometheus text-format exposition
 //
 // Logs are structured (log/slog) on stderr; -log-format json -log-level
@@ -70,14 +71,12 @@ func main() {
 		modelFile  = flag.String("model", "", "single model file to serve")
 		defName    = flag.String("default", "", "default model name (first loaded if empty)")
 		bootstrap  = flag.String("bootstrap", "", "register a freshly initialized in-memory model under this name (demo/smoke use)")
-		maxBatch   = flag.Int("maxbatch", 64, "max coalesced requests per forward pass")
-		queueCap   = flag.Int("queue", 1024, "bounded prediction queue depth (beyond it requests are shed)")
-		workers    = cliflags.Workers(flag.CommandLine, "workers", "prediction workers per batch (0 = GOMAXPROCS)")
+		workers    = cliflags.Workers(flag.CommandLine, "workers", "prediction workers per request (0 = GOMAXPROCS)")
 		cacheN     = flag.Int("cache", 4096, "scored-flow cache capacity (0 disables)")
 		maxPool    = flag.Int("maxpool", 200000, "largest recommendation pool one request may score")
 		watch      = flag.Duration("watch", 0, "poll model files at this interval and hot-reload on change (0 disables)")
 		reqTimeout = cliflags.PositiveDuration(flag.CommandLine, "request-timeout", 30*time.Second,
-			"server-side deadline per request, propagated through batcher, predictor and loop")
+			"server-side deadline per request, propagated through predictor and loop")
 
 		loopDesign   = flag.String("loop", "", "run the continuous flow-development loop against this design: label observed flows with true QoR, retrain and re-publish the default model in the background")
 		retrainEvery = flag.Int("retrain-every", 200, "new labels between background retraining rounds")
@@ -163,7 +162,7 @@ func main() {
 	}
 
 	cfg := serve.DefaultServerConfig()
-	cfg.Batcher = serve.BatcherConfig{MaxBatch: *maxBatch, QueueCap: *queueCap, Workers: *workers}
+	cfg.Workers = *workers
 	cfg.CacheSize = *cacheN
 	cfg.MaxPool = *maxPool
 	cfg.RequestTimeout = *reqTimeout
@@ -280,14 +279,13 @@ type httpShutdowner interface {
 //     still Observe flows into the loop);
 //  3. drain the loop — quiesce its intake, let the labeler flush the
 //     queue, fsync the journal — then stop its goroutines and close
-//     the journal;
-//  4. close the server's batchers last, after nothing can submit.
+//     the journal.
 //
 // lp and stopLoop are nil without -loop. The reverse of this order
-// (close batchers or the journal first, as independent defers would)
-// can drop in-flight labels on SIGTERM.
+// (close the journal first, as independent defers would) can drop
+// in-flight labels on SIGTERM.
 func shutdownSequence(ctx context.Context, web httpShutdowner, srv *serve.Server, lp *loop.Loop, stopLoop context.CancelFunc) error {
-	srv.StartDraining()
+	srv.Close()
 	if web != nil {
 		if err := web.Shutdown(ctx); err != nil {
 			return fmt.Errorf("http shutdown: %w", err)
@@ -309,7 +307,6 @@ func shutdownSequence(ctx context.Context, web httpShutdowner, srv *serve.Server
 	} else if stopLoop != nil {
 		stopLoop()
 	}
-	srv.Close()
 	return nil
 }
 

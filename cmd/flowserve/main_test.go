@@ -55,7 +55,7 @@ func testWorld(t *testing.T, journal string) (*serve.Registry, *serve.Server, *l
 		t.Fatal(err)
 	}
 	scfg := serve.DefaultServerConfig()
-	scfg.Batcher.Workers = 1
+	scfg.Workers = 1
 	srv := serve.NewServer(reg, scfg)
 	srv.SetLoop(lp)
 	return reg, srv, lp
@@ -63,8 +63,8 @@ func testWorld(t *testing.T, journal string) (*serve.Registry, *serve.Server, *l
 
 // TestShutdownSequenceLosesNoLabels is the ordered-shutdown contract:
 // stop HTTP intake first, then drain the loop (flush the labeler,
-// fsync the journal), then close the journal and batchers — and after
-// all of it, every label the loop accepted is replayable from disk.
+// fsync the journal), then close the journal — and after all of it,
+// every label the loop accepted is replayable from disk.
 // The pre-fix defer ordering closed the journal while labeling was
 // still in flight, which could drop accepted labels on SIGTERM.
 func TestShutdownSequenceLosesNoLabels(t *testing.T) {

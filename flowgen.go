@@ -83,10 +83,6 @@ type (
 	ServeModel = serve.Model
 	// ServeRegistry holds named servable models with hot-reload.
 	ServeRegistry = serve.Registry
-	// Batcher coalesces concurrent predictions into micro-batches.
-	Batcher = serve.Batcher
-	// BatcherConfig tunes the micro-batching scheduler.
-	BatcherConfig = serve.BatcherConfig
 	// ServeServer is the HTTP flow-recommendation service.
 	ServeServer = serve.Server
 	// ServerConfig tunes the HTTP serving layer.
@@ -101,7 +97,7 @@ type (
 	// every duration metric; its observe path is allocation-free.
 	LatencyHistogram = obs.Histogram
 	// Trace carries one request's trace ID and stage spans through
-	// context.Context across server, batcher, predictor and loop.
+	// context.Context across server, predictor and loop.
 	Trace = obs.Trace
 )
 

@@ -27,7 +27,7 @@
 //	after  arm only after this many calls at the site
 //	d      sleep duration (kind sleep; default 10ms)
 //
-// e.g. FLOWGEN_FAULTS='loop.journal.append=error,n=4;serve.batcher.flush=sleep,d=20ms'.
+// e.g. FLOWGEN_FAULTS='loop.journal.append=error,n=4;serve.http.predict=sleep,d=20ms'.
 // A trailing ".*" in the site matches every site under the prefix.
 // Per-site trigger counts are exported (Count/Counts) so tests assert
 // the fault actually fired rather than trusting the spec.

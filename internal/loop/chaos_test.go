@@ -20,8 +20,8 @@ import (
 // TestChaosEndToEnd drives the full serve → loop → storage pipeline
 // under live traffic with every background fault class armed at once —
 // journal write errors deep enough to degrade the store, latency
-// injected into the predictor's batch flushes, panics in the labeler,
-// and an injected retrain failure — and requires that:
+// injected into the predict handler, panics in the labeler, and an
+// injected retrain failure — and requires that:
 //
 //   - not a single well-formed request fails;
 //   - the serving model's version never regresses, and at least one
@@ -51,7 +51,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	defer lp.Close()
 
 	scfg := serve.DefaultServerConfig()
-	scfg.Batcher.Workers = 1
+	scfg.Workers = 1
 	scfg.RequestTimeout = 90 * time.Second // the drain request labels the tail
 	srv := serve.NewServer(reg, scfg)
 	defer srv.Close()
@@ -63,12 +63,12 @@ func TestChaosEndToEnd(t *testing.T) {
 	// through AND come out the other side: 12 journal write failures
 	// (retry budget is 3, so the store must degrade and later recover),
 	// two labeler panics, one failed retrain round, and probabilistic
-	// 3ms stalls in the predictor's batch flushes.
+	// 3ms stalls in the predict handler.
 	if err := fault.Set(
 		"loop.journal.append=error,n=12;"+
 			"loop.labeler=panic,n=2;"+
 			"loop.retrain=error,n=1;"+
-			"serve.batcher.flush=sleep,d=3ms,p=0.3", 42); err != nil {
+			"serve.http.predict=sleep,d=3ms,p=0.3", 42); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,8 +96,6 @@ func TestChaosEndToEnd(t *testing.T) {
 				var body string
 				switch i % 3 {
 				case 0:
-					// Single-flow predicts ride the micro-batcher, where
-					// the latency fault lives.
 					code, body = post(t, ts.URL+"/v1/predict",
 						map[string]any{"flows": []string{space.Random(rng).String(space)}})
 				case 1:
@@ -276,11 +274,10 @@ func TestChaosRegistryLoadFailureKeepsServing(t *testing.T) {
 	}
 }
 
-// TestChaosBatcherPanicIsolation pins the panic-isolation contract on
-// the request path: a forward pass that panics fails that batch's
-// requests with a 500 — and ONLY those — while the scheduler goroutine
-// survives, so the very next request succeeds.
-func TestChaosBatcherPanicIsolation(t *testing.T) {
+// TestChaosHandlerPanicIsolation injects a panic into an endpoint's
+// handler site: the request gets a 500 envelope, the process lives, and
+// the next requests on the same endpoint succeed.
+func TestChaosHandlerPanicIsolation(t *testing.T) {
 	defer fault.Reset()
 	reg, _, m := testLoopWorld(t)
 	srv := serve.NewServer(reg, serve.DefaultServerConfig())
@@ -288,44 +285,29 @@ func TestChaosBatcherPanicIsolation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if err := fault.Set("serve.batcher.flush=panic,n=1", 1); err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(2))
-	flowText := m.Space.Random(rng).String(m.Space)
-	code, body := post(t, ts.URL+"/v1/predict", map[string]any{"flows": []string{flowText}})
-	if code != http.StatusInternalServerError {
-		t.Fatalf("predict through a panicking flush: %d %s, want 500", code, body)
-	}
-	// The scheduler survived; the next request is served normally.
-	for i := 0; i < 3; i++ {
-		flowText = m.Space.Random(rng).String(m.Space)
-		if code, body = post(t, ts.URL+"/v1/predict",
-			map[string]any{"flows": []string{flowText}}); code != http.StatusOK {
-			t.Fatalf("predict %d after recovered panic: %d %s", i, code, body)
-		}
-	}
-}
-
-// TestChaosHandlerPanicIsolation injects a panic directly into a
-// handler site: the request gets a 500 envelope, the process lives,
-// and the next request on the same endpoint succeeds.
-func TestChaosHandlerPanicIsolation(t *testing.T) {
-	defer fault.Reset()
-	reg, _, _ := testLoopWorld(t)
-	srv := serve.NewServer(reg, serve.DefaultServerConfig())
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	if err := fault.Set("serve.http.stats=panic,n=1", 1); err != nil {
-		t.Fatal(err)
-	}
-	if code := getCode(t, ts.URL+"/v1/stats"); code != http.StatusInternalServerError {
-		t.Fatalf("stats with an injected handler panic: %d, want 500", code)
-	}
-	if code := getCode(t, ts.URL+"/v1/stats"); code != http.StatusOK {
-		t.Fatalf("stats after the recovered panic: %d, want 200", code)
+	for _, tc := range []struct {
+		endpoint string
+		call     func(t *testing.T) (int, string)
+	}{
+		{"stats", func(t *testing.T) (int, string) { return getCode(t, ts.URL+"/v1/stats"), "" }},
+		{"predict", func(t *testing.T) (int, string) {
+			return post(t, ts.URL+"/v1/predict", map[string]any{"flows": []string{m.Space.Random(rng).String(m.Space)}})
+		}},
+	} {
+		t.Run(tc.endpoint, func(t *testing.T) {
+			if err := fault.Set("serve.http."+tc.endpoint+"=panic,n=1", 1); err != nil {
+				t.Fatal(err)
+			}
+			if code, body := tc.call(t); code != http.StatusInternalServerError {
+				t.Fatalf("%s with an injected handler panic: %d %s, want 500", tc.endpoint, code, body)
+			}
+			for i := 0; i < 3; i++ {
+				if code, body := tc.call(t); code != http.StatusOK {
+					t.Fatalf("%s %d after the recovered panic: %d %s, want 200", tc.endpoint, i, code, body)
+				}
+			}
+		})
 	}
 }
 
@@ -343,8 +325,10 @@ func getCode(t *testing.T, url string) int {
 // for 200 ms and requires the serving path to stay fast meanwhile:
 // while an Add sleeps inside its journal write, Store.Has and
 // Loop.Observe — which every predict and recommend reaches — must each
-// return in under 20 ms. The corpus lock is never held across journal
-// I/O, so neither waits on the stalled write.
+// return in under 20 ms, and a single-flow HTTP predict of a new flow
+// through a server wired to the loop in under 100 ms. The corpus lock
+// is never held across journal I/O, so none of them waits on the
+// stalled write.
 func TestChaosJournalStallDoesNotBlockServing(t *testing.T) {
 	defer fault.Reset()
 	reg, eng, _ := testLoopWorld(t)
@@ -355,7 +339,19 @@ func TestChaosJournalStallDoesNotBlockServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lp.Close()
-	flows := lp.space.RandomUnique(rand.New(rand.NewSource(9)), 2)
+	srv := serve.NewServer(reg, serve.DefaultServerConfig())
+	defer srv.Close()
+	srv.SetLoop(lp)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	flows := lp.space.RandomUnique(rand.New(rand.NewSource(9)), 4)
+	predict := func(i int) int {
+		code, _ := post(t, ts.URL+"/v1/predict", map[string]any{"flows": []string{flows[i].String(lp.space)}})
+		return code
+	}
+	if code := predict(3); code != http.StatusOK { // opens the connection the timed predict reuses
+		t.Fatalf("warm-up predict: %d", code)
+	}
 	if err := fault.Set("loop.journal.append=sleep,d=200ms,n=1", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -377,9 +373,17 @@ func TestChaosJournalStallDoesNotBlockServing(t *testing.T) {
 		t.Errorf("Store.Has took %v during a stalled journal append, want under %v", d, bound)
 	}
 	t0 = time.Now()
-	lp.Observe(context.Background(), flows[1:])
+	lp.Observe(context.Background(), flows[1:2])
 	if d := time.Since(t0); d >= bound {
 		t.Errorf("Loop.Observe took %v during a stalled journal append, want under %v", d, bound)
+	}
+	const httpBound = 100 * time.Millisecond
+	t0 = time.Now()
+	if code := predict(2); code != http.StatusOK {
+		t.Errorf("predict during a stalled journal append: %d", code)
+	}
+	if d := time.Since(t0); d >= httpBound {
+		t.Errorf("HTTP predict took %v during a stalled journal append, want under %v", d, httpBound)
 	}
 	if err := <-added; err != nil {
 		t.Fatal(err)

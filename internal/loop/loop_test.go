@@ -75,7 +75,7 @@ func TestLoopPublishesUnderTraffic(t *testing.T) {
 	defer lp.Close()
 
 	scfg := serve.DefaultServerConfig()
-	scfg.Batcher.Workers = 1
+	scfg.Workers = 1
 	srv := serve.NewServer(reg, scfg)
 	defer srv.Close()
 	srv.SetLoop(lp)

@@ -126,7 +126,7 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 // TestHistogramObserveAllocs asserts the observe path never allocates —
-// the property that makes instrumenting the batcher flush path free.
+// the property that makes instrumenting every request stage free.
 func TestHistogramObserveAllocs(t *testing.T) {
 	var h Histogram
 	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(12345) }); allocs != 0 {
@@ -151,7 +151,7 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 // BenchmarkHistogramObserve measures the single-writer observe cost —
-// the acceptance bar is <100ns so the batcher flush path can be
+// the acceptance bar is <100ns so every request stage can be
 // instrumented for free.
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram

@@ -46,7 +46,7 @@ func ParseLogLevel(s string) (slog.Level, error) {
 // slog.Default: a text or JSON handler at the given level, wrapped so
 // every record logged with a context carrying a Trace (slog.*Context
 // calls) gains a trace_id attribute — the glue that makes one request's
-// log lines greppable across server, batcher, predictor and loop.
+// log lines greppable across server, predictor and loop.
 func NewLogger(w io.Writer, format string, level slog.Level) (*slog.Logger, error) {
 	f, err := ParseLogFormat(format)
 	if err != nil {

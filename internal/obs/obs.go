@@ -7,8 +7,8 @@
 //
 // Design constraints, in order:
 //
-//   - the observe path must be free to call from hot loops (the
-//     batcher flush path, per-request middleware): Counter.Add,
+//   - the observe path must be free to call from hot loops (request
+//     stage spans, per-request middleware): Counter.Add,
 //     Gauge.Set and Histogram.Observe are a handful of atomic ops,
 //     allocation-free, and benchmarked under 100ns;
 //   - readers (the /metrics scrape, /v1/stats) are rare and may do

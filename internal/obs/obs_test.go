@@ -171,8 +171,9 @@ func TestRegistryHandler(t *testing.T) {
 	}
 }
 
-// TestGaugeFuncReplace: re-registering a callback replaces it (batchers
-// are recreated after server close; the newest callback must win).
+// TestGaugeFuncReplace: re-registering a callback replaces it (a second
+// server on one registry re-registers its cache series; the newest
+// callback must win).
 func TestGaugeFuncReplace(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("flowgen_depth", "h", func() float64 { return 1 })

@@ -12,7 +12,7 @@ import (
 // Trace is the request-scoped observability context: a trace ID
 // (generated, or honored from the client's X-Request-ID header) plus
 // the per-stage span timings recorded while the request moved through
-// server → batcher → predictor → loop. It travels in the
+// server → predictor → loop. It travels in the
 // context.Context, every slog line emitted with that context carries
 // its ID (see NewLogger), and the serve layer echoes the ID in the
 // X-Request-ID response header and the spans in Server-Timing.

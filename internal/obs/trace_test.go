@@ -93,7 +93,7 @@ func TestLoggerTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, tr := WithTrace(context.Background(), "")
-	log.DebugContext(ctx, "batcher: scored flow", "model", "alu", "batch", 3)
+	log.DebugContext(ctx, "predictor: scored request", "model", "alu", "flows", 3)
 	log.InfoContext(context.Background(), "no trace here")
 
 	dec := json.NewDecoder(&buf)

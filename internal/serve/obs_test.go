@@ -53,7 +53,7 @@ func TestServerTraceHeaders(t *testing.T) {
 
 // TestServerMetricsEndpoint drives traffic and scrapes GET /metrics,
 // asserting the exposition covers the serving pipeline end to end:
-// per-endpoint latency summaries, batcher series, cache counters and
+// per-endpoint latency summaries, stage spans, cache counters and
 // model-registry gauges.
 func TestServerMetricsEndpoint(t *testing.T) {
 	m := testModel("alu", 5)
@@ -77,8 +77,6 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		`flowgen_http_request_duration_seconds{endpoint="predict",quantile="0.5"}`,
 		`flowgen_http_request_duration_seconds_count{endpoint="predict"}`,
 		`flowgen_stage_duration_seconds{stage="score"`,
-		`flowgen_batcher_queue_depth{model="alu"}`,
-		`flowgen_batcher_batch_size{model="alu"`,
 		"flowgen_cache_hits_total 1",
 		"flowgen_cache_misses_total 1",
 		`flowgen_model_version{model="alu"} 1`,

@@ -1,20 +1,18 @@
 // Package serve is the flow-recommendation serving subsystem: it turns
 // the trained classifier from an offline experiment artifact into a
-// long-lived, queryable service. Three pieces compose:
+// long-lived, queryable service. Two pieces compose:
 //
 //   - Registry holds named immutable Model snapshots behind an atomic
 //     copy-on-write map, so lookups are lock-free and a hot reload swaps
 //     a model with zero downtime — in-flight requests keep the snapshot
 //     they resolved, new requests see the new version;
-//   - Batcher coalesces concurrent single-flow prediction requests into
-//     micro-batches streamed through the model's nn.InferenceNet, so
-//     serving throughput tracks the batched GEMM path instead of
-//     per-request single-sample forwards;
 //   - Cache memoizes scored flows per (model, version, flow-key), since
 //     production traffic re-asks about popular flows.
 //
 // Server wires them behind JSON HTTP endpoints with per-endpoint
-// latency/throughput counters; cmd/flowserve is the binary.
+// latency/throughput counters. Each request resolves one snapshot and
+// scores its uncached flows in one Model.PredictFlows call, streamed
+// through the model's nn.InferenceNet; cmd/flowserve is the binary.
 package serve
 
 import (
@@ -40,7 +38,7 @@ import (
 // Model is one immutable, servable classifier snapshot: the flow space
 // it understands, the architecture, and the trained network. A Model is
 // never mutated after registration — hot reload registers a successor
-// with a bumped Version — so readers need no locks and a batch served
+// with a bumped Version — so readers need no locks and a request served
 // by one snapshot is internally consistent.
 type Model struct {
 	Name     string
@@ -70,22 +68,13 @@ func (m *Model) Predictor() (*nn.InferenceNet, error) {
 	return m.pred, m.predErr
 }
 
-// EncodeLen returns the flattened one-hot encoding length of one flow.
-func (m *Model) EncodeLen() int { return m.Arch.InH * m.Arch.InW }
-
-// EncodeFlow writes f's one-hot encoding into a fresh slice.
-func (m *Model) EncodeFlow(f flow.Flow) []float64 {
-	return f.Encode(m.Space, m.Arch.InH, m.Arch.InW)
-}
-
 // PredictFlows streams the given flows through the model's serving
 // engine without materializing a pool-sized tensor: core.FlowSource
-// encodes them into chunk-sized worker buffers. This is the scoring
-// path behind multi-flow predicts and recommendation pools, and the
-// direct scoring the batcher's responses are bit-identical to.
-// The engine is concurrency-safe (every worker owns its scratch), and
-// responses are deterministic and independent of how requests were
-// batched.
+// encodes them into chunk-sized worker buffers. It is the one scoring
+// path behind every predict and recommendation pool. The engine is
+// concurrency-safe (every worker owns its scratch), and each flow's
+// probabilities are deterministic and independent of the other flows
+// scored with it.
 func (m *Model) PredictFlows(ctx context.Context, flows []flow.Flow, workers int) ([][]float64, error) {
 	p, err := m.Predictor()
 	if err != nil {
@@ -165,6 +154,14 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if len(s.Alphabet) == 0 || s.M < 1 {
 		return nil, fmt.Errorf("serve: model %q has an empty flow space", s.Name)
 	}
+	// A flow's one-hot encoding must fill the network's input exactly:
+	// scoring encodes inside the engine's worker goroutines, where a
+	// mismatch would panic past every handler's recover.
+	space := flow.NewSpace(s.Alphabet, s.M)
+	if s.InH*s.InW != space.Length()*space.N() {
+		return nil, fmt.Errorf("serve: model %q: %dx%d input does not hold its space's %dx%d encoding",
+			s.Name, s.InH, s.InW, space.Length(), space.N())
+	}
 	arch := nn.ArchConfig{
 		InH: s.InH, InW: s.InW, KH: s.KH, KW: s.KW, Filters: s.Filters,
 		PoolStride: s.PoolStride, LocalKH: s.LocalKH, LocalC: s.LocalC,
@@ -177,7 +174,7 @@ func ReadModel(r io.Reader) (*Model, error) {
 	}
 	return &Model{
 		Name:     s.Name,
-		Space:    flow.NewSpace(s.Alphabet, s.M),
+		Space:    space,
 		Arch:     arch,
 		Net:      net,
 		LoadedAt: time.Now(),

@@ -40,7 +40,8 @@ func TestModelRoundTrip(t *testing.T) {
 }
 
 // TestSaveLoadModelFile covers the file path helpers including the
-// atomic write and the recorded reload path.
+// atomic write and the recorded reload path, and refuses a file whose
+// network input does not hold its space's encoding.
 func TestSaveLoadModelFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.flowmodel")
 	m := testModel("disk", 3)
@@ -56,6 +57,15 @@ func TestSaveLoadModelFile(t *testing.T) {
 	}
 	if _, err := LoadModelFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("want an error for a missing file")
+	}
+	// 6 letters at m=1 encode as 6x6; the network takes 4x8.
+	bad := testModel("bad", 3)
+	bad.Space = flow.NewSpace([]string{"a", "b", "c", "d", "e", "f"}, 1)
+	if err := SaveModel(path, bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModelFile(path); err == nil {
+		t.Fatal("want an error for a 4x8 network over a 6x6 encoding")
 	}
 }
 
@@ -151,8 +161,8 @@ func TestCacheLRU(t *testing.T) {
 // TestF32PredictAllocationSizedToBatch pins the serving engine's per-call
 // allocation: scoring one flow through the bootstrap model's f32
 // predictor must allocate scratch for one sample, not a full prediction
-// chunk. Serving batches average under two flows, so a chunk-sized
-// scratch per call (~2.2 MB) dominated the serve path's allocation rate.
+// chunk. Most predicts carry one flow, so a chunk-sized scratch per
+// call (~2.2 MB) dominated the serve path's allocation rate.
 func TestF32PredictAllocationSizedToBatch(t *testing.T) {
 	const calls, budget = 64, 128 << 10 // bytes per call
 	m := BootstrapModel("alloc")

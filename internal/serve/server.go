@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +48,9 @@ type LoopController interface {
 
 // ServerConfig tunes the HTTP serving layer.
 type ServerConfig struct {
-	Batcher   BatcherConfig
+	// Workers shards each request's scoring across prediction workers
+	// (≤0 selects GOMAXPROCS).
+	Workers   int
 	CacheSize int // scored-flow memo capacity (≤0 disables)
 	// MaxFlows bounds how many flows one predict request may submit,
 	// and MaxPool how large a recommendation pool may be, submitted or
@@ -60,21 +61,20 @@ type ServerConfig struct {
 	MaxPool  int
 	// RequestTimeout is the server-side deadline stamped on every
 	// request context before the handler runs, so it propagates through
-	// batcher → predictor → loop; a request that exceeds it fails with
-	// 504 instead of holding a connection open. ≤0 disables (clients and
-	// proxies still cancel via their own contexts).
+	// predictor → loop; a request that exceeds it fails with 504 instead
+	// of holding a connection open. ≤0 disables (clients and proxies
+	// still cancel via their own contexts).
 	RequestTimeout time.Duration
-	// Obs is the metric registry the server (and the batchers it
-	// spawns) records into and GET /metrics exposes. nil gives the
-	// server a private registry — cmd/flowserve passes obs.Default()
-	// so server, loop and process metrics share one exposition.
+	// Obs is the metric registry the server records into and GET
+	// /metrics exposes. nil gives the server a private registry —
+	// cmd/flowserve passes obs.Default() so server, loop and process
+	// metrics share one exposition.
 	Obs *obs.Registry
 }
 
 // DefaultServerConfig returns production-shaped limits.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
-		Batcher:        DefaultBatcherConfig(),
 		CacheSize:      4096,
 		MaxFlows:       1024,
 		MaxPool:        200000,
@@ -112,20 +112,17 @@ type EndpointStats struct {
 	P99Micro  float64 `json:"p99_latency_us"`
 }
 
-// Server exposes a Registry over JSON HTTP: prediction (micro-batched
-// through per-model Batchers and memoized in a Cache), top-k
-// angel/devil recommendation (streamed, never materializing pool-sized
-// tensors), model listing and hot reload, health and stats.
+// Server exposes a Registry over JSON HTTP: prediction (memoized in a
+// Cache), top-k angel/devil recommendation (streamed, never
+// materializing pool-sized tensors), model listing and hot reload,
+// health and stats. Every predict and recommend scores its misses in
+// one Model.PredictFlows call on the snapshot it resolved.
 type Server struct {
 	Registry *Registry
 	cfg      ServerConfig
 	cache    *Cache
 	obs      *obs.Registry
 	start    time.Time
-
-	mu       sync.Mutex
-	batchers map[string]*Batcher
-	closed   bool
 
 	// draining flips once a drain has been requested (endpoint or
 	// shutdown path); /readyz turns 503 so load balancers stop routing
@@ -155,8 +152,7 @@ func (s *Server) observe(ctx context.Context, flows []flow.Flow) {
 	}
 }
 
-// NewServer wires a server over the registry. Call Close to stop the
-// per-model batch schedulers.
+// NewServer wires a server over the registry.
 func NewServer(reg *Registry, cfg ServerConfig) *Server {
 	if cfg.MaxFlows < 1 {
 		cfg.MaxFlows = 1
@@ -173,7 +169,6 @@ func NewServer(reg *Registry, cfg ServerConfig) *Server {
 		cache:    NewCache(cfg.CacheSize),
 		obs:      cfg.Obs,
 		start:    time.Now(),
-		batchers: map[string]*Batcher{},
 	}
 	// Cache and model-registry health ride the same exposition: the
 	// cache keeps its own atomics (callback-backed series), the model
@@ -190,43 +185,11 @@ func NewServer(reg *Registry, cfg ServerConfig) *Server {
 	return s
 }
 
-// StartDraining flips /readyz to 503 without closing anything — the
-// first step of an ordered shutdown (and of POST /v1/loop/drain), so
-// load balancers stop routing here before intake actually stops.
-func (s *Server) StartDraining() { s.draining.Store(true) }
-
-// Close stops every batcher the server started; later requests that
-// need a batcher fail with ErrClosed instead of resurrecting one.
-func (s *Server) Close() {
-	s.draining.Store(true)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	for _, b := range s.batchers {
-		b.Close()
-	}
-	s.batchers = map[string]*Batcher{}
-}
-
-// batcherFor returns (creating on first use) the micro-batcher serving
-// one registry name. Each name gets its own queue so flows for
-// different models never share a forward pass; the batcher re-resolves
-// the name per flush, which is what makes hot reload seamless.
-func (s *Server) batcherFor(name string) (*Batcher, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if b, ok := s.batchers[name]; ok {
-		return b, nil
-	}
-	bcfg := s.cfg.Batcher
-	bcfg.Obs, bcfg.ObsModel = s.obs, name
-	b := NewBatcher(func() (*Model, error) { return s.Registry.Get(name) }, bcfg)
-	s.batchers[name] = b
-	return b, nil
-}
+// Close flips /readyz to 503 — the first step of an ordered shutdown,
+// so load balancers stop routing here before intake stops. Requests
+// still arriving are served; stopping HTTP intake is the http.Server's
+// Shutdown. Close is idempotent.
+func (s *Server) Close() { s.draining.Store(true) }
 
 // Handler returns the routed HTTP handler. The model collection is
 // RESTful — GET /v1/models, GET /v1/models/{name}, POST
@@ -302,8 +265,6 @@ func renderError(err error) (int, errorEnvelope) {
 		if code == "" {
 			code = "internal"
 		}
-	case errors.Is(err, ErrQueueFull):
-		status, code = http.StatusTooManyRequests, "queue_full"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		status, code = http.StatusGatewayTimeout, "timeout"
 	}
@@ -356,7 +317,7 @@ func (s *Server) maxBody() int64 {
 // deadline, the request-body bound, panic isolation, and uniform JSON
 // error rendering. The trace ID is honored from X-Request-ID (or
 // generated), propagated to the handler through the request context —
-// so batcher, predictor and loop log lines carry it — and echoed in the
+// so predictor and loop log lines carry it — and echoed in the
 // X-Request-ID response header; stage spans recorded along the way
 // come back in Server-Timing. A handler panic is recovered into a 500 envelope with
 // the stack logged: one poisoned request must never kill the process.
@@ -441,12 +402,9 @@ type readyResponse struct {
 // loadable, 200 otherwise. Load balancers route on this; orchestrators
 // restart on /healthz.
 func (s *Server) handleReady(*http.Request) (any, error) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
 	resp := readyResponse{
 		Models:   len(s.Registry.List()),
-		Draining: s.draining.Load() || closed,
+		Draining: s.draining.Load(),
 	}
 	if lc := s.getLoop(); lc != nil {
 		resp.Loop = lc.LoopStatus()
@@ -628,8 +586,10 @@ func (s *Server) handlePredict(r *http.Request) (any, error) {
 	// Every predicted flow is a labeling candidate for the loop.
 	s.observe(r.Context(), flows)
 
+	// Serve cache hits keyed by the resolved snapshot and score every
+	// miss on it in one call, so all rows and the version header agree
+	// even when a hot reload lands mid-request.
 	resp := predictResponse{Model: m.Name, Version: m.Version, Results: make([]FlowScore, len(flows))}
-	// Serve cache hits against the resolved snapshot; score the misses.
 	missIdx := make([]int, 0, len(flows))
 	for i, f := range flows {
 		if probs, ok := s.cache.Get(m.Name, m.Version, f.Key()); ok {
@@ -641,40 +601,8 @@ func (s *Server) handlePredict(r *http.Request) (any, error) {
 	}
 	scoreDone := obs.StartSpan(r.Context(), "score", s.stage("score"))
 	defer scoreDone()
-
-	switch {
-	case len(missIdx) == 0:
-	case len(missIdx) == 1:
-		// A single miss rides the micro-batcher and coalesces with
-		// concurrent requests into one forward pass.
-		i := missIdx[0]
-		b, err := s.batcherFor(m.Name)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := b.Submit(r.Context(), m.EncodeFlow(flows[i]))
-		if err != nil {
-			return nil, err
-		}
-		s.cache.Put(pred.Model.Name, pred.Model.Version, flows[i].Key(), pred.Probs)
-		if pred.Model == m || len(flows) == 1 {
-			// Common case — or every result row came from the batcher:
-			// label the response with the snapshot that actually served
-			// it (the batcher resolves its own, which may be newer after
-			// a concurrent reload).
-			resp.Model, resp.Version = pred.Model.Name, pred.Model.Version
-			resp.Results[i] = scoreOf(req.Flows[i], pred.Probs)
-			break
-		}
-		// A hot reload landed between the cache lookup and the batcher
-		// flush: the cached rows were scored by m, the miss by a newer
-		// snapshot. Rescore the whole request through the new snapshot
-		// so every row (and the version header) is consistent.
-		return s.scoreAll(r, req.Flows, flows, pred.Model)
-	default:
-		// Multi-flow requests are already a batch: stream them directly
-		// through the chunked prediction path.
-		probs, err := m.PredictFlows(r.Context(), pick(flows, missIdx), s.cfg.Batcher.Workers)
+	if len(missIdx) > 0 {
+		probs, err := m.PredictFlows(r.Context(), pick(flows, missIdx), s.cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -696,27 +624,6 @@ func pick(flows []flow.Flow, idx []int) []flow.Flow {
 		out[j] = flows[i]
 	}
 	return out
-}
-
-// scoreAll rescores every flow of a request against one model snapshot
-// (the mixed-version fallback after a mid-request hot reload).
-func (s *Server) scoreAll(r *http.Request, texts []string, flows []flow.Flow, m *Model) (any, error) {
-	if err := m.Space.Validate(flows[0]); err != nil {
-		// The reload changed the flow space itself; the request was
-		// parsed against the old one, so the client must retry.
-		return nil, &httpError{status: http.StatusServiceUnavailable, code: "unavailable",
-			msg: "model reloaded with a different flow space mid-request; retry"}
-	}
-	probs, err := m.PredictFlows(r.Context(), flows, s.cfg.Batcher.Workers)
-	if err != nil {
-		return nil, err
-	}
-	resp := predictResponse{Model: m.Name, Version: m.Version, Results: make([]FlowScore, len(flows))}
-	for i := range flows {
-		resp.Results[i] = scoreOf(texts[i], probs[i])
-		s.cache.Put(m.Name, m.Version, flows[i].Key(), probs[i])
-	}
-	return resp, nil
 }
 
 func scoreOf(text string, probs []float64) FlowScore {
@@ -801,7 +708,7 @@ func (s *Server) handleRecommend(r *http.Request) (any, error) {
 	}
 
 	scoreDone := obs.StartSpan(r.Context(), "score", s.stage("score"))
-	probs, err := m.PredictFlows(r.Context(), pool, s.cfg.Batcher.Workers)
+	probs, err := m.PredictFlows(r.Context(), pool, s.cfg.Workers)
 	scoreDone()
 	if err != nil {
 		return nil, err
@@ -913,7 +820,6 @@ func (s *Server) handleLabel(r *http.Request) (any, error) {
 type statsResponse struct {
 	UptimeSeconds float64                  `json:"uptime_seconds"`
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
-	Batchers      map[string]BatcherStats  `json:"batchers"`
 	Cache         CacheStats               `json:"cache"`
 	Reloads       int64                    `json:"reloads"`
 	SIMD          string                   `json:"simd"` // the process's kernel tier
@@ -921,11 +827,19 @@ type statsResponse struct {
 	Loop          any                      `json:"loop,omitempty"` // loop.Status when a loop is attached
 }
 
+// BatcherStats was the per-model block of /v1/stats when single-flow
+// predicts went through a micro-batcher. Nothing produces it now.
+//
+// Deprecated: kept only because bench/serving.go decodes /v1/stats into
+// it; it goes with the next change to the benchmark.
+type BatcherStats struct {
+	Rejected, Cancelled, Batches, BatchedFlows int64
+}
+
 func (s *Server) handleStats(*http.Request) (any, error) {
 	out := statsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Endpoints:     map[string]EndpointStats{},
-		Batchers:      map[string]BatcherStats{},
 		Cache:         s.cache.Stats(),
 		Reloads:       s.Registry.Reloads(),
 		SIMD:          tensor.ActiveSIMD().String(),
@@ -951,16 +865,6 @@ func (s *Server) handleStats(*http.Request) (any, error) {
 		out.Endpoints[k.(string)] = st
 		return true
 	})
-	s.mu.Lock()
-	names := make([]string, 0, len(s.batchers))
-	for name := range s.batchers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		out.Batchers[name] = s.batchers[name].Stats()
-	}
-	s.mu.Unlock()
 	return out, nil
 }
 

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -10,14 +13,50 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"flowgen/internal/core"
+	"flowgen/internal/fault"
 	"flowgen/internal/flow"
 	"flowgen/internal/nn"
 	"flowgen/internal/tensor"
 	"flowgen/internal/train"
 )
+
+// testModel builds a small deterministic model over a 4-letter m=2
+// space (4×8 encodings — large enough for the FastArch pooling stack,
+// small enough that race-enabled concurrency tests stay fast).
+func testModel(name string, seed int64) *Model {
+	space := flow.NewSpace([]string{"a", "b", "c", "d"}, 2)
+	arch := nn.FastArch(5)
+	arch.InH, arch.InW = 4, 8
+	return &Model{Name: name, Space: space, Arch: arch, Net: arch.Build(seed)}
+}
+
+// directProbs scores flows through the model's own streamed path, the
+// serving layer's ground truth: every served row must be bit-identical
+// to it.
+func directProbs(m *Model, flows []flow.Flow) [][]float64 {
+	probs, err := m.PredictFlows(context.Background(), flows, 1)
+	if err != nil {
+		panic(err)
+	}
+	return probs
+}
+
+func sameProbs(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // newTestServer stands up a server over one registered test model.
 func newTestServer(t *testing.T, models ...*Model) (*Server, *httptest.Server) {
@@ -27,7 +66,7 @@ func newTestServer(t *testing.T, models ...*Model) (*Server, *httptest.Server) {
 		reg.Register(m)
 	}
 	cfg := DefaultServerConfig()
-	cfg.Batcher.Workers = 1
+	cfg.Workers = 1
 	cfg.MaxPool = 500
 	s := NewServer(reg, cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -73,9 +112,9 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// TestServerPredict exercises the predict endpoint: single-flow (via
-// the micro-batcher), multi-flow (via the streaming path), bit-equality
-// with direct scoring, and the cache flag on a repeat request.
+// TestServerPredict exercises the predict endpoint: single-flow and
+// multi-flow requests, bit-equality with direct scoring, and the cache
+// flag on a repeat request.
 func TestServerPredict(t *testing.T) {
 	m := testModel("alu", 5)
 	_, ts := newTestServer(t, m)
@@ -87,7 +126,6 @@ func TestServerPredict(t *testing.T) {
 		texts[i] = f.String(m.Space)
 	}
 
-	// Single flow rides the batcher.
 	var single predictResponse
 	if code, body := postJSON(t, ts.URL+"/v1/predict",
 		predictRequest{Flows: texts[:1]}, &single); code != http.StatusOK {
@@ -100,8 +138,7 @@ func TestServerPredict(t *testing.T) {
 		t.Fatalf("single-flow scoring mismatch: %+v", single.Results[0])
 	}
 
-	// Multi-flow goes through the streaming path; flow 0 now hits the
-	// cache.
+	// Flow 0 now hits the cache; the other five are scored together.
 	var multi predictResponse
 	if code, body := postJSON(t, ts.URL+"/v1/predict",
 		predictRequest{Flows: texts}, &multi); code != http.StatusOK {
@@ -224,7 +261,7 @@ func TestServerRequestBodyBound(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(m)
 	cfg := DefaultServerConfig()
-	cfg.Batcher.Workers = 1
+	cfg.Workers = 1
 	cfg.MaxPool, cfg.MaxFlows = 64, 16
 	s := NewServer(reg, cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -341,7 +378,7 @@ func TestServerModelsAndReload(t *testing.T) {
 }
 
 // TestServerHealthAndStats checks the liveness endpoint and that the
-// per-endpoint/batcher/cache/model counters populate under traffic.
+// per-endpoint/cache/model counters populate under traffic.
 func TestServerHealthAndStats(t *testing.T) {
 	m := testModel("alu", 5)
 	_, ts := newTestServer(t, m)
@@ -354,7 +391,6 @@ func TestServerHealthAndStats(t *testing.T) {
 		t.Fatalf("health: %+v", health)
 	}
 
-	// Concurrent single-flow predictions exercise the batcher.
 	flows := m.Space.RandomUnique(rand.New(rand.NewSource(3)), 8)
 	var wg sync.WaitGroup
 	for _, f := range flows {
@@ -375,9 +411,8 @@ func TestServerHealthAndStats(t *testing.T) {
 	if !ok || ep.Requests != int64(len(flows)) || ep.MeanMicro <= 0 {
 		t.Fatalf("predict endpoint stats: %+v", stats.Endpoints)
 	}
-	bs, ok := stats.Batchers["alu"]
-	if !ok || bs.BatchedFlows+stats.Cache.Hits < int64(len(flows)) {
-		t.Fatalf("batcher stats: %+v cache %+v", bs, stats.Cache)
+	if stats.Cache.Misses != int64(len(flows)) || stats.Cache.Size != len(flows) {
+		t.Fatalf("cache stats after %d distinct flows: %+v", len(flows), stats.Cache)
 	}
 	if _, ok := stats.Endpoints["healthz"]; !ok {
 		t.Fatal("healthz must be instrumented")
@@ -393,23 +428,62 @@ func TestServerHealthAndStats(t *testing.T) {
 	}
 }
 
-// TestServerClosedRejectsBatching proves Close is terminal: a predict
-// that needs a batcher after Close must fail instead of silently
-// resurrecting a scheduler goroutine on a closed server.
-func TestServerClosedRejectsBatching(t *testing.T) {
+// TestServerCloseFlipsReadiness: Close is the first step of an
+// ordered shutdown. It turns /readyz to 503 while /healthz stays 200,
+// and requests that still arrive are served.
+func TestServerCloseFlipsReadiness(t *testing.T) {
 	m := testModel("alu", 5)
 	s, ts := newTestServer(t, m)
-	text := m.Space.Random(rand.New(rand.NewSource(1))).String(m.Space)
-	s.Close()
-	code, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{Flows: []string{text}}, nil)
-	if code == http.StatusOK {
-		t.Fatalf("predict after Close must fail, got 200 %s", body)
+	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusOK {
+		t.Fatalf("/readyz before Close: %d", code)
 	}
-	s.mu.Lock()
-	n := len(s.batchers)
-	s.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("closed server recreated %d batcher(s)", n)
+	s.Close()
+	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after Close: %d, want 503", code)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("/healthz after Close: %d, want 200", code)
+	}
+	text := m.Space.Random(rand.New(rand.NewSource(1))).String(m.Space)
+	if code, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{Flows: []string{text}}, nil); code != http.StatusOK {
+		t.Fatalf("predict after Close: %d %s", code, body)
+	}
+}
+
+// TestServerPredictDeadline: a predict whose request deadline passes
+// before scoring answers 504 timeout, single-flow and multi-flow alike,
+// and caches nothing.
+func TestServerPredictDeadline(t *testing.T) {
+	defer fault.Reset()
+	m := testModel("alu", 5)
+	reg := NewRegistry()
+	reg.Register(m)
+	cfg := DefaultServerConfig()
+	cfg.Workers = 1
+	cfg.RequestTimeout = 20 * time.Millisecond
+	s := NewServer(reg, cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	if err := fault.Set("serve.http.predict=sleep,d=60ms", 1); err != nil {
+		t.Fatal(err)
+	}
+	flows := m.Space.RandomUnique(rand.New(rand.NewSource(8)), 3)
+	texts := make([]string, len(flows))
+	for i, f := range flows {
+		texts[i] = f.String(m.Space)
+	}
+	for _, n := range []int{1, len(texts)} {
+		code, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{Flows: texts[:n]}, nil)
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("%d-flow predict past its deadline: %d %s, want 504", n, code, body)
+		}
+		if c, _ := decodeEnvelope(t, body); c != "timeout" {
+			t.Fatalf("%d-flow predict past its deadline: code %q, want timeout", n, c)
+		}
+	}
+	if st := s.cache.Stats(); st.Size != 0 {
+		t.Fatalf("timed-out predicts cached %d rows", st.Size)
 	}
 }
 
@@ -435,11 +509,11 @@ func TestServerReloadAllFailure(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentMixedTraffic races every scoring path of one
-// model at once — batched single-flow predicts, streamed multi-flow
-// predicts and recommendation pools — and checks each response against
-// direct scoring. nn networks retain forward state, so this fails under
-// -race unless every concurrent forward runs on its own clone.
+// TestServerConcurrentMixedTraffic races single-flow predicts,
+// multi-flow predicts and recommendation pools on one model at once
+// and checks each response against direct scoring. nn networks retain
+// forward state, so this fails under -race unless every concurrent
+// forward runs on its own scratch.
 func TestServerConcurrentMixedTraffic(t *testing.T) {
 	m := testModel("alu", 5)
 	_, ts := newTestServer(t, m)
@@ -455,7 +529,7 @@ func TestServerConcurrentMixedTraffic(t *testing.T) {
 	fail := make(chan string, 64)
 	for c := 0; c < 4; c++ {
 		wg.Add(3)
-		go func(c int) { // single-flow traffic (batcher path)
+		go func(c int) { // single-flow traffic
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				idx := (c + i) % len(flows)
@@ -471,7 +545,7 @@ func TestServerConcurrentMixedTraffic(t *testing.T) {
 				}
 			}
 		}(c)
-		go func() { // multi-flow traffic (streaming path)
+		go func() { // multi-flow traffic
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				var pr predictResponse
@@ -488,7 +562,7 @@ func TestServerConcurrentMixedTraffic(t *testing.T) {
 				}
 			}
 		}()
-		go func(c int) { // recommendation traffic (pool streaming path)
+		go func(c int) { // recommendation traffic
 			defer wg.Done()
 			var rec recommendResponse
 			if code, body := postJSON(t, ts.URL+"/v1/recommend",
@@ -504,12 +578,168 @@ func TestServerConcurrentMixedTraffic(t *testing.T) {
 	}
 }
 
+// predictHTTP posts one /v1/predict request and decodes a 200 reply
+// with one row per flow. It reports failures as errors, so client
+// goroutines can call it.
+func predictHTTP(url string, texts []string) (predictResponse, error) {
+	var pr predictResponse
+	raw, err := json.Marshal(predictRequest{Flows: texts})
+	if err != nil {
+		return pr, err
+	}
+	resp, err := http.Post(url+"/v1/predict", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		return pr, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	switch {
+	case err != nil:
+		return pr, err
+	case resp.StatusCode != http.StatusOK:
+		return pr, fmt.Errorf("status %d: %s", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &pr); err != nil {
+		return pr, err
+	}
+	if len(pr.Results) != len(texts) {
+		return pr, fmt.Errorf("%d rows for %d flows", len(pr.Results), len(texts))
+	}
+	return pr, nil
+}
+
+// alternatingTraffic posts predicts from clients goroutines, perClient
+// requests each, while a model file alternates between two weight sets
+// (version v serves sets[(v+1)%2]). Every third request carries three
+// flows, the others one; clients ask the same flows in the same order,
+// so rows repeat and some come from the cache. Every row must equal,
+// bit for bit, the direct scoring of its flow by the version its
+// response reports. It returns the cached rows seen and the first
+// failure.
+func alternatingTraffic(url string, sets [2]*Model, flows []flow.Flow, clients, perClient int) (int64, error) {
+	want := [2][][]float64{directProbs(sets[0], flows), directProbs(sets[1], flows)}
+	var cached atomic.Int64
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				idx := []int{i % len(flows)}
+				if i%3 == 2 {
+					idx = append(idx, (i+1)%len(flows), (i+2)%len(flows))
+				}
+				texts := make([]string, len(idx))
+				for j, k := range idx {
+					texts[j] = flows[k].String(sets[0].Space)
+				}
+				pr, err := predictHTTP(url, texts)
+				if err != nil {
+					errs <- fmt.Errorf("client %d request %d: %v", c, i, err)
+					return
+				}
+				for j, r := range pr.Results {
+					if !sameProbs(r.Probs, want[(pr.Version+1)%2][idx[j]]) {
+						errs <- fmt.Errorf("client %d request %d row %d (cached %v): differs from version %d's direct scoring",
+							c, i, j, r.Cached, pr.Version)
+						return
+					}
+					if r.Cached {
+						cached.Add(1)
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	return cached.Load(), <-errs
+}
+
+// wantServedBy asks for f twice after the last reload: both answers
+// must come from version, carry want bit for bit, and the second must
+// be a cache hit.
+func wantServedBy(t *testing.T, url, f string, version int, want []float64) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		pr, err := predictHTTP(url, []string{f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := pr.Results[0]
+		if pr.Version != version || !sameProbs(r.Probs, want) {
+			t.Fatalf("request %d after the last reload served by v%d, want v%d's weights", i, pr.Version, version)
+		}
+		if i == 1 && !r.Cached {
+			t.Fatal("repeat request after the last reload missed the cache")
+		}
+	}
+}
+
+// TestHotReloadDuringTraffic swaps two weight sets through the model
+// file while clients post single-flow and multi-flow predicts, some
+// rows served from the cache, and asserts zero downtime: every row is
+// bit-identical to the direct scoring of the version its response
+// reports, and the final version serves after the last reload. The
+// subtest is named for the float32 predictor that scores every row.
+func TestHotReloadDuringTraffic(t *testing.T) {
+	t.Run("f32", testHotReloadDuringTraffic)
+}
+
+func testHotReloadDuringTraffic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.flowmodel")
+	sets := [2]*Model{testModel("m", 1), testModel("m", 2)}
+	if err := SaveModel(path, sets[0]); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModelFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, loaded)
+	reg := s.Registry
+
+	const clients, perClient, reloadN = 8, 40, 6
+	flows := sets[0].Space.RandomUnique(rand.New(rand.NewSource(4)), 12)
+	reloaded := make(chan error, 1)
+	go func() {
+		for i := 0; i < reloadN; i++ {
+			if err := SaveModel(path, sets[(i+1)%2]); err != nil {
+				reloaded <- err
+				return
+			}
+			if _, err := reg.Reload("m"); err != nil {
+				reloaded <- err
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		reloaded <- nil
+	}()
+	cached, err := alternatingTraffic(ts.URL, sets, flows, clients, perClient)
+	if rerr := <-reloaded; rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of the traffic's rows came from the cache", cached)
+
+	if got := reg.Reloads(); got != reloadN {
+		t.Fatalf("registry counted %d reloads, want %d", got, reloadN)
+	}
+	const final = reloadN + 1
+	wantServedBy(t, ts.URL, flows[0].String(sets[0].Space), final,
+		directProbs(sets[(final+1)%2], flows[:1])[0])
+}
+
 // TestBootstrapModel sanity-checks the no-files bring-up path used by
 // CI smoke tests.
 func TestBootstrapModel(t *testing.T) {
 	m := BootstrapModel("boot")
-	if m.Space.Length() != 24 || m.EncodeLen() != 144 {
-		t.Fatalf("bootstrap space: L=%d enc=%d", m.Space.Length(), m.EncodeLen())
+	if m.Space.Length() != 24 || m.Arch.InH*m.Arch.InW != 144 {
+		t.Fatalf("bootstrap space: L=%d enc=%dx%d", m.Space.Length(), m.Arch.InH, m.Arch.InW)
 	}
 	reg := NewRegistry()
 	reg.Register(m)

@@ -2,35 +2,32 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestWatchReloadsOnFileChange drives the -watch path under live
-// batcher traffic, in the style of TestHotReloadDuringTraffic: a
-// watcher polls the model file, the file is atomically replaced with
-// new weights, and every in-flight response must stay bit-identical to
-// the direct scoring of whichever version served it while the watcher
-// converges on the final weights with zero downtime.
+// TestWatchReloadsOnFileChange drives the -watch path under live HTTP
+// traffic, as TestHotReloadDuringTraffic does: a watcher polls the
+// model file, the file is atomically replaced with alternating weight
+// sets, and every row must stay bit-identical to the direct scoring of
+// the version its response reports while the watcher converges on the
+// final weights with zero downtime.
 func TestWatchReloadsOnFileChange(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.flowmodel")
-	v1, v2 := testModel("m", 1), testModel("m", 2)
-	if err := SaveModel(path, v1); err != nil {
+	path := filepath.Join(t.TempDir(), "m.flowmodel")
+	sets := [2]*Model{testModel("m", 1), testModel("m", 2)}
+	if err := SaveModel(path, sets[0]); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
 	loaded, err := LoadModelFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.Register(loaded)
+	s, ts := newTestServer(t, loaded)
+	reg := s.Registry
 
 	var reloadsSeen atomic.Int64
 	watcher := NewWatcher(reg) // baseline taken synchronously, before any change below
@@ -48,45 +45,22 @@ func TestWatchReloadsOnFileChange(t *testing.T) {
 		})
 	}()
 
-	const perClient = 30
-	flows := v1.Space.RandomUnique(rand.New(rand.NewSource(4)), perClient)
-	wantBySeed := [][][]float64{directProbs(v1, flows), directProbs(v2, flows)}
-
-	b := NewBatcher(func() (*Model, error) { return reg.Get("m") },
-		BatcherConfig{MaxBatch: 16, QueueCap: 1024, Workers: 1})
-	defer b.Close()
-
-	errs := make(chan error, 8)
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				pred, err := b.Submit(context.Background(), v1.EncodeFlow(flows[i]))
-				if err != nil {
-					errs <- fmt.Errorf("client %d flow %d: %v", c, i, err)
-					return
-				}
-				want := wantBySeed[(pred.Model.Version+1)%2][i]
-				if !sameProbs(pred.Probs, want) {
-					errs <- fmt.Errorf("client %d flow %d: response does not match version %d scoring",
-						c, i, pred.Model.Version)
-					return
-				}
-			}
-		}(c)
+	flows := sets[0].Space.RandomUnique(rand.New(rand.NewSource(4)), 12)
+	type result struct {
+		cached int64
+		err    error
 	}
+	traffic := make(chan result, 1)
+	go func() {
+		cached, err := alternatingTraffic(ts.URL, sets, flows, 4, 30)
+		traffic <- result{cached, err}
+	}()
 
 	// Alternate the weight sets on disk; the watcher must pick each
 	// change up by itself — no explicit Reload calls here.
 	const writes = 3
 	for i := 0; i < writes; i++ {
-		src := v2
-		if i%2 == 1 {
-			src = v1
-		}
-		if err := SaveModel(path, src); err != nil {
+		if err := SaveModel(path, sets[(i+1)%2]); err != nil {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(5 * time.Second)
@@ -97,35 +71,22 @@ func TestWatchReloadsOnFileChange(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	res := <-traffic
+	if res.err != nil {
+		t.Fatal(res.err)
 	}
+	t.Logf("%d of the traffic's rows came from the cache", res.cached)
 
-	cur, err := reg.Get("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.Version != writes+1 {
-		t.Fatalf("final version %d, want %d", cur.Version, writes+1)
-	}
-	// Traffic after the last watched swap serves the final weights (v2
-	// was written last).
-	pred, err := b.Submit(context.Background(), v1.EncodeFlow(flows[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.Model.Version != writes+1 || !sameProbs(pred.Probs, wantBySeed[(pred.Model.Version+1)%2][0]) {
-		t.Fatalf("post-watch traffic served v%d with stale weights", pred.Model.Version)
-	}
+	const final = writes + 1
+	text := flows[0].String(sets[0].Space)
+	wantServedBy(t, ts.URL, text, final, directProbs(sets[(final+1)%2], flows[:1])[0])
 
 	// A vanished file must not kill the watcher or the served snapshot.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(10 * time.Millisecond)
-	if _, err := b.Submit(context.Background(), v1.EncodeFlow(flows[0])); err != nil {
+	if _, err := predictHTTP(ts.URL, []string{text}); err != nil {
 		t.Fatalf("serving broke after the model file vanished: %v", err)
 	}
 	stopWatch()
