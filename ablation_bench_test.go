@@ -14,10 +14,8 @@ import (
 	"flowgen/internal/exp"
 	"flowgen/internal/flow"
 	"flowgen/internal/label"
-	"flowgen/internal/opt"
 	"flowgen/internal/stats"
 	"flowgen/internal/synth"
-	"flowgen/internal/train"
 )
 
 // BenchmarkAblation_ZeroCostVariants measures what `rewrite -z` and
@@ -61,19 +59,19 @@ func BenchmarkAblation_ZeroCostVariants(b *testing.B) {
 // budget.
 func BenchmarkAblation_IncrementalVsOneShot(b *testing.B) {
 	bd := bundleFor(b, "ALU")
-	final := func(rc exp.RunConfig) exp.CurvePoint {
-		curve, _, err := exp.RunIncremental(bd, rc)
+	final := func(cfg core.Config) exp.CurvePoint {
+		curve, _, err := exp.RunIncremental(bd, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return curve[len(curve)-1]
 	}
 	for i := 0; i < b.N; i++ {
-		rc := exp.DefaultRunConfig(bd, synth.MetricArea)
-		inc := final(rc) // the framework's incremental protocol
+		cfg := exp.DefaultConfig(bd, synth.MetricArea)
+		inc := final(cfg) // the framework's incremental protocol
 		// One-shot: all data from the start, same step budget.
-		rc.InitialLabeled, rc.RetrainEvery, rc.StepsPerRound = len(bd.Flows), len(bd.Flows), inc.Steps
-		one := final(rc)
+		cfg.InitialLabeled, cfg.RetrainEvery, cfg.StepsPerRound = len(bd.Flows), len(bd.Flows), inc.Steps
+		one := final(cfg)
 		if i == 0 {
 			fmt.Printf("Ablation[incremental] incremental %.3f vs one-shot %.3f (total %d steps)\n",
 				inc.GenAcc, one.GenAcc, inc.Steps)
@@ -99,13 +97,12 @@ func BenchmarkAblation_Determinators(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rc := exp.DefaultRunConfig(bd, synth.MetricArea)
-			optimizer, err := opt.ByName(rc.Optimizer, rc.LearnRate)
+			cfg := exp.DefaultConfig(bd, synth.MetricArea)
+			tr, err := core.NewTrainer(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr := train.NewTrainer(rc.Arch.Build(rc.Seed), optimizer, rc.Seed+1)
-			round := core.Round{Space: bd.Space, H: rc.Arch.InH, W: rc.Arch.InW, Steps: 600}
+			round := core.Round{Space: bd.Space, H: cfg.Arch.InH, W: cfg.Arch.InW, Steps: 600}
 			rr, err := round.Run(context.Background(), tr, bd.Flows, bd.QoRs, model)
 			if err != nil {
 				b.Fatal(err)

@@ -134,7 +134,7 @@ func figSweep(b *testing.B, designs []string, metric synth.Metric, variants []ex
 	for i := 0; i < b.N; i++ {
 		for _, design := range designs {
 			bd := bundleFor(b, design)
-			runs, err := exp.Sweep(bd, exp.DefaultRunConfig(bd, metric), variants)
+			runs, err := exp.Sweep(bd, exp.DefaultConfig(bd, metric), variants)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func fig8(b *testing.B, paperName string) {
 	bd := bundleFor(b, paperName)
 	for i := 0; i < b.N; i++ {
 		for _, metric := range []synth.Metric{synth.MetricArea, synth.MetricDelay} {
-			_, q, err := exp.RunIncremental(bd, exp.DefaultRunConfig(bd, metric))
+			_, q, err := exp.RunIncremental(bd, exp.DefaultConfig(bd, metric))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -34,15 +34,12 @@ func main() {
 		steps      = flag.Int("steps", 300, "CNN steps per retraining round")
 		numOut     = flag.Int("out", 0, "flows to select (0 = the harness default for the pool size)")
 		seed       = cliflags.Seed(flag.CommandLine, 11)
-		predW      = cliflags.Workers(flag.CommandLine, "predworkers", "pool-prediction workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
-	metric := synth.MetricArea
-	if *metricName == "delay" {
-		metric = synth.MetricDelay
-	} else if *metricName != "area" {
-		fatal(fmt.Errorf("unknown metric %q", *metricName))
+	metric, err := synth.ParseMetric(*metricName)
+	if err != nil {
+		fatal(err)
 	}
 	// Each curve is titled "<design> <label> <variant>".
 	var variants []exp.Variant
@@ -77,15 +74,14 @@ func main() {
 		bundle.SynthTime.Round(time.Millisecond), bundle.Memo.TransformsRun,
 		bundle.Memo.DirectSteps, bundle.Memo.SpeedupFactor())
 
-	rc := exp.DefaultRunConfig(bundle, metric)
-	rc.StepsPerRound = *steps
-	rc.PredictWorkers = *predW
+	cfg := exp.DefaultConfig(bundle, metric)
+	cfg.StepsPerRound = *steps
 	if *numOut > 0 {
-		rc.NumOut = *numOut
+		cfg.NumOut = *numOut
 	}
 
 	if variants == nil {
-		_, q, err := exp.RunIncremental(bundle, rc)
+		_, q, err := exp.RunIncremental(bundle, cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -96,7 +92,7 @@ func main() {
 		row("devil", q.Devil)
 		return
 	}
-	runs, err := exp.Sweep(bundle, rc, variants)
+	runs, err := exp.Sweep(bundle, cfg, variants)
 	if err != nil {
 		fatal(err)
 	}

@@ -46,7 +46,7 @@ func main() {
 		verify     = flag.Bool("verify", false, "synthesize the generated flows and report accuracy")
 		list       = flag.Bool("list", false, "list available designs and exit")
 		analyze    = flag.Bool("analyze", false, "print angel-vs-devil flow structure analysis")
-		saveModel  = flag.String("save-model", "", "write the trained classifier to this path for flowserve")
+		saveModel  = flag.String("save-model", "", "write the trained classifier and its labeling definition to this path for flowserve")
 		expBlif    = flag.String("export-blif", "", "write the input design as BLIF to this path")
 		expAiger   = flag.String("export-aiger", "", "write the input design as binary AIGER to this path")
 		expVerilog = flag.String("export-verilog", "", "apply the top angel-flow, map, and write gate-level Verilog here")
@@ -154,7 +154,8 @@ func main() {
 	}
 
 	if *saveModel != "" {
-		m := &serve.Model{Name: *designName, Space: space, Arch: cfg.Arch, Net: res.Net}
+		m := &serve.Model{Name: *designName, Space: space, Arch: cfg.Arch,
+			Metrics: cfg.Metrics, Percentiles: cfg.Percentiles, Net: res.Net}
 		if err := serve.SaveModel(*saveModel, m); err != nil {
 			fatal(err)
 		}

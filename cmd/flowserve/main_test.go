@@ -36,13 +36,13 @@ func testWorld(t *testing.T, journal string) (*serve.Registry, *serve.Server, *l
 	arch := nn.FastArch(2)
 	arch.InH, arch.InW = space.N(), space.Length()
 	reg := serve.NewRegistry()
-	reg.Register(&serve.Model{Name: "live", Space: space, Arch: arch, Net: arch.Build(1)})
+	reg.Register(&serve.Model{Name: "live", Space: space, Arch: arch,
+		Metrics: []synth.Metric{synth.MetricArea}, Percentiles: []float64{50}, Net: arch.Build(1)})
 	d, err := circuits.ByName("alu8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	lp, err := loop.New(reg, synth.NewEngine(d.Build(), space), loop.Config{
-		Percentiles:  []float64{50},
 		LabelWorkers: 2,
 		LabelBatch:   8,
 		ExploreBatch: 4,

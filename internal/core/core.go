@@ -192,57 +192,22 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 	}
 	cfg := fw.Cfg
 
-	sizes, err := Schedule(cfg.InitialLabeled, cfg.RetrainEvery, cfg.TrainFlows)
-	if err != nil {
-		return nil, err
-	}
-	// ① Sample the training flows up front (they are labeled in
-	// increments below).
+	// ① Sample the training flows up front (Train labels them in
+	// increments through the engine).
 	flows := cfg.Space.RandomUnique(fw.rng, cfg.TrainFlows)
-	qors := make([]synth.QoR, 0, cfg.TrainFlows)
-
-	net := cfg.Arch.Build(cfg.Seed + 1)
-	optimizer, err := opt.ByName(cfg.Optimizer, cfg.LearnRate)
+	res, err := Train(cfg, flows, func(lo, hi int) ([]synth.QoR, error) {
+		qors, err := fw.Engine.EvaluateAll(flows[lo:hi], nil)
+		if err == nil {
+			progress("labeled %d/%d flows", hi, cfg.TrainFlows)
+		}
+		return qors, err
+	}, func(r *Result) {
+		last := r.Rounds[len(r.Rounds)-1]
+		progress("round %d: loss %.4f train-acc %.3f", len(r.Rounds), last.Loss, last.TrainAcc)
+	})
 	if err != nil {
 		return nil, err
 	}
-	trainer := train.NewTrainer(net, optimizer, cfg.Seed+2)
-	round := &Round{Space: cfg.Space, H: cfg.Arch.InH, W: cfg.Arch.InW, Steps: cfg.StepsPerRound}
-
-	res := &Result{Net: net, TrainFlows: flows}
-	var model *label.Model
-	for _, labeled := range sizes {
-		tCollect := time.Now()
-		batch, err := fw.Engine.EvaluateAll(flows[len(qors):labeled], nil)
-		if err != nil {
-			return nil, err
-		}
-		qors = append(qors, batch...)
-		collectDur := time.Since(tCollect)
-		progress("labeled %d/%d flows", labeled, cfg.TrainFlows)
-
-		// Refit determinators on everything collected so far (the class
-		// definitions change dynamically as the dataset grows).
-		model, err = label.Fit(qors, cfg.Metrics, cfg.Percentiles)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := round.Run(context.Background(), trainer, flows[:labeled], qors, model)
-		if err != nil {
-			return nil, err
-		}
-		res.Rounds = append(res.Rounds, RoundStat{
-			Labeled:   labeled,
-			Steps:     (len(res.Rounds) + 1) * cfg.StepsPerRound,
-			Loss:      rr.Loss,
-			TrainAcc:  rr.Acc,
-			Collect:   collectDur,
-			TrainTime: rr.Train,
-		})
-		progress("round %d: loss %.4f train-acc %.3f", len(res.Rounds), rr.Loss, rr.Acc)
-	}
-	res.Model = model
-	res.TrainQoRs = qors
 	res.Memo = fw.Engine.MemoStats()
 	if res.Memo.Flows > 0 {
 		progress("memoized synthesis: %d/%d transformations run (%.2fx work sharing)",
@@ -252,8 +217,8 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 	// ③ Predict the unlabeled pool and pick the extremes.
 	pool := fw.GeneratePool(flows)
 	progress("predicting %d sample flows", len(pool))
-	preds := PredictPool(net, cfg.Space, pool, cfg.Arch.InH, cfg.Arch.InW, 0)
-	res.Angels, res.Devils = SelectFlows(preds, model.NumClasses(), cfg.NumOut)
+	preds := PredictPool(res.Net, cfg.Space, pool, cfg.Arch.InH, cfg.Arch.InW, 0)
+	res.Angels, res.Devils = SelectFlows(preds, res.Model.NumClasses(), cfg.NumOut)
 	progress("selected %d angel and %d devil flows", len(res.Angels), len(res.Devils))
 	return res, nil
 }

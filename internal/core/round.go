@@ -8,6 +8,7 @@ import (
 	"flowgen/internal/flow"
 	"flowgen/internal/label"
 	"flowgen/internal/nn"
+	"flowgen/internal/opt"
 	"flowgen/internal/synth"
 	"flowgen/internal/train"
 )
@@ -36,12 +37,75 @@ func checkSteps(steps int) error {
 	return nil
 }
 
+// NewTrainer builds the protocol's learner: a cfg.Arch network seeded
+// at cfg.Seed+1 under a cfg.Optimizer trainer at cfg.LearnRate seeded
+// at cfg.Seed+2. Together with the flows Framework.Run draws at
+// cfg.Seed, this is the one seed convention of every driver.
+func NewTrainer(cfg Config) (*train.Trainer, error) {
+	optimizer, err := opt.ByName(cfg.Optimizer, cfg.LearnRate)
+	if err != nil {
+		return nil, err
+	}
+	return train.NewTrainer(cfg.Arch.Build(cfg.Seed+1), optimizer, cfg.Seed+2), nil
+}
+
+// Train is the one round loop of Figure 2's incremental protocol over
+// flows, the training set in labeling order. For each corpus size of
+// Schedule(cfg.InitialLabeled, cfg.RetrainEvery, len(flows)) it labels
+// the next tranche, flows[lo:hi], through labelFn, refits the class
+// determinators (cfg.Metrics, cfg.Percentiles) on every label so far,
+// trains one Round of cfg.StepsPerRound steps on the labeled corpus and
+// then calls hook with the run so far: Net, Model (the round's), Rounds
+// (the round's last), TrainFlows and TrainQoRs. Framework.Run labels
+// through the synthesis engine, exp.RunIncremental from a pre-collected
+// bundle; both drive this loop.
+func Train(cfg Config, flows []flow.Flow, labelFn func(lo, hi int) ([]synth.QoR, error), hook func(*Result)) (*Result, error) {
+	sizes, err := Schedule(cfg.InitialLabeled, cfg.RetrainEvery, len(flows))
+	if err != nil {
+		return nil, err
+	}
+	trainer, err := NewTrainer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	round := &Round{Space: cfg.Space, H: cfg.Arch.InH, W: cfg.Arch.InW, Steps: cfg.StepsPerRound}
+	res := &Result{Net: trainer.Net, TrainFlows: flows, TrainQoRs: make([]synth.QoR, 0, len(flows))}
+	for _, labeled := range sizes {
+		tCollect := time.Now()
+		batch, err := labelFn(len(res.TrainQoRs), labeled)
+		if err != nil {
+			return nil, err
+		}
+		res.TrainQoRs = append(res.TrainQoRs, batch...)
+		collect := time.Since(tCollect)
+
+		// Refit determinators on everything collected so far (the class
+		// definitions change dynamically as the dataset grows).
+		if res.Model, err = label.Fit(res.TrainQoRs, cfg.Metrics, cfg.Percentiles); err != nil {
+			return nil, err
+		}
+		rr, err := round.Run(context.Background(), trainer, flows[:labeled], res.TrainQoRs, res.Model)
+		if err != nil {
+			return nil, err
+		}
+		res.Rounds = append(res.Rounds, RoundStat{
+			Labeled:   labeled,
+			Steps:     (len(res.Rounds) + 1) * cfg.StepsPerRound,
+			Loss:      rr.Loss,
+			TrainAcc:  rr.Acc,
+			Collect:   collect,
+			TrainTime: rr.Train,
+		})
+		hook(res)
+	}
+	return res, nil
+}
+
 // Round is the one training round of Figure 2's incremental cycle:
 // class-label the corpus under the freshly fitted determinators, run
-// Steps minibatch steps, and measure accuracy. Framework.Run,
-// exp.RunIncremental and the online loop's retrainer all drive it; they
-// differ only in where the corpus, the labeling model and the trainer
-// come from.
+// Steps minibatch steps, and measure accuracy. Train runs one per
+// scheduled corpus size; the online loop's retrainer runs one per
+// trigger on a warm-started copy of the serving network.
 type Round struct {
 	Space flow.Space
 	H, W  int // one-hot encoding shape

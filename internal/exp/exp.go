@@ -9,7 +9,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -18,12 +17,10 @@ import (
 	"flowgen/internal/aig"
 	"flowgen/internal/core"
 	"flowgen/internal/flow"
-	"flowgen/internal/label"
 	"flowgen/internal/nn"
 	"flowgen/internal/opt"
 	"flowgen/internal/stats"
 	"flowgen/internal/synth"
-	"flowgen/internal/train"
 )
 
 // Bundle is a pre-collected experiment dataset: labeled training flows
@@ -88,65 +85,34 @@ type CurvePoint struct {
 	SimTime  time.Duration // simulated wall time: labeling + training
 }
 
-// RunConfig parameterizes one incremental replay.
-type RunConfig struct {
-	Metric         synth.Metric
-	Optimizer      string
-	LearnRate      float64
-	Arch           nn.ArchConfig
-	InitialLabeled int
-	RetrainEvery   int
-	StepsPerRound  int
-	NumOut         int
-	Seed           int64
-	// PredictWorkers shards pool prediction and accuracy evaluation
-	// across this many workers (≤0 selects GOMAXPROCS).
-	PredictWorkers int
-}
-
-// DefaultRunConfig mirrors the paper's protocol at harness scale on b:
-// the optimizer, learning rate, architecture and labeling schedule are
-// the framework's defaults (core.DefaultConfig). It selects max(4,
-// pool/25) flows a side, which stays under the pool's 5% extreme
-// classes, so the accuracy metric can reach 1.0 as in the paper (which
-// picks 200 flows from a 100k pool).
-func DefaultRunConfig(b *Bundle, metric synth.Metric) RunConfig {
+// DefaultConfig is the framework's protocol (core.DefaultConfig) at
+// harness scale on b, labeling on metric: 300 steps a round, and
+// max(4, pool/25) flows selected a side, which stays under the pool's
+// 5% extreme classes, so the accuracy metric can reach 1.0 as in the
+// paper (which picks 200 flows from a 100k pool). Seed 6 seeds the
+// network at 7 and the trainer at 8 (core.NewTrainer); the bundle's
+// flows were drawn by Collect's own seed.
+func DefaultConfig(b *Bundle, metric synth.Metric) core.Config {
 	cfg := core.DefaultConfig(b.Space)
-	return RunConfig{
-		Metric:         metric,
-		Optimizer:      cfg.Optimizer,
-		LearnRate:      cfg.LearnRate,
-		Arch:           cfg.Arch,
-		InitialLabeled: cfg.InitialLabeled,
-		RetrainEvery:   cfg.RetrainEvery,
-		StepsPerRound:  300,
-		NumOut:         max(4, len(b.Pool)/25),
-		Seed:           7,
-	}
+	cfg.Metrics = []synth.Metric{metric}
+	cfg.TrainFlows, cfg.SampleFlows = len(b.Flows), len(b.Pool)
+	cfg.StepsPerRound = 300
+	cfg.NumOut = max(4, len(b.Pool)/25)
+	cfg.Seed = 6
+	return cfg
 }
 
 // RunIncremental replays the paper's incremental protocol over the
-// pre-collected bundle: after each labeling increment the determinators
-// are refit, the CNN continues training, and the generated-flow accuracy
-// is measured against the pool's ground truth. It also returns Figure
-// 8's summary of the last round's selection.
-func RunIncremental(b *Bundle, rc RunConfig) ([]CurvePoint, Quality, error) {
+// pre-collected bundle through core.Train, the framework's own round
+// loop: after each labeling increment the determinators are refit, the
+// CNN continues training, and the generated-flow accuracy is measured
+// against the pool's ground truth. The bundle's flows and pool stand in
+// for cfg.TrainFlows and cfg.SampleFlows. It also returns Figure 8's
+// summary of the last round's selection on cfg's first labeling metric.
+func RunIncremental(b *Bundle, cfg core.Config) ([]CurvePoint, Quality, error) {
 	if len(b.Flows) == 0 || len(b.Pool) == 0 {
 		return nil, Quality{}, fmt.Errorf("exp: the bundle has %d training and %d pool flows", len(b.Flows), len(b.Pool))
 	}
-	sizes, err := core.Schedule(rc.InitialLabeled, rc.RetrainEvery, len(b.Flows))
-	if err != nil {
-		return nil, Quality{}, err
-	}
-	net := rc.Arch.Build(rc.Seed)
-	optimizer, err := opt.ByName(rc.Optimizer, rc.LearnRate)
-	if err != nil {
-		return nil, Quality{}, err
-	}
-	trainer := train.NewTrainer(net, optimizer, rc.Seed+1)
-	round := &core.Round{Space: b.Space, H: rc.Arch.InH, W: rc.Arch.InW, Steps: rc.StepsPerRound,
-		Workers: rc.PredictWorkers}
-
 	// Each round's selection from the pool is scored by the pool's
 	// measured QoRs.
 	truth := make(map[string]synth.QoR, len(b.Pool))
@@ -164,35 +130,33 @@ func RunIncremental(b *Bundle, rc RunConfig) ([]CurvePoint, Quality, error) {
 	var curve []CurvePoint
 	var angels, devils []synth.QoR
 	var trained time.Duration
-	for _, labeled := range sizes {
-		model, err := label.Fit(b.QoRs[:labeled], []synth.Metric{rc.Metric}, label.DefaultPercentiles)
-		if err != nil {
-			return nil, Quality{}, err
-		}
-		rr, err := round.Run(context.Background(), trainer, b.Flows[:labeled], b.QoRs[:labeled], model)
-		if err != nil {
-			return nil, Quality{}, err
-		}
-		trained += rr.Train
-
-		preds := core.PredictPool(net, b.Space, b.Pool, rc.Arch.InH, rc.Arch.InW, rc.PredictWorkers)
-		angelFlows, devilFlows := core.SelectFlows(preds, model.NumClasses(), rc.NumOut)
+	_, err := core.Train(cfg, b.Flows, func(lo, hi int) ([]synth.QoR, error) {
+		return b.QoRs[lo:hi], nil
+	}, func(r *core.Result) {
+		st := r.Rounds[len(r.Rounds)-1]
+		trained += st.TrainTime
+		preds := core.PredictPool(r.Net, b.Space, b.Pool, cfg.Arch.InH, cfg.Arch.InW, 0)
+		angelFlows, devilFlows := core.SelectFlows(preds, r.Model.NumClasses(), cfg.NumOut)
 		angels, devils = measured(angelFlows), measured(devilFlows)
 		curve = append(curve, CurvePoint{
-			Round:    len(curve) + 1,
-			Labeled:  labeled,
-			Steps:    (len(curve) + 1) * rc.StepsPerRound,
-			Loss:     rr.Loss,
-			TrainAcc: rr.Acc,
-			GenAcc:   core.SelectionAccuracy(model, angels, devils),
-			SimTime:  b.PerFlowAvg*time.Duration(labeled) + trained,
+			Round:    len(r.Rounds),
+			Labeled:  st.Labeled,
+			Steps:    st.Steps,
+			Loss:     st.Loss,
+			TrainAcc: st.TrainAcc,
+			GenAcc:   core.SelectionAccuracy(r.Model, angels, devils),
+			SimTime:  b.PerFlowAvg*time.Duration(st.Labeled) + trained,
 		})
+	})
+	if err != nil {
+		return nil, Quality{}, err
 	}
-	pool := Metrics(b.PoolQoRs, rc.Metric)
+	metric := cfg.Metrics[0]
+	pool := Metrics(b.PoolQoRs, metric)
 	return curve, Quality{
 		Pool:    stats.Summarize(pool),
-		Angel:   stats.Summarize(Metrics(angels, rc.Metric)),
-		Devil:   stats.Summarize(Metrics(devils, rc.Metric)),
+		Angel:   stats.Summarize(Metrics(angels, metric)),
+		Devil:   stats.Summarize(Metrics(devils, metric)),
 		PoolP5:  stats.Percentile(pool, 5),
 		PoolP95: stats.Percentile(pool, 95),
 	}, nil
@@ -209,7 +173,7 @@ type Quality struct {
 // change it makes to the run it is applied to.
 type Variant struct {
 	Name  string
-	Apply func(*RunConfig)
+	Apply func(*core.Config)
 }
 
 // The variants of Figures 4–7, in the paper's order: the optimizers of
@@ -221,41 +185,41 @@ var Optimizers, Kernels, Activations []Variant
 
 func init() {
 	for _, name := range opt.Names {
-		Optimizers = append(Optimizers, Variant{name, func(rc *RunConfig) {
-			rc.Optimizer = name
+		Optimizers = append(Optimizers, Variant{name, func(cfg *core.Config) {
+			cfg.Optimizer = name
 			if name == "SGD" || name == "Momentum" {
-				rc.LearnRate = 1e-2
+				cfg.LearnRate = 1e-2
 			}
 		}})
 	}
 	for _, k := range [][2]int{{3, 6}, {6, 6}, {6, 12}} {
 		Kernels = append(Kernels, Variant{fmt.Sprintf("%dx%d", k[0], k[1]),
-			func(rc *RunConfig) { rc.Arch.KH, rc.Arch.KW = k[0], k[1] }})
+			func(cfg *core.Config) { cfg.Arch.KH, cfg.Arch.KW = k[0], k[1] }})
 	}
 	for _, act := range nn.Activations {
-		Activations = append(Activations, Variant{act.String(), func(rc *RunConfig) { rc.Arch.Act = act }})
+		Activations = append(Activations, Variant{act.String(), func(cfg *core.Config) { cfg.Arch.Act = act }})
 	}
 }
 
 // Run is one variant's replay in a Sweep.
 type Run struct {
 	Name   string
-	Config RunConfig // the variant applied to the sweep's base run
+	Config core.Config // the variant applied to the sweep's base run
 	Curve  []CurvePoint
 }
 
 // Sweep is the comparison behind Figures 4–7: it replays RunIncremental
 // over b once per variant, in order, each applied to a copy of base.
-func Sweep(b *Bundle, base RunConfig, variants []Variant) ([]Run, error) {
+func Sweep(b *Bundle, base core.Config, variants []Variant) ([]Run, error) {
 	runs := make([]Run, len(variants))
 	for i, v := range variants {
-		rc := base
-		v.Apply(&rc)
-		curve, _, err := RunIncremental(b, rc)
+		cfg := base
+		v.Apply(&cfg)
+		curve, _, err := RunIncremental(b, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s: %w", v.Name, err)
 		}
-		runs[i] = Run{v.Name, rc, curve}
+		runs[i] = Run{v.Name, cfg, curve}
 	}
 	return runs, nil
 }

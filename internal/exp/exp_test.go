@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -53,19 +54,19 @@ func TestCollectShapes(t *testing.T) {
 
 func TestRunIncrementalCurve(t *testing.T) {
 	b := tinyBundle(t)
-	rc := DefaultRunConfig(b, synth.MetricArea)
-	rc.InitialLabeled = 20
-	rc.RetrainEvery = 10
-	rc.StepsPerRound = 30
-	rc.NumOut = 5
-	curve, q, err := RunIncremental(b, rc)
+	cfg := DefaultConfig(b, synth.MetricArea)
+	cfg.InitialLabeled = 20
+	cfg.RetrainEvery = 10
+	cfg.StepsPerRound = 30
+	cfg.NumOut = 5
+	curve, q, err := RunIncremental(b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(curve) != 3 { // 20, 30, 40
 		t.Fatalf("curve length %d, want 3", len(curve))
 	}
-	if q.Pool.N != len(b.Pool) || q.Angel.N != rc.NumOut || q.Devil.N != rc.NumOut {
+	if q.Pool.N != len(b.Pool) || q.Angel.N != cfg.NumOut || q.Devil.N != cfg.NumOut {
 		t.Fatalf("quality sizes pool %d, angels %d, devils %d", q.Pool.N, q.Angel.N, q.Devil.N)
 	}
 	for i, p := range curve {
@@ -81,8 +82,8 @@ func TestRunIncrementalCurve(t *testing.T) {
 	}
 }
 
-// TestRunIncrementalMatchesFrameworkRun: replaying the incremental
-// protocol over a pre-collected bundle trains exactly what the
+// TestRunIncrementalMatchesFrameworkRun: replaying the framework's own
+// configuration over a pre-collected bundle trains exactly what the
 // framework trains while it labels, round for round and bit for bit.
 func TestRunIncrementalMatchesFrameworkRun(t *testing.T) {
 	const seed = 4
@@ -105,11 +106,7 @@ func TestRunIncrementalMatchesFrameworkRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := DefaultRunConfig(b, synth.MetricArea)
-	rc.InitialLabeled, rc.RetrainEvery, rc.StepsPerRound = cfg.InitialLabeled, cfg.RetrainEvery, cfg.StepsPerRound
-	rc.NumOut = cfg.NumOut
-	rc.Seed = seed + 1 // exp builds its net at Seed, core at Seed+1
-	got, _, err := RunIncremental(b, rc)
+	got, _, err := RunIncremental(b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,56 +125,39 @@ func TestRunIncrementalMatchesFrameworkRun(t *testing.T) {
 
 func TestRunIncrementalRejectsNonPositiveSizes(t *testing.T) {
 	b := tinyBundle(t)
-	for name, zero := range map[string]func(*RunConfig){
-		"InitialLabeled": func(rc *RunConfig) { rc.InitialLabeled = 0 },
-		"RetrainEvery":   func(rc *RunConfig) { rc.RetrainEvery = 0 },
-		"StepsPerRound":  func(rc *RunConfig) { rc.StepsPerRound = 0 },
+	for name, zero := range map[string]func(*core.Config){
+		"InitialLabeled": func(cfg *core.Config) { cfg.InitialLabeled = 0 },
+		"RetrainEvery":   func(cfg *core.Config) { cfg.RetrainEvery = 0 },
+		"StepsPerRound":  func(cfg *core.Config) { cfg.StepsPerRound = 0 },
 	} {
-		rc := DefaultRunConfig(b, synth.MetricArea)
-		rc.InitialLabeled, rc.StepsPerRound = 20, 30
-		zero(&rc)
-		if curve, _, err := RunIncremental(b, rc); err == nil {
+		cfg := DefaultConfig(b, synth.MetricArea)
+		cfg.InitialLabeled, cfg.StepsPerRound = 20, 30
+		zero(&cfg)
+		if curve, _, err := RunIncremental(b, cfg); err == nil {
 			t.Errorf("zero %s: accepted, curve %+v", name, curve)
 		}
 	}
 	// With no training flows the schedule has no rounds and no model.
-	if curve, _, err := RunIncremental(&Bundle{Space: b.Space}, DefaultRunConfig(b, synth.MetricArea)); err == nil {
+	if curve, _, err := RunIncremental(&Bundle{Space: b.Space}, DefaultConfig(b, synth.MetricArea)); err == nil {
 		t.Errorf("empty bundle: accepted, curve %+v", curve)
 	}
 }
 
-func TestDefaultRunConfigNumOut(t *testing.T) {
+func TestDefaultConfigNumOut(t *testing.T) {
 	for pool, want := range map[int]int{60: 4, 300: 12} {
-		if got := DefaultRunConfig(&Bundle{Space: flow.PaperSpace(), Pool: make([]flow.Flow, pool)}, synth.MetricArea).NumOut; got != want {
+		if got := DefaultConfig(&Bundle{Space: flow.PaperSpace(), Pool: make([]flow.Flow, pool)}, synth.MetricArea).NumOut; got != want {
 			t.Errorf("%d-flow pool: NumOut %d, want %d", pool, got, want)
-		}
-	}
-}
-
-// TestDefaultRunConfigFollowsFramework pins the harness to the
-// framework's protocol: the optimizer, learning rate, architecture and
-// labeling schedule are core.DefaultConfig's, so a change there reaches
-// every figure. TestRunIncrementalMatchesFrameworkRun overrides the
-// schedule and cannot see it.
-func TestDefaultRunConfigFollowsFramework(t *testing.T) {
-	for _, space := range []flow.Space{flow.PaperSpace(), flow.NewSpace(flow.DefaultAlphabet, 1)} {
-		rc, cfg := DefaultRunConfig(&Bundle{Space: space}, synth.MetricArea), core.DefaultConfig(space)
-		if rc.Optimizer != cfg.Optimizer || rc.LearnRate != cfg.LearnRate || rc.Arch != cfg.Arch ||
-			rc.InitialLabeled != cfg.InitialLabeled || rc.RetrainEvery != cfg.RetrainEvery {
-			t.Fatalf("harness protocol %s η=%g %+v, %d initial, every %d; framework %s η=%g %+v, %d initial, every %d",
-				rc.Optimizer, rc.LearnRate, rc.Arch, rc.InitialLabeled, rc.RetrainEvery,
-				cfg.Optimizer, cfg.LearnRate, cfg.Arch, cfg.InitialLabeled, cfg.RetrainEvery)
 		}
 	}
 }
 
 // TestSweep pins each figure's variants (their order, the names flowexp
 // prints, the run each makes of the default: SGD and Momentum at η =
-// 1e-2, the rest at DefaultRunConfig's rate) and that each variant's
+// 1e-2, the rest at DefaultConfig's rate) and that each variant's
 // curve is, bit for bit, RunIncremental on that run.
 func TestSweep(t *testing.T) {
 	b := tinyBundle(t)
-	base := DefaultRunConfig(b, synth.MetricArea)
+	base := DefaultConfig(b, synth.MetricArea)
 	base.InitialLabeled, base.RetrainEvery, base.StepsPerRound = 20, 10, 10
 	variants := slices.Concat(Optimizers, Kernels, Activations)
 	runs, err := Sweep(b, base, variants)
@@ -189,7 +169,7 @@ func TestSweep(t *testing.T) {
 		c := base
 		variants[i].Apply(&c)
 		want, _, err := RunIncremental(b, c)
-		if err != nil || r.Name != variants[i].Name || r.Config != c || len(r.Curve) != len(want) {
+		if err != nil || r.Name != variants[i].Name || !reflect.DeepEqual(r.Config, c) || len(r.Curve) != len(want) {
 			t.Fatalf("run %d: %q, %d points, %+v; want %q, %d points, %+v (%v)",
 				i, r.Name, len(r.Curve), r.Config, variants[i].Name, len(want), c, err)
 		}

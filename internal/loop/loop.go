@@ -15,10 +15,12 @@
 //     never starves serving;
 //   - the retrainer fires on a sample-count trigger (RetrainEvery new
 //     labels) or a wall-clock cadence (RetrainInterval), refits the
-//     class determinators on the full corpus, trains a warm-started
-//     candidate, and publishes only when the candidate's held-out
-//     accuracy is within GateSlack of the serving model's — a
-//     regressing candidate is rejected and logged, never served.
+//     serving model's own labeling definition (serve.Model.Metrics and
+//     Percentiles) on the full corpus, trains a warm-started candidate
+//     under the framework's optimizer (core.DefaultConfig), and
+//     publishes only when the candidate's held-out accuracy is within
+//     GateSlack of the serving model's — a regressing candidate is
+//     rejected and logged, never served.
 package loop
 
 import (
@@ -28,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -51,13 +52,9 @@ import (
 // Config tunes the loop. Zero values select the documented defaults.
 type Config struct {
 	// ModelName is the registry entry the loop retrains (defaults to
-	// the registry default model).
+	// the registry default model). Every retrain refits the labeling
+	// definition that model carries and publishes over its own file.
 	ModelName string
-	// Metrics and Percentiles define the labeling model refit on every
-	// retrain (defaults: MetricArea, label.DefaultPercentiles). The
-	// resulting class count must match the model architecture's.
-	Metrics     []synth.Metric
-	Percentiles []float64
 
 	// QueueCap bounds the candidate queue; observations beyond it are
 	// dropped (and counted) rather than blocking serving. Default 4096.
@@ -95,23 +92,16 @@ type Config struct {
 	// StepsPerRound is how many mini-batch steps each retrain runs.
 	// Default 400.
 	StepsPerRound int
-	// Optimizer and LearnRate configure the retraining optimizer.
-	// Defaults: "RMSProp", 1e-3.
-	Optimizer string
-	LearnRate float64
 	// RetrainBudget is the wall-clock watchdog for one retraining
 	// round: refit, training, gate and publish must finish inside it
 	// or the round is aborted (counted, logged) and the serving model
 	// keeps serving. Default 10m; negative disables.
 	RetrainBudget time.Duration
 
-	// HoldoutFrac is the fraction of the corpus held out (by stride)
-	// for the accuracy gate. Default 0.2.
-	HoldoutFrac float64
-	// GateSlack is how much held-out accuracy a candidate may lose
-	// versus the serving model and still publish. Default 0.005;
-	// negative demands the candidate beat the serving model by that
-	// margin.
+	// GateSlack is how much held-out accuracy (on every holdout-th
+	// corpus sample) a candidate may lose versus the serving model and
+	// still publish. Default 0.005; negative demands the candidate beat
+	// the serving model by that margin.
 	GateSlack float64
 
 	// Seed drives exploration sampling and training shuffles.
@@ -126,11 +116,6 @@ type Config struct {
 	// auditable across rounds. Defaults to JournalPath+".cuts" when a
 	// journal is configured; "-" disables.
 	CutsPath string
-	// SavePath, when set, is where published models are written with
-	// serve.SaveModel (defaults to the serving model's own Path, so
-	// watcher-driven reloads keep working; a pathless bootstrap model
-	// publishes in-memory only).
-	SavePath string
 
 	// Obs receives the loop's metrics: queue depth and corpus-size
 	// gauges, the labeling/retraining counters (labels-per-second is
@@ -140,13 +125,12 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+// holdout is the gate's held-out stride: every 5th corpus sample (a
+// fifth of the corpus) is kept out of training and measures both the
+// candidate and the serving model.
+const holdout = 5
+
 func (c Config) withDefaults() Config {
-	if len(c.Metrics) == 0 {
-		c.Metrics = []synth.Metric{synth.MetricArea}
-	}
-	if len(c.Percentiles) == 0 {
-		c.Percentiles = label.DefaultPercentiles
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4096
 	}
@@ -178,15 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StepsPerRound <= 0 {
 		c.StepsPerRound = 400
-	}
-	if c.Optimizer == "" {
-		c.Optimizer = "RMSProp"
-	}
-	if c.LearnRate <= 0 {
-		c.LearnRate = 1e-3
-	}
-	if c.HoldoutFrac <= 0 || c.HoldoutFrac >= 1 {
-		c.HoldoutFrac = 0.2
 	}
 	if c.GateSlack == 0 {
 		c.GateSlack = 0.005
@@ -285,7 +260,7 @@ type Loop struct {
 // New builds a loop retraining the named registry model, labeling
 // through eng (whose Workers are clamped to cfg.LabelWorkers). The
 // engine must evaluate the same flow space the model serves, and the
-// labeling model's class count must match the architecture's logit
+// model's labeling definition must define its architecture's logit
 // width — both are validated here rather than at the first retrain.
 func New(reg *serve.Registry, eng *synth.Engine, cfg Config) (*Loop, error) {
 	cfg = cfg.withDefaults()
@@ -294,12 +269,8 @@ func New(reg *serve.Registry, eng *synth.Engine, cfg Config) (*Loop, error) {
 		return nil, fmt.Errorf("loop: resolving model: %w", err)
 	}
 	cfg.ModelName = m.Name
-	if cfg.SavePath == "" {
-		cfg.SavePath = m.Path
-	}
-	if want := len(cfg.Percentiles) + 1; m.Arch.NumClasses != want {
-		return nil, fmt.Errorf("loop: model %q classifies %d classes but %d percentiles need %d",
-			m.Name, m.Arch.NumClasses, len(cfg.Percentiles), want)
+	if err := m.CheckLabeling(); err != nil {
+		return nil, fmt.Errorf("loop: %w", err)
 	}
 	if eng.Space.Length() != m.Space.Length() || eng.Space.N() != m.Space.N() {
 		return nil, fmt.Errorf("loop: engine flow space %dx%d does not match model %q space %dx%d",
@@ -828,7 +799,9 @@ func (l *Loop) retrainRound(ctx context.Context) {
 }
 
 // retrain runs one labeling-model refit + warm-start training round and
-// publishes the candidate if it clears the accuracy gate.
+// publishes the candidate if it clears the accuracy gate. The refit is
+// the serving snapshot's own labeling definition, so the candidate's
+// classes mean what the serving model's mean.
 func (l *Loop) retrain(ctx context.Context) error {
 	if err := fault.Hit("loop.retrain"); err != nil {
 		return fmt.Errorf("retrain: %w", err)
@@ -840,7 +813,7 @@ func (l *Loop) retrain(ctx context.Context) error {
 		return fmt.Errorf("retrain: %w", err)
 	}
 	flows, qors := l.store.Snapshot()
-	model, err := label.Fit(qors, l.cfg.Metrics, l.cfg.Percentiles)
+	model, err := label.Fit(qors, cur.Metrics, cur.Percentiles)
 	if err != nil {
 		return fmt.Errorf("retrain: %w", err)
 	}
@@ -858,20 +831,21 @@ func (l *Loop) retrain(ctx context.Context) error {
 	if err := cand.LoadWeights(&w); err != nil {
 		return fmt.Errorf("retrain: warm start: %w", err)
 	}
-	o, err := opt.ByName(l.cfg.Optimizer, l.cfg.LearnRate)
+	protocol := core.DefaultConfig(cur.Space)
+	o, err := opt.ByName(protocol.Optimizer, protocol.LearnRate)
 	if err != nil {
 		return fmt.Errorf("retrain: %w", err)
 	}
-	// The round holds every k-th sample out and measures the candidate
-	// on it through the serving engine; the budget watchdog and shutdown
-	// are honored between its step chunks.
+	// The round holds every holdout-th sample out and measures the
+	// candidate on it through the serving engine; the budget watchdog
+	// and shutdown are honored between its step chunks.
 	workers := l.cfg.LabelWorkers
 	rr, err := (&core.Round{
 		Space:   cur.Space,
 		H:       cur.Arch.InH,
 		W:       cur.Arch.InW,
 		Steps:   l.cfg.StepsPerRound,
-		Holdout: max(2, int(math.Round(1/l.cfg.HoldoutFrac))),
+		Holdout: holdout,
 		Workers: workers,
 	}).Run(ctx, train.NewTrainer(cand, o, l.cfg.Seed+round), flows, qors, model)
 	if err != nil {
@@ -906,22 +880,25 @@ func (l *Loop) retrain(ctx context.Context) error {
 	}
 
 	next := &serve.Model{
-		Name:  cur.Name,
-		Space: cur.Space,
-		Arch:  cur.Arch,
-		Net:   cand,
-		Path:  cur.Path,
+		Name:        cur.Name,
+		Space:       cur.Space,
+		Arch:        cur.Arch,
+		Metrics:     cur.Metrics,
+		Percentiles: cur.Percentiles,
+		Net:         cand,
+		Path:        cur.Path,
 	}
-	if l.cfg.SavePath != "" {
-		if err := serve.SaveModel(l.cfg.SavePath, next); err != nil {
+	// Published models overwrite the serving model's own file, so
+	// watcher-driven reloads keep working; a pathless bootstrap model
+	// publishes in memory only.
+	if cur.Path != "" {
+		if err := serve.SaveModel(cur.Path, next); err != nil {
 			// Graceful degradation: an unwritable model file must not
 			// block publishing a gated candidate — serve from memory and
 			// surface the persistence failure.
 			l.setErr(fmt.Sprintf("round %d: persisting model: %v", round, err))
 			slog.WarnContext(ctx, "loop: publishing in-memory only, model save failed",
-				"model", cur.Name, "round", round, "path", l.cfg.SavePath, "err", err)
-		} else {
-			next.Path = l.cfg.SavePath
+				"model", cur.Name, "round", round, "path", cur.Path, "err", err)
 		}
 	}
 	installed := l.reg.Register(next)

@@ -27,13 +27,20 @@ import (
 
 // testLoopWorld builds a registry with one small live model over the
 // real transformation alphabet (m=1, so true QoR labeling on the real
-// synthesis engine stays fast) and an engine for the alu8 design.
+// synthesis engine stays fast), classifying area into two classes, and
+// an engine for the alu8 design.
 func testLoopWorld(t *testing.T) (*serve.Registry, *synth.Engine, *serve.Model) {
+	return testLoopWorldOn(t, synth.MetricArea)
+}
+
+// testLoopWorldOn is testLoopWorld with a model labeled on metric.
+func testLoopWorldOn(t *testing.T, metric synth.Metric) (*serve.Registry, *synth.Engine, *serve.Model) {
 	t.Helper()
 	space := flow.NewSpace(flow.DefaultAlphabet, 1)
 	arch := nn.FastArch(2)
 	arch.InH, arch.InW = space.N(), space.Length()
-	m := &serve.Model{Name: "live", Space: space, Arch: arch, Net: arch.Build(1)}
+	m := &serve.Model{Name: "live", Space: space, Arch: arch,
+		Metrics: []synth.Metric{metric}, Percentiles: []float64{50}, Net: arch.Build(1)}
 	reg := serve.NewRegistry()
 	reg.Register(m)
 	d, err := circuits.ByName("alu8")
@@ -45,7 +52,6 @@ func testLoopWorld(t *testing.T) (*serve.Registry, *synth.Engine, *serve.Model) 
 
 func testLoopConfig() Config {
 	return Config{
-		Percentiles:   []float64{50},
 		QueueCap:      512,
 		LabelWorkers:  2,
 		LabelBatch:    16,
@@ -257,62 +263,78 @@ func TestRetrainBudgetAbortsRound(t *testing.T) {
 // TestCutsAuditOneLinePerFittedRound: every round that fits a labeling
 // model appends exactly one line to the cuts audit log — published,
 // rejected by the gate or aborted by the budget alike — and the line
-// holds the determinators fitted on that round's corpus.
+// holds the determinators fitted on that round's corpus under the
+// serving model's own labeling definition: a delay model is retrained
+// on delay classes, and its published successor carries the same
+// definition.
 func TestCutsAuditOneLinePerFittedRound(t *testing.T) {
-	reg, eng, _ := testLoopWorld(t)
-	cfg := testLoopConfig()
-	cfg.CutsPath = filepath.Join(t.TempDir(), "labels.cuts")
-	lp, err := New(reg, eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lp.Close()
+	for _, metric := range []synth.Metric{synth.MetricArea, synth.MetricDelay} {
+		t.Run(metric.String(), func(t *testing.T) {
+			reg, eng, m := testLoopWorldOn(t, metric)
+			cfg := testLoopConfig()
+			cfg.CutsPath = filepath.Join(t.TempDir(), "labels.cuts")
+			lp, err := New(reg, eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lp.Close()
 
-	// An empty corpus fits nothing, so it audits nothing.
-	lp.retrainRound(context.Background())
-	if _, err := os.Stat(cfg.CutsPath); !os.IsNotExist(err) {
-		t.Fatalf("a round with nothing to fit wrote the audit log (stat: %v)", err)
-	}
+			// An empty corpus fits nothing, so it audits nothing.
+			lp.retrainRound(context.Background())
+			if _, err := os.Stat(cfg.CutsPath); !os.IsNotExist(err) {
+				t.Fatalf("a round with nothing to fit wrote the audit log (stat: %v)", err)
+			}
 
-	base := lp.cfg
-	rng := rand.New(rand.NewSource(11))
-	for i, outcome := range []struct {
-		name string
-		set  func(*Config)
-	}{
-		{"published", func(c *Config) {}},
-		{"rejected", func(c *Config) { c.GateSlack = -2 }},
-		{"budget-aborted", func(c *Config) { c.RetrainBudget = time.Nanosecond }},
-	} {
-		lp.cfg = base
-		outcome.set(&lp.cfg)
-		addLabels(t, lp, rng, 12)
-		_, qors := lp.store.Snapshot()
-		want, err := label.Fit(qors, lp.cfg.Metrics, lp.cfg.Percentiles)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lp.retrainRound(context.Background())
+			base := lp.cfg
+			rng := rand.New(rand.NewSource(11))
+			for i, outcome := range []struct {
+				name string
+				set  func(*Config)
+			}{
+				{"published", func(c *Config) {}},
+				{"rejected", func(c *Config) { c.GateSlack = -2 }},
+				{"budget-aborted", func(c *Config) { c.RetrainBudget = time.Nanosecond }},
+			} {
+				lp.cfg = base
+				outcome.set(&lp.cfg)
+				addLabels(t, lp, rng, 12)
+				_, qors := lp.store.Snapshot()
+				want, err := label.Fit(qors, m.Metrics, m.Percentiles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lp.retrainRound(context.Background())
 
-		raw, err := os.ReadFile(cfg.CutsPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-		if len(lines) != i+1 {
-			t.Fatalf("%s round: audit log has %d lines after %d fitted rounds", outcome.name, len(lines), i+1)
-		}
-		var rec cutsRecord
-		if err := json.Unmarshal([]byte(lines[i]), &rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Round != int64(i+2) || rec.Corpus != len(qors) || !reflect.DeepEqual(rec.Determinators, want.Determinators) {
-			t.Fatalf("%s round: audit line %+v, want round %d, corpus %d, determinators %v",
-				outcome.name, rec, i+2, len(qors), want.Determinators)
-		}
-	}
-	if st := lp.Status(); st.Published != 1 || st.Rejected != 1 || st.RetrainTimeouts != 1 {
-		t.Fatalf("round outcomes: %+v", st)
+				raw, err := os.ReadFile(cfg.CutsPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+				if len(lines) != i+1 {
+					t.Fatalf("%s round: audit log has %d lines after %d fitted rounds", outcome.name, len(lines), i+1)
+				}
+				var rec cutsRecord
+				if err := json.Unmarshal([]byte(lines[i]), &rec); err != nil {
+					t.Fatal(err)
+				}
+				if rec.Round != int64(i+2) || rec.Corpus != len(qors) || !reflect.DeepEqual(rec.Determinators, want.Determinators) ||
+					!reflect.DeepEqual(rec.Metrics, []string{metric.String()}) || !reflect.DeepEqual(rec.Percentiles, m.Percentiles) {
+					t.Fatalf("%s round: audit line %+v, want round %d, corpus %d, %s percentiles %v, determinators %v",
+						outcome.name, rec, i+2, len(qors), metric, m.Percentiles, want.Determinators)
+				}
+			}
+			if st := lp.Status(); st.Published != 1 || st.Rejected != 1 || st.RetrainTimeouts != 1 {
+				t.Fatalf("round outcomes: %+v", st)
+			}
+			cur, err := reg.Get("live")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cur.Version != 2 || !reflect.DeepEqual(cur.Metrics, m.Metrics) || !reflect.DeepEqual(cur.Percentiles, m.Percentiles) {
+				t.Fatalf("published v%d labels on %v at %v, want v2 on %v at %v",
+					cur.Version, cur.Metrics, cur.Percentiles, m.Metrics, m.Percentiles)
+			}
+		})
 	}
 }
 

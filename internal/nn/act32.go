@@ -10,55 +10,7 @@ import (
 // training path calls math.Exp and friends; at inference scale the
 // activation layer is a double-digit share of per-sample cost (a
 // FastArch sample runs ~750 pointwise activations against ~30k GEMM
-// madds), so the f32 path uses a polynomial exp32 instead. Accuracy is
-// ~2 ulp of float32 — the same order as the f32 GEMM rounding — and the
-// functions are pure, so f32 prediction stays bit-reproducible.
-
-// exp32 constants: ln2 split hi/lo so r = x - k·ln2 stays accurate, and
-// the degree-5 Taylor tail of e^r on |r| ≤ ln2/2.
-const (
-	exp32Log2e = float32(1.4426950408889634)
-	exp32Ln2Hi = float32(0.693359375)
-	exp32Ln2Lo = float32(-2.12194440e-4)
-)
-
-// exp32 computes e^x in float32: range reduction x = k·ln2 + r followed
-// by a degree-5 polynomial on r and an exponent-bit scale by 2^k.
-// Overflow clamps to +Inf above 88.72 (f32 e^x overflow) and to 0 below
-// -87.33 (subnormal boundary; SELU/ELU/Sigmoid all tend to their limit
-// there anyway).
-func exp32(x float32) float32 {
-	if x > 88.72 {
-		return float32(math.Inf(1))
-	}
-	if x < -87.33 {
-		return 0
-	}
-	kf := exp32Log2e * x
-	// Round to nearest (ties away from zero — exact ties are measure
-	// zero and both neighbors reduce correctly).
-	var k int32
-	if kf >= 0 {
-		k = int32(kf + 0.5)
-	} else {
-		k = int32(kf - 0.5)
-	}
-	r := x - float32(k)*exp32Ln2Hi
-	r -= float32(k) * exp32Ln2Lo
-	// e^r ≈ 1 + r + … + r⁶/720, |r| ≤ ln2/2: remainder ≤ r⁷/5040 ≈ 2
-	// float32 ulps at the interval edge.
-	p := float32(1.0 / 720.0)
-	p = p*r + float32(1.0/120.0)
-	p = p*r + float32(1.0/24.0)
-	p = p*r + float32(1.0/6.0)
-	p = p*r + 0.5
-	p = p*r + 1
-	p = p*r + 1
-	// Scale by 2^k through the exponent bits (k ∈ [-127, 127] after the
-	// clamps; k = -127 would be subnormal, but the -87.33 cutoff keeps
-	// k ≥ -126).
-	return p * math.Float32frombits(uint32(k+127)<<23)
-}
+// madds), so the f32 path uses tensor.Exp32's polynomial instead.
 
 // apply32 evaluates the activation over xs in place.
 func apply32(a Activation, xs []float32) {
@@ -80,7 +32,7 @@ func apply32(a Activation, xs []float32) {
 	case ELU:
 		for i, x := range xs {
 			if x < 0 {
-				xs[i] = exp32(x) - 1
+				xs[i] = tensor.Exp32(x) - 1
 			}
 		}
 	case SELU:
@@ -93,7 +45,7 @@ func apply32(a Activation, xs []float32) {
 			if x > 30 {
 				continue // log(1+e^x) ≈ x
 			}
-			xs[i] = float32(math.Log1p(float64(exp32(x))))
+			xs[i] = float32(math.Log1p(float64(tensor.Exp32(x))))
 		}
 	case Softsign:
 		for i, x := range xs {
@@ -105,7 +57,7 @@ func apply32(a Activation, xs []float32) {
 		}
 	case Sigmoid:
 		for i, x := range xs {
-			xs[i] = 1 / (1 + exp32(-x))
+			xs[i] = 1 / (1 + tensor.Exp32(-x))
 		}
 	case Tanh:
 		for i, x := range xs {
@@ -115,7 +67,7 @@ func apply32(a Activation, xs []float32) {
 			case x < -9:
 				xs[i] = -1
 			default:
-				e := exp32(2 * x)
+				e := tensor.Exp32(2 * x)
 				xs[i] = (e - 1) / (e + 1)
 			}
 		}

@@ -219,15 +219,15 @@ func TestInferenceNetSnapshotIsolation(t *testing.T) {
 func TestExp32Accuracy(t *testing.T) {
 	for x := float32(-30); x <= 30; x += 0.0137 {
 		want := math.Exp(float64(x))
-		got := float64(exp32(x))
+		got := float64(tensor.Exp32(x))
 		if rel := math.Abs(got-want) / want; rel > 5e-7 {
-			t.Fatalf("exp32(%v) = %v, want %v (rel err %g)", x, got, want, rel)
+			t.Fatalf("tensor.Exp32(%v) = %v, want %v (rel err %g)", x, got, want, rel)
 		}
 	}
-	if exp32(-100) != 0 {
+	if tensor.Exp32(-100) != 0 {
 		t.Fatal("underflow clamp")
 	}
-	if !math.IsInf(float64(exp32(100)), 1) {
+	if !math.IsInf(float64(tensor.Exp32(100)), 1) {
 		t.Fatal("overflow clamp")
 	}
 	// Activation kernels against their f64 definitions.

@@ -2,7 +2,10 @@ package nn
 
 import (
 	"context"
+	"fmt"
+	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -28,9 +31,12 @@ const predictChunk = 64
 // one sample's buffers. Results are bit-identical for any worker count,
 // since every kernel fixes its per-element accumulation order.
 // Cancelling ctx stops the workers between chunks and discards partial
-// results; a context done before the call runs no fill. An empty stream
-// returns an empty result. The snapshot is immutable, so one
-// InferenceNet serves many goroutines.
+// results; a context done before the call runs no fill. A panic in a
+// chunk's fill or forward pass is recovered on its worker and logged
+// with its stack; the other workers stop between chunks and the call
+// returns it as an error, so one bad input fails one call, never the
+// process. An empty stream returns an empty result. The snapshot is
+// immutable, so one InferenceNet serves many goroutines.
 func (t *InferenceNet) PredictStream(ctx context.Context, total, workers int, src Source) ([][]float64, error) {
 	out := make([][]float64, total)
 	if total == 0 {
@@ -41,15 +47,28 @@ func (t *InferenceNet) PredictStream(ctx context.Context, total, workers int, sr
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, chunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		failed   atomic.Bool
+		failOnce sync.Once
+		failure  error
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					failOnce.Do(func() { failure = fmt.Errorf("nn: prediction panic: %v", r) })
+					failed.Store(true)
+					slog.ErrorContext(ctx, "nn: prediction worker panic recovered",
+						"panic", r, "stack", string(debug.Stack()))
+				}
+			}()
 			s := t.NewScratch(min(total, predictChunk))
 			logits := make([]float64, t.classes)
-			for ctx.Err() == nil {
+			for ctx.Err() == nil && !failed.Load() {
 				ci := int(next.Add(1)) - 1
 				if ci >= chunks {
 					return
@@ -69,6 +88,9 @@ func (t *InferenceNet) PredictStream(ctx context.Context, total, workers int, sr
 		}()
 	}
 	wg.Wait()
+	if failure != nil {
+		return nil, failure
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

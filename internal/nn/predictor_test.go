@@ -71,8 +71,9 @@ func referenceProbs(inet *InferenceNet, x *tensor.Tensor) [][]float64 {
 // contract on a non-square input of several chunks, the last one
 // partial: results equal the single-sample reference and are
 // bit-identical for any worker count; cancellation mid-stream stops the
-// workers and discards partial results; a pre-cancelled context never
-// runs the fill; an empty stream returns an empty result.
+// workers and discards partial results; a panic in one chunk's fill is
+// the call's error, at one worker and at four; a pre-cancelled context
+// never runs the fill; an empty stream returns an empty result.
 func TestPredictorConformance(t *testing.T) {
 	arch := FastArch(7)
 	arch.InH, arch.InW = 8, 9
@@ -126,6 +127,36 @@ func TestPredictorConformance(t *testing.T) {
 			}
 			if n := fills.Load(); n >= 40 {
 				t.Fatalf("cancellation did not stop the workers: %d/40 chunks still ran", n)
+			}
+		})
+
+		t.Run("panic", func(t *testing.T) {
+			src := tensorSource(x)
+			for _, workers := range []int{1, 4} {
+				var fills atomic.Int64
+				out, err := pred.PredictStream(context.Background(), n, workers, func(dst []float32, lo, hi int) {
+					fills.Add(1)
+					if lo == 2*predictChunk {
+						panic("poisoned chunk")
+					}
+					src(dst, lo, hi)
+				})
+				if err == nil || !strings.Contains(err.Error(), "poisoned chunk") || out != nil {
+					t.Fatalf("workers=%d: a panicking chunk returned %d results, err %v", workers, len(out), err)
+				}
+				if workers == 1 && fills.Load() != 3 {
+					t.Fatalf("one worker ran %d fills, want 3: it must stop at the panicking chunk", fills.Load())
+				}
+				// The engine is unharmed: the next call scores as before.
+				got := predictAll(t, pred, x, workers)
+				for s := range base {
+					for j := range base[s] {
+						if got[s][j] != base[s][j] {
+							t.Fatalf("workers=%d after a panic: sample %d prob %d: %v != %v",
+								workers, s, j, got[s][j], base[s][j])
+						}
+					}
+				}
 			}
 		})
 

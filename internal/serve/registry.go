@@ -31,23 +31,33 @@ import (
 	"flowgen/internal/core"
 	"flowgen/internal/fault"
 	"flowgen/internal/flow"
+	"flowgen/internal/label"
 	"flowgen/internal/nn"
 	"flowgen/internal/obs"
+	"flowgen/internal/synth"
 )
 
 // Model is one immutable, servable classifier snapshot: the flow space
-// it understands, the architecture, and the trained network. A Model is
-// never mutated after registration — hot reload registers a successor
-// with a bumped Version — so readers need no locks and a request served
-// by one snapshot is internally consistent.
+// it understands, the architecture, the labeling definition its classes
+// stand for, and the trained network. A Model is never mutated after
+// registration — hot reload registers a successor with a bumped Version
+// — so readers need no locks and a request served by one snapshot is
+// internally consistent.
 type Model struct {
-	Name     string
-	Version  int // bumped by Registry on every (re)registration
-	Space    flow.Space
-	Arch     nn.ArchConfig
-	Net      *nn.Network
-	Path     string // source file for reloads ("" = in-memory only)
-	LoadedAt time.Time
+	Name    string
+	Version int // bumped by Registry on every (re)registration
+	Space   flow.Space
+	Arch    nn.ArchConfig
+	// Metrics and Percentiles are the labeling definition (Table 1) the
+	// network was trained on: class c of its logits is class c of
+	// label.Fit(qors, Metrics, Percentiles), so Arch.NumClasses is
+	// len(Percentiles)+1. The loop refits this definition when it
+	// retrains the model.
+	Metrics     []synth.Metric
+	Percentiles []float64
+	Net         *nn.Network
+	Path        string // source file for reloads ("" = in-memory only)
+	LoadedAt    time.Time
 
 	// pred is the lazily compiled serving engine — one packed f32
 	// snapshot per registered Model, compiled exactly once and shared
@@ -84,28 +94,48 @@ func (m *Model) PredictFlows(ctx context.Context, flows []flow.Flow, workers int
 		core.FlowSource(m.Space, flows, m.Arch.InH, m.Arch.InW))
 }
 
+// CheckLabeling reports whether m's labeling definition can stand for
+// its network's classes: one or two metrics, and one percentile cut
+// fewer than the architecture has classes.
+func (m *Model) CheckLabeling() error {
+	if n := len(m.Metrics); n < 1 || n > 2 {
+		return fmt.Errorf("serve: model %q labels on %d metrics, want 1 or 2", m.Name, n)
+	}
+	if want := len(m.Percentiles) + 1; m.Arch.NumClasses != want {
+		return fmt.Errorf("serve: model %q classifies %d classes but its %d percentiles define %d",
+			m.Name, m.Arch.NumClasses, len(m.Percentiles), want)
+	}
+	return nil
+}
+
 // modelSnapshot is the on-disk form of a Model. The architecture is
 // stored field-by-field with the activation by name (nn.ArchConfig is
 // rebuilt, then weights stream in through nn persistence), so the file
-// format is independent of nn's in-memory layer layout.
+// format is independent of nn's in-memory layer layout. The labeling
+// definition stores its metrics by name too; a file written before the
+// model carried it has neither field and reads as area +
+// label.DefaultPercentiles, what every such file was trained on.
 type modelSnapshot struct {
-	Name       string
-	Alphabet   []string
-	M          int
-	InH, InW   int
-	KH, KW     int
-	Filters    int
-	PoolStride int
-	LocalKH    int
-	LocalC     int
-	DenseUnits int
-	Dropout    float64
-	Act        string
-	NumClasses int
-	Weights    []byte // nn.Network.SaveWeights stream
+	Name        string
+	Alphabet    []string
+	M           int
+	InH, InW    int
+	KH, KW      int
+	Filters     int
+	PoolStride  int
+	LocalKH     int
+	LocalC      int
+	DenseUnits  int
+	Dropout     float64
+	Act         string
+	NumClasses  int
+	Metrics     []string
+	Percentiles []float64
+	Weights     []byte // nn.Network.SaveWeights stream
 }
 
-// WriteModel serializes a model (architecture + weights) to w.
+// WriteModel serializes a model (architecture, labeling definition and
+// weights) to w.
 func WriteModel(w io.Writer, m *Model) error {
 	var weights bytes.Buffer
 	if err := m.Net.SaveWeights(&weights); err != nil {
@@ -117,7 +147,10 @@ func WriteModel(w io.Writer, m *Model) error {
 		InH: a.InH, InW: a.InW, KH: a.KH, KW: a.KW, Filters: a.Filters,
 		PoolStride: a.PoolStride, LocalKH: a.LocalKH, LocalC: a.LocalC,
 		DenseUnits: a.DenseUnits, Dropout: a.Dropout, Act: a.Act.String(),
-		NumClasses: a.NumClasses, Weights: weights.Bytes(),
+		NumClasses: a.NumClasses, Percentiles: m.Percentiles, Weights: weights.Bytes(),
+	}
+	for _, metric := range m.Metrics {
+		s.Metrics = append(s.Metrics, metric.String())
 	}
 	return gob.NewEncoder(w).Encode(&s)
 }
@@ -141,7 +174,8 @@ func SaveModel(path string, m *Model) error {
 }
 
 // ReadModel deserializes a model from r. The network is rebuilt from
-// the stored architecture and the weights loaded into it.
+// the stored architecture and the weights loaded into it. A model whose
+// labeling definition does not define its network's classes is refused.
 func ReadModel(r io.Reader) (*Model, error) {
 	var s modelSnapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
@@ -168,17 +202,33 @@ func ReadModel(r io.Reader) (*Model, error) {
 		DenseUnits: s.DenseUnits, Dropout: s.Dropout, Act: act,
 		NumClasses: s.NumClasses,
 	}
-	net := arch.Build(0) // weights are fully overwritten below
-	if err := net.LoadWeights(bytes.NewReader(s.Weights)); err != nil {
+	m := &Model{
+		Name:        s.Name,
+		Space:       space,
+		Arch:        arch,
+		Metrics:     []synth.Metric{synth.MetricArea},
+		Percentiles: label.DefaultPercentiles,
+		LoadedAt:    time.Now(),
+	}
+	if len(s.Metrics) > 0 {
+		m.Metrics = make([]synth.Metric, len(s.Metrics))
+		for i, name := range s.Metrics {
+			if m.Metrics[i], err = synth.ParseMetric(name); err != nil {
+				return nil, fmt.Errorf("serve: model %q: %w", s.Name, err)
+			}
+		}
+	}
+	if len(s.Percentiles) > 0 {
+		m.Percentiles = s.Percentiles
+	}
+	if err := m.CheckLabeling(); err != nil {
+		return nil, err
+	}
+	m.Net = arch.Build(0) // weights are fully overwritten below
+	if err := m.Net.LoadWeights(bytes.NewReader(s.Weights)); err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", s.Name, err)
 	}
-	return &Model{
-		Name:     s.Name,
-		Space:    space,
-		Arch:     arch,
-		Net:      net,
-		LoadedAt: time.Now(),
-	}, nil
+	return m, nil
 }
 
 // LoadModelFile reads a model file written by SaveModel and records its

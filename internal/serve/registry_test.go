@@ -3,17 +3,23 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"flowgen/internal/core"
 	"flowgen/internal/flow"
+	"flowgen/internal/label"
+	"flowgen/internal/nn"
+	"flowgen/internal/synth"
 )
 
 // TestModelRoundTrip proves a model survives serialization: the loaded
-// network scores flows bit-identically to the original.
+// network scores flows bit-identically to the original, under the same
+// labeling definition.
 func TestModelRoundTrip(t *testing.T) {
 	m := testModel("rt", 7)
 	var buf bytes.Buffer
@@ -30,6 +36,18 @@ func TestModelRoundTrip(t *testing.T) {
 	if back.Arch != m.Arch {
 		t.Fatalf("architecture lost: %+v != %+v", back.Arch, m.Arch)
 	}
+	m.Metrics = []synth.Metric{synth.MetricDelay, synth.MetricArea}
+	buf.Reset()
+	if err := WriteModel(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if back, err = ReadModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Metrics, m.Metrics) || !reflect.DeepEqual(back.Percentiles, m.Percentiles) {
+		t.Fatalf("labeling definition lost: %v at %v, want %v at %v",
+			back.Metrics, back.Percentiles, m.Metrics, m.Percentiles)
+	}
 	flows := m.Space.RandomUnique(rand.New(rand.NewSource(1)), 5)
 	want, got := directProbs(m, flows), directProbs(back, flows)
 	for i := range want {
@@ -41,7 +59,8 @@ func TestModelRoundTrip(t *testing.T) {
 
 // TestSaveLoadModelFile covers the file path helpers including the
 // atomic write and the recorded reload path, and refuses a file whose
-// network input does not hold its space's encoding.
+// network input does not hold its space's encoding or whose
+// percentiles do not define its network's classes.
 func TestSaveLoadModelFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.flowmodel")
 	m := testModel("disk", 3)
@@ -66,6 +85,82 @@ func TestSaveLoadModelFile(t *testing.T) {
 	}
 	if _, err := LoadModelFile(path); err == nil {
 		t.Fatal("want an error for a 4x8 network over a 6x6 encoding")
+	}
+	// One cut defines two classes; the network has five.
+	bad = testModel("bad", 3)
+	bad.Percentiles = []float64{50}
+	if err := SaveModel(path, bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModelFile(path); err == nil {
+		t.Fatal("want an error for one percentile over a five-class network")
+	}
+}
+
+// legacySnapshot is modelSnapshot as model files were written before a
+// model carried its labeling definition.
+type legacySnapshot struct {
+	Name       string
+	Alphabet   []string
+	M          int
+	InH, InW   int
+	KH, KW     int
+	Filters    int
+	PoolStride int
+	LocalKH    int
+	LocalC     int
+	DenseUnits int
+	Dropout    float64
+	Act        string
+	NumClasses int
+	Weights    []byte
+}
+
+// legacyFile writes m in the format without a labeling definition.
+func legacyFile(t *testing.T, m *Model) *bytes.Buffer {
+	t.Helper()
+	var cur bytes.Buffer
+	if err := WriteModel(&cur, m); err != nil {
+		t.Fatal(err)
+	}
+	var old legacySnapshot
+	if err := gob.NewDecoder(&cur).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
+// TestReadModelWithoutLabelingDefinition: a file from before models
+// carried their labeling definition reads as what every such file was
+// trained on, area under label.DefaultPercentiles, and scores as
+// before; such a file over a network without seven classes is refused.
+func TestReadModelWithoutLabelingDefinition(t *testing.T) {
+	m := testModel("legacy", 4)
+	m.Arch = nn.FastArch(7)
+	m.Arch.InH, m.Arch.InW = 4, 8
+	m.Net = m.Arch.Build(4)
+	m.Metrics, m.Percentiles = []synth.Metric{synth.MetricDelay}, []float64{1, 2, 3, 4, 5, 6}
+	back, err := ReadModel(legacyFile(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Metrics, []synth.Metric{synth.MetricArea}) ||
+		!reflect.DeepEqual(back.Percentiles, label.DefaultPercentiles) {
+		t.Fatalf("legacy file labels on %v at %v, want area at %v", back.Metrics, back.Percentiles, label.DefaultPercentiles)
+	}
+	flows := m.Space.RandomUnique(rand.New(rand.NewSource(2)), 5)
+	want, got := directProbs(m, flows), directProbs(back, flows)
+	for i := range want {
+		if !sameProbs(want[i], got[i]) {
+			t.Fatalf("flow %d: legacy file scores differently", i)
+		}
+	}
+	if _, err := ReadModel(legacyFile(t, testModel("five", 4))); err == nil {
+		t.Fatal("want an error for a legacy five-class file")
 	}
 }
 

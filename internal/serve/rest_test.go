@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -93,7 +95,8 @@ func TestServerRESTModelRoutes(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/models/alu", &info); code != http.StatusOK {
 		t.Fatalf("model get: %d", code)
 	}
-	if info.Name != "alu" || info.Version != 1 || !info.Default || info.Params == 0 {
+	if info.Name != "alu" || info.Version != 1 || !info.Default || info.Params == 0 ||
+		info.Classes != 5 || !slices.Equal(info.Metrics, []string{"area"}) || !slices.Equal(info.Percentiles, []float64{10, 30, 70, 90}) {
 		t.Fatalf("model info: %+v", info)
 	}
 
@@ -152,10 +155,19 @@ func TestServerRESTModelRoutes(t *testing.T) {
 }
 
 // TestServerErrorEnvelope asserts the uniform error body and stable
-// codes across representative failures of every kind.
+// codes across representative failures of every kind. The first cases
+// panic inside the engine's prediction workers, through a model whose
+// network input does not hold its space's encoding (ReadModel refuses
+// one, Register takes it); the server keeps answering the rest.
 func TestServerErrorEnvelope(t *testing.T) {
 	m := testModel("alu", 5)
-	_, ts := newTestServer(t, m)
+	bad := testModel("bad", 5)
+	bad.Space = flow.NewSpace([]string{"a", "b", "c", "d"}, 3) // 12x4 encodings, 4x8 network
+	_, ts := newTestServer(t, m, bad)
+	var badFlows []string
+	for _, f := range bad.Space.RandomUnique(rand.New(rand.NewSource(9)), 70) {
+		badFlows = append(badFlows, f.String(bad.Space))
+	}
 
 	cases := []struct {
 		name   string
@@ -165,6 +177,8 @@ func TestServerErrorEnvelope(t *testing.T) {
 		status int
 		code   string
 	}{
+		{"worker panic", "POST", "/v1/predict", map[string]any{"model": "bad", "flows": badFlows[:1]}, http.StatusInternalServerError, "internal"},
+		{"worker panic chunks", "POST", "/v1/predict", map[string]any{"model": "bad", "flows": badFlows}, http.StatusInternalServerError, "internal"},
 		{"empty predict", "POST", "/v1/predict", map[string]any{}, http.StatusBadRequest, "bad_request"},
 		{"unknown model", "POST", "/v1/predict", map[string]any{"model": "ghost", "flows": []string{"a; b"}}, http.StatusNotFound, "not_found"},
 		{"model get 404", "GET", "/v1/models/ghost", nil, http.StatusNotFound, "not_found"},

@@ -16,7 +16,6 @@ import (
 	"flowgen/internal/core"
 	"flowgen/internal/fault"
 	"flowgen/internal/flow"
-	"flowgen/internal/nn"
 	"flowgen/internal/obs"
 	"flowgen/internal/synth"
 	"flowgen/internal/tensor"
@@ -423,25 +422,33 @@ func (s *Server) handleReady(*http.Request) (any, error) {
 
 // ---------------------------------------------------------------- models
 
-// ModelInfo describes one registered model.
+// ModelInfo describes one registered model, including the labeling
+// definition its classes stand for.
 type ModelInfo struct {
-	Name     string    `json:"name"`
-	Version  int       `json:"version"`
-	Default  bool      `json:"default"`
-	Classes  int       `json:"classes"`
-	Alphabet []string  `json:"alphabet"`
-	M        int       `json:"m"`
-	Params   int       `json:"params"`
-	Path     string    `json:"path,omitempty"`
-	LoadedAt time.Time `json:"loaded_at"`
+	Name        string    `json:"name"`
+	Version     int       `json:"version"`
+	Default     bool      `json:"default"`
+	Classes     int       `json:"classes"`
+	Metrics     []string  `json:"metrics"`
+	Percentiles []float64 `json:"percentiles"`
+	Alphabet    []string  `json:"alphabet"`
+	M           int       `json:"m"`
+	Params      int       `json:"params"`
+	Path        string    `json:"path,omitempty"`
+	LoadedAt    time.Time `json:"loaded_at"`
 }
 
 func modelInfo(m *Model, def string) ModelInfo {
-	return ModelInfo{
+	info := ModelInfo{
 		Name: m.Name, Version: m.Version, Default: m.Name == def,
-		Classes: m.Arch.NumClasses, Alphabet: m.Space.Alphabet, M: m.Space.M,
+		Classes: m.Arch.NumClasses, Percentiles: m.Percentiles,
+		Alphabet: m.Space.Alphabet, M: m.Space.M,
 		Params: m.Net.NumParams(), Path: m.Path, LoadedAt: m.LoadedAt,
 	}
+	for _, metric := range m.Metrics {
+		info.Metrics = append(info.Metrics, metric.String())
+	}
+	return info
 }
 
 // handleModelGet serves GET /v1/models/{name}: one model's metadata,
@@ -885,13 +892,12 @@ func decodeJSON(r *http.Request, dst any) error {
 }
 
 // BootstrapModel builds a deterministic, freshly initialized in-memory
-// model over the paper's flow space — enough to bring a server up with
+// model over the paper's flow space, with the architecture and labeling
+// definition of core.DefaultConfig — enough to bring a server up with
 // no model files (CI smoke tests, demos). The weights are untrained;
 // real deployments load files produced by flowgen -save-model.
 func BootstrapModel(name string) *Model {
-	space := flow.PaperSpace()
-	h, w := core.EncodeShape(space)
-	arch := nn.FastArch(7)
-	arch.InH, arch.InW = h, w
-	return &Model{Name: name, Space: space, Arch: arch, Net: arch.Build(1)}
+	cfg := core.DefaultConfig(flow.PaperSpace())
+	return &Model{Name: name, Space: cfg.Space, Arch: cfg.Arch,
+		Metrics: cfg.Metrics, Percentiles: cfg.Percentiles, Net: cfg.Arch.Build(1)}
 }

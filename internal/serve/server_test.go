@@ -21,18 +21,21 @@ import (
 	"flowgen/internal/fault"
 	"flowgen/internal/flow"
 	"flowgen/internal/nn"
+	"flowgen/internal/synth"
 	"flowgen/internal/tensor"
 	"flowgen/internal/train"
 )
 
 // testModel builds a small deterministic model over a 4-letter m=2
 // space (4×8 encodings — large enough for the FastArch pooling stack,
-// small enough that race-enabled concurrency tests stay fast).
+// small enough that race-enabled concurrency tests stay fast) that
+// classifies area into five classes.
 func testModel(name string, seed int64) *Model {
 	space := flow.NewSpace([]string{"a", "b", "c", "d"}, 2)
 	arch := nn.FastArch(5)
 	arch.InH, arch.InW = 4, 8
-	return &Model{Name: name, Space: space, Arch: arch, Net: arch.Build(seed)}
+	return &Model{Name: name, Space: space, Arch: arch, Metrics: []synth.Metric{synth.MetricArea},
+		Percentiles: []float64{10, 30, 70, 90}, Net: arch.Build(seed)}
 }
 
 // directProbs scores flows through the model's own streamed path, the

@@ -71,6 +71,17 @@ func (m Metric) String() string {
 	return "delay"
 }
 
+// ParseMetric returns the metric String names.
+func ParseMetric(name string) (Metric, error) {
+	switch name {
+	case "area":
+		return MetricArea, nil
+	case "delay":
+		return MetricDelay, nil
+	}
+	return 0, fmt.Errorf("synth: unknown metric %q", name)
+}
+
 // Engine evaluates flows against a fixed master design. The master graph
 // is only read (it must be a freshly built or Cleanup'd graph, which is
 // free of replacement indirections), so evaluations can run concurrently.
