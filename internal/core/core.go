@@ -122,11 +122,15 @@ type ScoredFlow struct {
 // RoundStat records one incremental (re)training round for the
 // accuracy-over-time curves of Figures 4 and 5.
 type RoundStat struct {
-	Labeled   int           // labeled flows available in this round
-	Steps     int           // cumulative training steps
-	Loss      float64       // mean minibatch loss in the round
-	TrainAcc  float64       // accuracy on the labeled training set
-	Collect   time.Duration // wall time spent labeling (synthesis)
+	Labeled  int           // labeled flows available in this round
+	Steps    int           // cumulative training steps
+	Loss     float64       // mean minibatch loss in the round
+	TrainAcc float64       // accuracy on the labeled training set
+	Collect  time.Duration // wall time of the tranche's labeling (synthesis)
+	// Wait is how long the round loop blocked on the tranche's labels.
+	// Train labels each tranche after the first while the previous round
+	// trains, so Wait is Collect less the part that overlapped it.
+	Wait      time.Duration
 	TrainTime time.Duration // wall time spent in gradient descent
 }
 
@@ -193,16 +197,14 @@ func (fw *Framework) Run(progress Progress) (*Result, error) {
 	cfg := fw.Cfg
 
 	// ① Sample the training flows up front (Train labels them in
-	// increments through the engine).
+	// increments through the engine, one tranche ahead of training).
 	flows := cfg.Space.RandomUnique(fw.rng, cfg.TrainFlows)
 	res, err := Train(cfg, flows, func(lo, hi int) ([]synth.QoR, error) {
-		qors, err := fw.Engine.EvaluateAll(flows[lo:hi], nil)
-		if err == nil {
-			progress("labeled %d/%d flows", hi, cfg.TrainFlows)
-		}
-		return qors, err
+		return fw.Engine.EvaluateAll(flows[lo:hi], nil)
 	}, func(r *Result) {
 		last := r.Rounds[len(r.Rounds)-1]
+		progress("labeled %d/%d flows (labeling %v, waited %v)", last.Labeled, cfg.TrainFlows,
+			last.Collect.Round(time.Millisecond), last.Wait.Round(time.Millisecond))
 		progress("round %d: loss %.4f train-acc %.3f", len(r.Rounds), last.Loss, last.TrainAcc)
 	})
 	if err != nil {

@@ -51,14 +51,23 @@ func NewTrainer(cfg Config) (*train.Trainer, error) {
 
 // Train is the one round loop of Figure 2's incremental protocol over
 // flows, the training set in labeling order. For each corpus size of
-// Schedule(cfg.InitialLabeled, cfg.RetrainEvery, len(flows)) it labels
-// the next tranche, flows[lo:hi], through labelFn, refits the class
-// determinators (cfg.Metrics, cfg.Percentiles) on every label so far,
-// trains one Round of cfg.StepsPerRound steps on the labeled corpus and
-// then calls hook with the run so far: Net, Model (the round's), Rounds
-// (the round's last), TrainFlows and TrainQoRs. Framework.Run labels
-// through the synthesis engine, exp.RunIncremental from a pre-collected
-// bundle; both drive this loop.
+// Schedule(cfg.InitialLabeled, cfg.RetrainEvery, len(flows)) it takes
+// the next tranche's labels, flows[lo:hi] through labelFn, refits the
+// class determinators (cfg.Metrics, cfg.Percentiles) on every label so
+// far, trains one Round of cfg.StepsPerRound steps on the labeled corpus
+// and then calls hook with the run so far: Net, Model (the round's),
+// Rounds (the round's last), TrainFlows and TrainQoRs. Framework.Run
+// labels through the synthesis engine, exp.RunIncremental from a
+// pre-collected bundle; both drive this loop.
+//
+// No tranche's labels depend on a round, so Train labels one tranche
+// ahead: once tranche k's labels arrive it starts labelFn for tranche
+// k+1 on its own goroutine, then fits, trains round k and calls hook.
+// labelFn is called once per tranche, in order and never twice at once,
+// but it runs while the previous round trains and its hook runs, so the
+// two must not share unsynchronized state. No call is in flight once
+// Train returns, also on an error, and a labelFn panic is re-raised on
+// Train's goroutine.
 func Train(cfg Config, flows []flow.Flow, labelFn func(lo, hi int) ([]synth.QoR, error), hook func(*Result)) (*Result, error) {
 	sizes, err := Schedule(cfg.InitialLabeled, cfg.RetrainEvery, len(flows))
 	if err != nil {
@@ -70,14 +79,28 @@ func Train(cfg Config, flows []flow.Flow, labelFn func(lo, hi int) ([]synth.QoR,
 	}
 	round := &Round{Space: cfg.Space, H: cfg.Arch.InH, W: cfg.Arch.InW, Steps: cfg.StepsPerRound}
 	res := &Result{Net: trainer.Net, TrainFlows: flows, TrainQoRs: make([]synth.QoR, 0, len(flows))}
-	for _, labeled := range sizes {
-		tCollect := time.Now()
-		batch, err := labelFn(len(res.TrainQoRs), labeled)
+	if len(sizes) == 0 {
+		return res, nil
+	}
+	ahead := startTranche(labelFn, 0, sizes[0])
+	defer func() {
+		if ahead != nil {
+			ahead.wait()
+		}
+	}()
+	for k, labeled := range sizes {
+		tWait := time.Now()
+		cur := ahead
+		ahead = nil
+		batch, err := cur.wait()
+		wait := time.Since(tWait)
 		if err != nil {
 			return nil, err
 		}
 		res.TrainQoRs = append(res.TrainQoRs, batch...)
-		collect := time.Since(tCollect)
+		if k+1 < len(sizes) {
+			ahead = startTranche(labelFn, labeled, sizes[k+1])
+		}
 
 		// Refit determinators on everything collected so far (the class
 		// definitions change dynamically as the dataset grows).
@@ -93,12 +116,47 @@ func Train(cfg Config, flows []flow.Flow, labelFn func(lo, hi int) ([]synth.QoR,
 			Steps:     (len(res.Rounds) + 1) * cfg.StepsPerRound,
 			Loss:      rr.Loss,
 			TrainAcc:  rr.Acc,
-			Collect:   collect,
+			Collect:   cur.took,
+			Wait:      wait,
 			TrainTime: rr.Train,
 		})
 		hook(res)
 	}
 	return res, nil
+}
+
+// tranche is one labelFn call running on its own goroutine.
+type tranche struct {
+	done     chan struct{} // closed once the call has returned or panicked
+	qors     []synth.QoR
+	err      error
+	panicked any           // what the call panicked with, if it did
+	took     time.Duration // the call's wall time
+}
+
+// startTranche starts labelFn(lo, hi) on a new goroutine.
+func startTranche(labelFn func(lo, hi int) ([]synth.QoR, error), lo, hi int) *tranche {
+	t := &tranche{done: make(chan struct{})}
+	go func() {
+		start := time.Now()
+		defer func() {
+			t.panicked = recover()
+			t.took = time.Since(start)
+			close(t.done)
+		}()
+		t.qors, t.err = labelFn(lo, hi)
+	}()
+	return t
+}
+
+// wait blocks until the call has returned and gives its labels, or
+// re-raises its panic on the caller's goroutine.
+func (t *tranche) wait() ([]synth.QoR, error) {
+	<-t.done
+	if t.panicked != nil {
+		panic(t.panicked)
+	}
+	return t.qors, t.err
 }
 
 // Round is the one training round of Figure 2's incremental cycle:

@@ -188,23 +188,30 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if len(s.Alphabet) == 0 || s.M < 1 {
 		return nil, fmt.Errorf("serve: model %q has an empty flow space", s.Name)
 	}
-	// A flow's one-hot encoding must fill the network's input exactly:
-	// scoring encodes inside the engine's worker goroutines, where a
-	// mismatch would panic past every handler's recover.
-	space := flow.NewSpace(s.Alphabet, s.M)
-	if s.InH*s.InW != space.Length()*space.N() {
-		return nil, fmt.Errorf("serve: model %q: %dx%d input does not hold its space's %dx%d encoding",
-			s.Name, s.InH, s.InW, space.Length(), space.N())
-	}
 	arch := nn.ArchConfig{
 		InH: s.InH, InW: s.InW, KH: s.KH, KW: s.KW, Filters: s.Filters,
 		PoolStride: s.PoolStride, LocalKH: s.LocalKH, LocalC: s.LocalC,
 		DenseUnits: s.DenseUnits, Dropout: s.Dropout, Act: act,
 		NumClasses: s.NumClasses,
 	}
+	// Build panics on an architecture Validate refuses, and the watcher
+	// reloads files outside any request's recover.
+	if err := arch.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: model %q: %w", s.Name, err)
+	}
+	// A flow's one-hot encoding, L×n values with L = n·M, must fill the
+	// network's input exactly: scoring encodes inside the engine's worker
+	// goroutines, where a mismatch would panic past every handler's
+	// recover. Validate bounds the input, and the division keeps n²·M
+	// from overflowing on an M read from the file.
+	n, in := len(s.Alphabet), s.InH*s.InW
+	if s.M > in/(n*n) || n*n*s.M != in {
+		return nil, fmt.Errorf("serve: model %q: %dx%d input does not hold the one-hot encoding of %d letters at m=%d",
+			s.Name, s.InH, s.InW, n, s.M)
+	}
 	m := &Model{
 		Name:        s.Name,
-		Space:       space,
+		Space:       flow.NewSpace(s.Alphabet, s.M),
 		Arch:        arch,
 		Metrics:     []synth.Metric{synth.MetricArea},
 		Percentiles: label.DefaultPercentiles,

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -59,8 +61,9 @@ func TestModelRoundTrip(t *testing.T) {
 
 // TestSaveLoadModelFile covers the file path helpers including the
 // atomic write and the recorded reload path, and refuses a file whose
-// network input does not hold its space's encoding or whose
-// percentiles do not define its network's classes.
+// network input does not hold its space's encoding, whose percentiles
+// do not define its network's classes or whose architecture
+// nn.ArchConfig.Validate refuses.
 func TestSaveLoadModelFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.flowmodel")
 	m := testModel("disk", 3)
@@ -95,6 +98,59 @@ func TestSaveLoadModelFile(t *testing.T) {
 	if _, err := LoadModelFile(path); err == nil {
 		t.Fatal("want an error for one percentile over a five-class network")
 	}
+	for _, p := range probeEdits {
+		if err := os.WriteFile(path, mutatedFile(t, BootstrapModel("probe"), p.edit), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModelFile(path); err == nil {
+			t.Errorf("%s: want an error", p.name)
+		}
+	}
+	// Two letters at m = 2^(bits-2)+9 encode as 4m = 36 values modulo
+	// 2^bits, as six letters at m=1 do, but no flow of that space fits.
+	six := testModel("wrap", 3)
+	six.Space = flow.NewSpace([]string{"a", "b", "c", "d", "e", "f"}, 1)
+	six.Arch.InH, six.Arch.InW = 6, 6
+	six.Net = six.Arch.Build(3)
+	wrap := mutatedFile(t, six, func(s *modelSnapshot) { s.Alphabet, s.M = []string{"a", "b"}, math.MaxInt>>1+1+9 })
+	if err := os.WriteFile(path, wrap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModelFile(path); err == nil {
+		t.Error("want an error for a multiplicity whose encoding size wraps")
+	}
+}
+
+// probeEdits break one architecture field of a model file. Before
+// ReadModel validated architectures, the first three panicked in
+// nn.ArchConfig.Build and the last loaded.
+var probeEdits = []struct {
+	name string
+	edit func(*modelSnapshot)
+}{
+	{"pool stride 0", func(s *modelSnapshot) { s.PoolStride = 0 }},
+	{"kernel height -1", func(s *modelSnapshot) { s.KH = -1 }},
+	{"dense units -5", func(s *modelSnapshot) { s.DenseUnits = -5 }},
+	{"dropout 2", func(s *modelSnapshot) { s.Dropout = 2 }},
+}
+
+// mutatedFile gives m's model file with edit applied to its snapshot.
+func mutatedFile(tb testing.TB, m *Model, edit func(*modelSnapshot)) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteModel(&buf, m); err != nil {
+		tb.Fatal(err)
+	}
+	var s modelSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&s); err != nil {
+		tb.Fatal(err)
+	}
+	edit(&s)
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // legacySnapshot is modelSnapshot as model files were written before a

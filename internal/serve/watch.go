@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"log/slog"
 	"os"
+	"runtime/debug"
 	"time"
 )
 
@@ -109,7 +112,7 @@ func (w *Watcher) poll(onEvent func(WatchEvent)) {
 		if cur == prev {
 			continue
 		}
-		fresh, err := w.reg.Reload(m.Name)
+		fresh, err := w.reload(m.Name)
 		if err == nil {
 			// Record the new state only on success: a transient load
 			// failure (fd pressure, permission blip) must be retried on
@@ -127,4 +130,20 @@ func (w *Watcher) poll(onEvent func(WatchEvent)) {
 			onEvent(ev)
 		}
 	}
+}
+
+// reload hot-reloads one model. The watcher runs outside any request's
+// recover, so a panic while reloading would end the process; it becomes
+// that model's reload failure instead, counted in ReloadFails like a
+// load error, and the previous version keeps serving.
+func (w *Watcher) reload(name string) (fresh *Model, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			w.reg.reloadFails.Add(1)
+			slog.Error("serve: watch reload panic recovered, previous version kept",
+				"model", name, "panic", p, "stack", string(debug.Stack()))
+			fresh, err = nil, fmt.Errorf("serve: reloading model %q panicked: %v", name, p)
+		}
+	}()
+	return w.reg.Reload(name)
 }

@@ -5,9 +5,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"flowgen/internal/fault"
 )
 
 // TestWatchReloadsOnFileChange drives the -watch path under live HTTP
@@ -151,4 +154,78 @@ func TestWatchRebaselinesAfterRegister(t *testing.T) {
 	wantVersion("file change", 4)
 	w.poll(nil)
 	wantVersion("unchanged file", 4)
+}
+
+// TestWatchKeepsServingOnBadFile: a watched file rewritten with a pool
+// stride of 0, which once panicked the watcher's goroutine and ended
+// the process, is that reload's failure, and so is a panic while
+// reloading; each time the previous version keeps serving, and the
+// next good file is loaded.
+func TestWatchKeepsServingOnBadFile(t *testing.T) {
+	defer fault.Reset()
+	path := filepath.Join(t.TempDir(), "m.flowmodel")
+	first := testModel("m", 1)
+	if err := SaveModel(path, first); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModelFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	reg.Register(loaded)
+	w := NewWatcher(reg)
+	flows := first.Space.RandomUnique(rand.New(rand.NewSource(3)), 4)
+	want := directProbs(first, flows)
+	poll := func(step string, wantVersion int, wantErr string) {
+		t.Helper()
+		var events []WatchEvent
+		w.poll(func(ev WatchEvent) { events = append(events, ev) })
+		if len(events) != 1 || (wantErr == "") != (events[0].Err == nil) ||
+			(wantErr != "" && !strings.Contains(events[0].Err.Error(), wantErr)) {
+			t.Fatalf("%s: watch events %+v, want one with error %q", step, events, wantErr)
+		}
+		cur, err := reg.Get("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.Version != wantVersion {
+			t.Fatalf("%s: serving version %d, want %d", step, cur.Version, wantVersion)
+		}
+	}
+	// rewrite replaces the file as SaveModel does, by rename.
+	rewrite := func(data []byte) {
+		t.Helper()
+		tmp := path + ".tmp"
+		if err := os.WriteFile(tmp, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rewrite(mutatedFile(t, testModel("m", 2), func(s *modelSnapshot) { s.PoolStride = 0 }))
+	poll("pool stride 0", 1, "PoolStride 0")
+
+	if err := fault.Set("serve.registry.load=panic", 1); err != nil {
+		t.Fatal(err)
+	}
+	rewrite(mutatedFile(t, testModel("m", 2), func(*modelSnapshot) {}))
+	poll("reload panic", 1, "panicked")
+	if n := reg.ReloadFails(); n != 2 {
+		t.Fatalf("%d reload failures counted, want 2", n)
+	}
+	cur, err := reg.Get("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range directProbs(cur, flows) {
+		if !sameProbs(p, want[i]) {
+			t.Fatalf("flow %d: the kept version scores differently", i)
+		}
+	}
+
+	fault.Reset()
+	poll("good file", 2, "")
 }
